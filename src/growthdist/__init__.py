@@ -12,7 +12,6 @@ from .asymptotic import (
     AsymptoticResult,
     LimitSettings,
     airy_form_kernel,
-    assemble_F,
     d_for_eps,
     det_settings,
     eval_basic_kernel,
@@ -53,7 +52,6 @@ __all__ = [
     "ScalingConstants",
     "SchemaError",
     "airy_form_kernel",
-    "assemble_F",
     "build_table",
     "compute_constants",
     "d_for_eps",

@@ -40,7 +40,10 @@ Two independent evaluation paths are provided and cross-checked:
 
 ``multitime_cdf`` integrates the Fredholm determinant over the theta
 circles with the trapezoidal rule (exponentially accurate for Laurent
-series) and doubles all resolutions until two successive levels agree.
+series) and doubles all resolutions until two successive levels agree;
+``_limit_terms`` hands the Nystrom-weighted kernel bases to the shared
+theta-determinant engine in ``linalg``, which does the summing,
+determinants, integration and refinement.
 The single-time marginal is the GUE Tracy-Widom law, exposed directly as
 ``tracy_widom`` together with the contour-form kernel ``two_point_kernel``
 satisfying ``det(I - K) = F_GUE(xi + x^2)``.
@@ -48,7 +51,6 @@ satisfying ``det(I - K) = F_GUE(xi + x^2)``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -56,9 +58,18 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, SchemaError
-from .integrands import airy_ai, airy_kernel_matrix, circle, composite_gl, log_script_g
-from .linalg import NystromGrid, block_grid, lu_det, nystrom_det
+from .errors import ConvergenceError, SchemaError
+from .integrands import airy_ai, airy_kernel_matrix, composite_gl, log_script_g, vline
+from .linalg import (
+    NystromGrid,
+    _check_deadline,
+    _det_at,
+    _refine,
+    _theta_integral,
+    block_grid,
+    lu_det,
+    nystrom_det,
+)
 from .params import (
     LimitParams,
     admissible_eps,
@@ -77,7 +88,6 @@ __all__ = [
     "check_d_assignment",
     "eval_basic_kernel",
     "airy_form_kernel",
-    "assemble_F",
     "fredholm_det_F",
     "multitime_cdf",
     "tracy_widom",
@@ -96,6 +106,7 @@ _NODES_PER_RADIAN = 3.4 / (2.0 * math.pi)
 _MAX_LINE_NODES = 6000
 _INTERIOR_VMAX = 2.0      # oscillation allowance for lines with no u/v factor
 _AIRY_ARG_FLOOR = -58.0   # deepest Airy argument the evaluator certifies
+_TW_NODES = 96            # first quadrature level of the Tracy-Widom route
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ class LimitSettings:
     theta_nodes: int | None = None
     mu: float | None = None
     tol: float = 2e-6
-    max_levels: int = 3
+    max_levels: int = 2
     lam_max: float = 40.0
     lam_nodes: int = 160
 
@@ -303,17 +314,13 @@ class _LimitKernels:
             + vmax
         )
         n = int(max(96, min(_MAX_LINE_NODES, _NODES_PER_RADIAN * phase + 24)))
-        y, w = composite_gl(-hw, hw, n, panel_size=12)
-        nodes = anchor + 1j * y
-        lg = log_script_g(nodes, dt, dx, dxi)
-        wf = (w / (2.0 * math.pi)) * np.exp(-lg if inverse else lg)
-        self._lines[key] = (nodes, wf)
-        return nodes, wf
+        line = vline(anchor, hw, n, panel_size=12)
+        lg = log_script_g(line.nodes, dt, dx, dxi)
+        wf = line.weights * np.exp(-lg if inverse else lg)
+        self._lines[key] = (line.nodes, wf)
+        return line.nodes, wf
 
     # -- chain pieces ------------------------------------------------------
-
-    def _conj(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.exp(self.mu * (v[None, :] - u[:, None]))
 
     @staticmethod
     def _rows(u: np.ndarray, nodes: np.ndarray, wf: np.ndarray) -> np.ndarray:
@@ -352,8 +359,7 @@ class _LimitKernels:
             self.s.d_single, self.trip(self.p - 1, self.p), _vmax_bucket(u), False
         )
         cn, cw = self._line(-self.s.d1, self.trip(sbot, self.p), _vmax_bucket(v), True)
-        mat = self._rows(u, zn, zw) @ self._couple(zn, cn) @ self._cols(cn, cw, v)
-        return mat * self._conj(u, v)
+        return self._rows(u, zn, zw) @ self._couple(zn, cn) @ self._cols(cn, cw, v)
 
     def family2(
         self, k: int, rtop: int, sbot: int, u: np.ndarray, v: np.ndarray
@@ -361,8 +367,7 @@ class _LimitKernels:
         """Two decaying lines coupled once."""
         an, aw = self._line(-self.s.d1, self.trip(k, rtop), _vmax_bucket(u), True)
         bn, bw = self._line(-self.s.d2, self.trip(sbot, k), _vmax_bucket(v), True)
-        mat = self._rows(u, an, aw) @ self._couple(an, bn) @ self._cols(bn, bw, v)
-        return mat * self._conj(u, v)
+        return self._rows(u, an, aw) @ self._couple(an, bn) @ self._cols(bn, bw, v)
 
     def family3(self, k: int, sbot: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Growing line, then two decaying lines."""
@@ -372,8 +377,7 @@ class _LimitKernels:
         mn, mw = self._line(-self.s.d2, self.trip(k, self.p), _INTERIOR_VMAX, True)
         cn, cw = self._line(-self.s.d3, self.trip(sbot, k), _vmax_bucket(v), True)
         chain = self._rows(u, zn, zw) @ (self._couple(zn, mn) * mw[None, :])
-        mat = chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
-        return mat * self._conj(u, v)
+        return chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
 
     def family4(
         self, k1: int, rtop: int, k2: int, sbot: int, u: np.ndarray, v: np.ndarray
@@ -383,8 +387,7 @@ class _LimitKernels:
         mn, mw = self._line(-self.s.d2, self.trip(k2, k1), _INTERIOR_VMAX, True)
         cn, cw = self._line(-self.s.d3, self.trip(sbot, k2), _vmax_bucket(v), True)
         chain = self._rows(u, an, aw) @ (self._couple(an, mn) * mw[None, :])
-        mat = chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
-        return mat * self._conj(u, v)
+        return chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
 
     def _ladder_chain(
         self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, u: np.ndarray,
@@ -419,8 +422,7 @@ class _LimitKernels:
     ) -> np.ndarray:
         """Decaying line into the ladder; the last rung carries ``v``."""
         chain, zn, zw = self._ladder_chain(k1, k2, epsw, rtop, u, _vmax_bucket(v))
-        mat = chain @ self._cols(zn, zw, v)
-        return mat * self._conj(u, v)
+        return chain @ self._cols(zn, zw, v)
 
     def family6(
         self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, sbot: int,
@@ -430,8 +432,7 @@ class _LimitKernels:
         chain, zn, zw = self._ladder_chain(k1, k2, epsw, rtop, u, _INTERIOR_VMAX)
         chain = chain * zw[None, :]
         cn, cw = self._line(-self.s.d2, self.trip(sbot, k2), _vmax_bucket(v), True)
-        mat = chain @ self._couple(zn, cn) @ self._cols(cn, cw, v)
-        return mat * self._conj(u, v)
+        return chain @ self._couple(zn, cn) @ self._cols(cn, cw, v)
 
     def family7(
         self, k1: int, k2: int, k3: int, epsw: tuple[int, ...], rtop: int, sbot: int,
@@ -443,12 +444,12 @@ class _LimitKernels:
         mn, mw = self._line(-self.s.d2, self.trip(k3, k2), _INTERIOR_VMAX, True)
         cn, cw = self._line(-self.s.d3, self.trip(sbot, k3), _vmax_bucket(v), True)
         chain = chain @ (self._couple(zn, mn) * mw[None, :])
-        mat = chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
-        return mat * self._conj(u, v)
+        return chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
 
     def evaluate(self, family: int, kw: dict, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Family ``family`` at ``(u, v)``, conjugated by ``exp(mu (v - u))``."""
         builder = getattr(self, f"family{family}")
-        return builder(u=u, v=v, **kw)
+        return builder(u=u, v=v, **kw) * np.exp(self.mu * (v[None, :] - u[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -891,90 +892,47 @@ def _block_terms(p: int, r: int, s: int) -> list[_Term]:
     return out
 
 
-def assemble_F(
-    theta,
-    r: int,
-    u,
-    s: int,
-    v,
-    instance: LimitParams,
-    *,
-    settings: LimitSettings | None = None,
-):
-    """Pointwise block ``F(theta)(r, u; s, v)`` of the assembled kernel."""
-    inst = instance
-    settings = settings or LimitSettings()
-    th = tuple(complex(z) for z in np.atleast_1d(theta))
-    if len(th) != inst.p - 1:
-        raise SchemaError(f"theta must have length {inst.p - 1}")
-    uarr = np.atleast_1d(np.asarray(u, dtype=float))
-    varr = np.atleast_1d(np.asarray(v, dtype=float))
-    kern = _LimitKernels(inst, settings)
-    total = np.zeros((len(uarr), len(varr)), dtype=complex)
-    for term in _block_terms(inst.p, r, s):
-        c = term.coef(th)
-        if abs(c) < 1e-300:
-            continue
-        total += c * kern.evaluate(term.family, term.kw, uarr, varr)
-    if np.isscalar(u) and np.isscalar(v):
-        return complex(total[0, 0])
-    return total
-
-
-class _LimitAssembler:
-    """Caches the theta-independent kernel matrices on a Nystrom grid.
+def _limit_terms(
+    inst: LimitParams, settings: LimitSettings, grid: NystromGrid,
+    deadline: float | None = None,
+) -> list:
+    """Engine terms ``(rows, cols, base, coefs)`` of ``F(theta)`` on a Nystrom grid.
 
     Each block ``(r, s)`` is a theta-weighted sum of basic-family matrices;
     distinct terms frequently share the same matrix (same family, same
-    resolved indices, same coordinate blocks), so bases are stored once
-    and referenced by groups of coefficient functions.
+    resolved indices, same coordinate blocks), so each base is evaluated
+    once, with the Nystrom weights ``W^(1/2) . W^(1/2)`` folded in, and
+    referenced by groups of coefficient functions.
     """
-
-    def __init__(
-        self, inst: LimitParams, settings: LimitSettings, grid: NystromGrid,
-        deadline: float | None = None,
-    ):
-        self.kern = _LimitKernels(inst, settings)
-        self.grid = grid
-        self.p = inst.p
-        self.bases: list[np.ndarray] = []
-        self.groups: list[tuple[int, int, int, list]] = []
-        cache: dict[tuple, int] = {}
-        for r in range(1, self.p + 1):
-            uarr = grid.block(r)
-            for s in range(1, self.p + 1):
-                varr = grid.block(s)
-                bucket: dict[int, list] = {}
-                for term in _block_terms(self.p, r, s):
-                    key = (
-                        term.family,
-                        tuple(sorted(term.kw.items())),
-                        r == self.p,
-                        s == self.p,
-                    )
-                    if key not in cache:
-                        if deadline is not None and time.monotonic() > deadline:
-                            raise BudgetError("time budget exhausted during assembly")
-                        cache[key] = len(self.bases)
-                        self.bases.append(
-                            self.kern.evaluate(term.family, term.kw, uarr, varr)
-                        )
-                    bucket.setdefault(cache[key], []).append(term.coef)
-                for idx, coefs in bucket.items():
-                    self.groups.append((r, s, idx, coefs))
-
-    def matrix(self, th: tuple[complex, ...]) -> np.ndarray:
-        n = len(self.grid)
-        out = np.zeros((n, n), dtype=complex)
-        for r, s, idx, coefs in self.groups:
-            w = sum(c(th) for c in coefs)
-            if abs(w) < 1e-300:
-                continue
-            out[self.grid.slices[r - 1], self.grid.slices[s - 1]] += w * self.bases[idx]
-        return out
-
-    def det(self, th: tuple[complex, ...]) -> complex:
-        return nystrom_det(self.matrix(th), self.grid)
+    kern = _LimitKernels(inst, settings)
+    sw = np.sqrt(grid.weights)
+    bases: list[np.ndarray] = []
+    cache: dict[tuple, int] = {}
+    terms = []
+    for r in range(1, inst.p + 1):
+        rows = grid.slices[r - 1]
+        for s in range(1, inst.p + 1):
+            cols = grid.slices[s - 1]
+            bucket: dict[int, list] = {}
+            for term in _block_terms(inst.p, r, s):
+                key = (
+                    term.family,
+                    tuple(sorted(term.kw.items())),
+                    r == inst.p,
+                    s == inst.p,
+                )
+                if key not in cache:
+                    _check_deadline(deadline, "assembly")
+                    base = kern.evaluate(term.family, term.kw, grid.nodes[rows],
+                                         grid.nodes[cols])
+                    if not np.all(np.isfinite(base)):
+                        raise ValueError("kernel values must be finite")
+                    cache[key] = len(bases)
+                    bases.append(sw[rows, None] * base * sw[None, cols])
+                bucket.setdefault(cache[key], []).append(term.coef)
+            for idx, coefs in bucket.items():
+                terms.append((rows, cols, bases[idx], coefs))
+    return terms
 
 
 def fredholm_det_F(
@@ -992,7 +950,7 @@ def fredholm_det_F(
         raise SchemaError(f"theta must have length {inst.p - 1}")
     if grid is None:
         grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    return _LimitAssembler(inst, settings, grid).det(th)
+    return _det_at(len(grid), _limit_terms(inst, settings, grid), th)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,60 +995,41 @@ def multitime_cdf(
 
     Integrates ``det(I + F(theta)) / prod (theta_k - 1)`` over the product
     of theta circles, doubling the Nystrom resolution (and with it the
-    theta bandwidth) until two successive levels agree within
-    ``settings.tol``.  ``p = 1`` routes to the Tracy-Widom marginal
-    ``F_GUE(xi_1 + x_1^2)``.
+    theta bandwidth), at most ``settings.max_levels`` times, until two
+    successive levels agree within ``settings.tol``; raises
+    ``ConvergenceError`` otherwise.  ``p = 1`` routes to the Tracy-Widom
+    marginal ``F_GUE(xi_1 + x_1^2)``, refined the same way from
+    ``_TW_NODES`` quadrature nodes.
     """
     start = time.perf_counter()
     inst = instance
     settings = settings or det_settings()
-    if inst.p == 1:
-        s = inst.xi[0] + inst.x[0] ** 2
-        lo = _fgue(s, nodes=96)
-        hi = _fgue(s, nodes=192)
-        return AsymptoticResult(
-            value=hi,
-            imag_part=0.0,
-            theta_nodes=0,
-            grid_nodes=192,
-            levels=2,
-            converged=abs(hi - lo) <= settings.tol,
-            runtime_ms=1e3 * (time.perf_counter() - start),
+
+    def sizes(level: int) -> tuple[int, int]:
+        """Quadrature nodes and theta nodes per circle at ``level``."""
+        if inst.p == 1:
+            return _TW_NODES * 2 ** level, 0
+        n = len(block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level))
+        return n, _theta_count(inst.p, n, settings.theta_nodes)
+
+    def evaluate(level: int) -> complex:
+        if inst.p == 1:
+            return complex(_fgue(inst.xi[0] + inst.x[0] ** 2, nodes=sizes(level)[0]))
+        grid = block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level)
+        terms = _limit_terms(inst, settings, grid, deadline)
+        return _theta_integral(
+            len(grid), terms, inst.p, settings.theta_radius, sizes(level)[1], deadline
         )
-    prev = None
-    value = complex(0.0)
-    level = 0
-    ntheta = 0
-    grid_size = 0
-    converged = False
-    for level in range(1, settings.max_levels + 1):
-        nodes = settings.block_nodes * (2 ** (level - 1))
-        grid = block_grid(inst.p, settings.extent, nodes)
-        grid_size = len(grid)
-        ntheta = _theta_count(inst.p, grid_size, settings.theta_nodes)
-        asm = _LimitAssembler(inst, settings, grid, deadline)
-        ring = circle(0.0, settings.theta_radius, ntheta)
-        total = complex(0.0)
-        for combo in itertools.product(range(ntheta), repeat=inst.p - 1):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError("time budget exhausted during theta integration")
-            th = tuple(ring.nodes[j] for j in combo)
-            w = complex(1.0)
-            for j, tk in zip(combo, th):
-                w *= ring.weights[j] / (tk - 1.0)
-            total += w * asm.det(th)
-        value = total
-        if prev is not None and abs(value - prev) <= settings.tol:
-            converged = True
-            break
-        prev = value
+
+    value, _, level = _refine(evaluate, settings.tol, settings.max_levels, deadline)
+    grid_nodes, theta_nodes = sizes(level)
     return AsymptoticResult(
         value=float(value.real),
         imag_part=float(value.imag),
-        theta_nodes=ntheta,
-        grid_nodes=grid_size,
+        theta_nodes=theta_nodes,
+        grid_nodes=grid_nodes,
         levels=level,
-        converged=converged,
+        converged=True,
         runtime_ms=1e3 * (time.perf_counter() - start),
     )
 
@@ -1140,8 +1079,6 @@ def single_time_cdf(
     settings: LimitSettings | None = None,
 ) -> float:
     """``det(I - K)`` of the single-time kernel on ``(0, extent)``."""
-    grid, w = composite_gl(0.0, extent, nodes, panel_size=12)
-    kern = two_point_kernel(t, x, xi, grid, grid, settings=settings)
-    sw = np.sqrt(w)
-    mat = np.eye(len(grid), dtype=complex) - sw[:, None] * kern * sw[None, :]
-    return float(lu_det(mat).real)
+    grid = block_grid(1, extent, nodes)
+    kern = two_point_kernel(t, x, xi, grid.nodes, grid.nodes, settings=settings)
+    return float(nystrom_det(-kern, grid).real)

@@ -26,7 +26,9 @@ row block, and the whole matrix is conjugated by ``exp(mu (n(i)-i)/nu)``
 (a similarity, so the determinant is invariant in exact arithmetic — a
 useful self-test).  The auxiliary integral is evaluated by the trapezoidal
 rule, which is exact here once the node count exceeds the Laurent bandwidth
-of the determinant.
+of the determinant.  ``_terms`` turns the pieces into the weighted bases of
+the theta-determinant engine in ``linalg``, which sums them, takes the
+determinant, integrates over theta and refines the contour node count.
 
 Numerical design: all circle radii approach the critical point ``w_c``
 (respectively ``sqrt(q)`` for circles around 1) at the natural fluctuation
@@ -35,7 +37,7 @@ order one near the dominant arc; node counts double until the value is
 stable to the requested tolerance.
 
 The single-point case ``p = 1`` has its own two-contour kernel
-(``single_point_prob``).
+(``single_point_prob``), refined by the same engine.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError
 from .integrands import Contour, circle, log_g
-from .linalg import lu_det
+from .linalg import _det_at, _refine, _theta_integral, lu_det
 from .params import (
     ModelParams,
     admissible_eps,
@@ -77,23 +77,11 @@ class ExactResult:
     runtime_ms: float
 
 
-def _log_g_grid(w: np.ndarray, nexp, m: int, a: int, q: float) -> np.ndarray:
-    """``log g(w | n, m, a)`` on a grid: rows = integer exponents ``n``."""
-    sq = math.sqrt(q)
-    wc = 1.0 - sq
-    logw = np.log(w) - math.log(wc)
-    const = (a + m) * (np.log(1.0 - w) - math.log(sq)) - m * (
-        np.log(1.0 - w / (1.0 - q)) - math.log(sq / (1.0 + sq))
-    )
-    return np.multiply.outer(np.asarray(nexp, dtype=float), logw) + const[None, :]
-
-
 class _Assembler:
     """Builds the theta-independent kernel pieces at a given node count."""
 
-    def __init__(self, params: ModelParams, mu: float, nu: float,
+    def __init__(self, params: ModelParams, mu: float, nu: float | None,
                  radius_scale: float):
-        self.params = params
         self.q = params.q
         self.p = params.p
         self.N = params.n[-1]
@@ -115,13 +103,12 @@ class _Assembler:
         self.d_one = min(dz, (self.sq - self.q) / (0.8 + 0.7 * self.p))
         self.tau1 = self.wc - 0.8 * self.d_zeta
         self.tau2 = self.wc - 1.6 * self.d_zeta
-        # conjugation (similarity) weights
+        # conjugation (similarity) weights; nu defaults to the fluctuation scale
+        d = np.ones(self.N)
         if mu != 0.0:
             n_of_i = np.array([self.prof[r][0] for r in self.row_block])
-            d = np.exp(mu * (n_of_i - idx) / nu)
-            self.conj = np.outer(d, 1.0 / d)
-        else:
-            self.conj = None
+            d = np.exp(mu * (n_of_i - idx) / (nu_eff if nu is None else nu))
+        self.conj = np.outer(d, 1.0 / d)
 
     # -- contour factories ------------------------------------------------
 
@@ -153,7 +140,7 @@ class _Assembler:
             lo, hi = self.n0[r - 1], self.n0[r]
             ivals = np.arange(lo + 1, hi + 1)
             _, mr, ar = self.prof[r]
-            grid = _log_g_grid(
+            grid = log_g(
                 cz.nodes, ivals - self.n0[k1],
                 mr - self.m0[k1], ar - self.a0[k1], self.q,
             )
@@ -170,84 +157,67 @@ class _Assembler:
             lo, hi = self.n0[s - 1], self.n0[s]
             jvals = np.arange(lo + 1, hi + 1)
             _, ms, as_ = self.prof[s]
-            grid = _log_g_grid(
+            grid = log_g(
                 cz.nodes, self.n0[k2] - jvals + 1,
                 self.m0[k2] - ms, self.a0[k2] - as_, self.q,
             )
             out[:, lo:hi] = np.exp(-grid).T
         return out
 
-    def _z_diag(self, k: int, cz: Contour, absorb_pole_at_one: bool) -> np.ndarray:
-        """Node factors ``weights * g(z_k | Delta_k(n, m, a))`` on a 1-circle."""
-        vals = cz.weights * np.exp(log_g(
-            cz.nodes,
-            self.n0[k] - self.n0[k - 1],
-            self.m0[k] - self.m0[k - 1],
-            self.a0[k] - self.a0[k - 1],
-            self.q,
-        ))
+    def _z_diag(self, k: int, cz: Contour, absorb_pole_at_one: bool,
+                with_g: bool = True) -> np.ndarray:
+        """Node factors ``weights * g(z_k | Delta_k(n, m, a))`` on a 1-circle
+        (without ``with_g``, the weights and the absorbed pole only)."""
+        vals = cz.weights
+        if with_g:
+            vals = vals * np.exp(log_g(
+                cz.nodes,
+                self.n0[k] - self.n0[k - 1],
+                self.m0[k] - self.m0[k - 1],
+                self.a0[k] - self.a0[k - 1],
+                self.q,
+            ))
         if absorb_pole_at_one:
             vals = vals / (1.0 - cz.nodes)
         return vals
 
     # -- kernel pieces ------------------------------------------------------
 
-    def build_leps(self, k1: int, k2: int, window: tuple[int, ...], nn: int
-                   ) -> np.ndarray:
-        """Chain kernel over ``(k1, k2]`` with 1-circle order given by ``window``."""
-        cz1, cz2 = self._zeta(1, nn), self._zeta(2, nn)
-        ranks = self._ladder(window)
-        mat = self._rows_from_zeta1(k1, cz1)
-        prev = cz1.nodes
-        first = True
-        for pos, k in enumerate(range(k1 + 1, k2 + 1)):
-            czk = self._one_circle(ranks[pos], nn)
-            if first:
-                coup = 1.0 / (czk.nodes[None, :] - prev[:, None])
-                first = False
-            else:
-                coup = 1.0 / (prev[:, None] - czk.nodes[None, :])
-            diag = self._z_diag(k, czk, absorb_pole_at_one=(k == k1 + 1 and k1 == 0))
-            mat = mat @ (coup * diag[None, :])
-            prev = czk.nodes
-        coup = cz2.weights[None, :] / (prev[:, None] - cz2.nodes[None, :])
-        mat = mat @ coup @ self._cols_to_zeta2(k2, cz2)
-        return mat / self.wc
+    def build_leps(self, k1: int, k2: int, window: tuple[int, ...], nn: int,
+                   last_carries_column: bool = False) -> np.ndarray:
+        """Chain kernel over ``(k1, k2]`` with 1-circle order given by ``window``.
 
-    def build_jeps(self, k1: int, k2: int, window: tuple[int, ...], nn: int
-                   ) -> np.ndarray:
-        """As ``build_leps`` but the last 1-circle carries the column index."""
+        With ``last_carries_column`` the last 1-circle carries the column
+        index instead of closing through a second 0-circle (``J^eps``).
+        """
         cz1 = self._zeta(1, nn)
         ranks = self._ladder(window)
         mat = self._rows_from_zeta1(k1, cz1)
         prev = cz1.nodes
-        first = True
-        last = None
         for pos, k in enumerate(range(k1 + 1, k2 + 1)):
             czk = self._one_circle(ranks[pos], nn)
-            if first:
+            if pos == 0:
                 coup = 1.0 / (czk.nodes[None, :] - prev[:, None])
-                first = False
             else:
                 coup = 1.0 / (prev[:, None] - czk.nodes[None, :])
-            if k < k2:
-                diag = self._z_diag(k, czk, absorb_pole_at_one=(k == k1 + 1 and k1 == 0))
-                mat = mat @ (coup * diag[None, :])
-            else:
-                diag = czk.weights.copy()
-                if k == k1 + 1 and k1 == 0:
-                    diag = diag / (1.0 - czk.nodes)
-                mat = mat @ (coup * diag[None, :])
-                last = czk
+            diag = self._z_diag(
+                k, czk, absorb_pole_at_one=(pos == 0 and k1 == 0),
+                with_g=(k < k2 or not last_carries_column),
+            )
+            mat = mat @ (coup * diag[None, :])
             prev = czk.nodes
-        # column factors g(z_{k2} | j - 1 - n_{k2-1}, Delta_{k2} m, Delta_{k2} a)
-        jvals = np.arange(1, self.N + 1)
-        grid = _log_g_grid(
-            last.nodes, jvals - 1 - self.n0[k2 - 1],
-            self.m0[k2] - self.m0[k2 - 1], self.a0[k2] - self.a0[k2 - 1], self.q,
-        ).T
-        cols = np.exp(grid)
-        return (mat @ cols) / self.wc
+        if last_carries_column:
+            # column factors g(z_{k2} | j - 1 - n_{k2-1}, Delta_{k2} m, Delta_{k2} a)
+            jvals = np.arange(1, self.N + 1)
+            grid = log_g(
+                prev, jvals - 1 - self.n0[k2 - 1],
+                self.m0[k2] - self.m0[k2 - 1], self.a0[k2] - self.a0[k2 - 1], self.q,
+            ).T
+            return (mat @ np.exp(grid)) / self.wc
+        cz2 = self._zeta(2, nn)
+        coup = cz2.weights[None, :] / (prev[:, None] - cz2.nodes[None, :])
+        mat = mat @ coup @ self._cols_to_zeta2(k2, cz2)
+        return mat / self.wc
 
     def build_lp(self, nn: int) -> np.ndarray:
         """Row-block-p piece: one circle around 1 into one around 0."""
@@ -255,7 +225,7 @@ class _Assembler:
         czp = self._one_circle(0, nn)
         cz2 = self._zeta(2, nn)
         ivals = np.arange(1, self.N + 1)
-        grid = _log_g_grid(
+        grid = log_g(
             czp.nodes, self.n0[p] - ivals,
             self.m0[p] - self.m0[p - 1], self.a0[p] - self.a0[p - 1], self.q,
         )
@@ -266,17 +236,7 @@ class _Assembler:
     def build_lk(self, k: int, nn: int) -> np.ndarray:
         """Double 0-circle piece with reference corner ``k``."""
         cz1, cz2 = self._zeta(1, nn), self._zeta(2, nn)
-        rows = np.empty((self.N, nn), dtype=complex)
-        for r in range(1, self.p + 1):
-            lo, hi = self.n0[r - 1], self.n0[r]
-            ivals = np.arange(lo + 1, hi + 1)
-            _, mr, ar = self.prof[r]
-            grid = _log_g_grid(
-                cz1.nodes, self.n0[k] - ivals,
-                self.m0[k] - mr, self.a0[k] - ar, self.q,
-            )
-            rows[lo:hi] = np.exp(grid)
-        rows *= cz1.weights[None, :]
+        rows = self._rows_from_zeta1(k, cz1)
         coup = cz2.weights[None, :] / (cz1.nodes[:, None] - cz2.nodes[None, :])
         return (rows @ coup @ self._cols_to_zeta2(k, cz2)) / self.wc
 
@@ -286,7 +246,7 @@ class _Assembler:
         lo = (self.n0[rstar - 1] + 1) - self.n0[s] + 1
         hi = self.n0[self.p] - (self.n0[s - 1] + 1) + 1
         exps = np.arange(lo, hi + 1)
-        grid = _log_g_grid(
+        grid = log_g(
             cz.nodes, exps,
             self.m0[rstar] - self.m0[s], self.a0[rstar] - self.a0[s], self.q,
         )
@@ -322,11 +282,21 @@ def _a2_groups(p: int):
                 yield k1, k2, window, terms
 
 
-def _build_caches(asm: _Assembler, nn: int):
-    """Evaluate every theta-independent matrix piece at node count ``nn``."""
+def _terms(asm: _Assembler, nn: int) -> list:
+    """Engine terms ``(rows, cols, base, coefs)`` at contour node count ``nn``.
+
+    Every theta-independent matrix piece is evaluated once and split into
+    row blocks, each carrying its theta coefficients; the similarity
+    conjugation is folded into the bases.
+    """
     p, N = asm.p, asm.N
-    a2 = []
-    for k1, k2, window, terms in _a2_groups(p):
+    terms = []
+
+    def add(rows: slice, cols: slice, block: np.ndarray, coefs: list) -> None:
+        terms.append((rows, cols, block * asm.conj[rows, cols], coefs))
+
+    all_cols = slice(0, N)
+    for k1, k2, window, signed in _a2_groups(p):
         base = np.zeros((N, N), dtype=complex)
         row_ok = np.array([asm.rstar(r) > k1 for r in asm.row_block])
         col_ok = np.array([asm.rstar(s) < k2 for s in asm.row_block])
@@ -336,20 +306,26 @@ def _build_caches(asm: _Assembler, nn: int):
         if k2 < p:
             col_j = np.array([s == k2 for s in asm.row_block])
             if row_ok.any() and col_j.any():
-                jeps = asm.build_jeps(k1, k2, window, nn)
+                jeps = asm.build_leps(k1, k2, window, nn, last_carries_column=True)
                 base += jeps * row_ok[:, None] * col_j[None, :]
         if k1 == p - 1 and k2 == p:
             row_p = np.array([r == p for r in asm.row_block])
             base += asm.build_lp(nn) * row_p[:, None]
-        a2.append((k1, k2, terms, base))
+        for r in range(1, p + 1):
+            rows = asm.block_rows(r)
+            add(rows, all_cols, base[rows], [
+                lambda th, r=r, sign=sign, eps=eps: sign * theta_profile(r, eps, th)
+                for sign, eps in signed
+            ])
 
-    a1 = []
     for k in range(2, p - 1):
         col_ok = np.array([s < k for s in asm.row_block])
         base = asm.build_lk(k, nn) * col_ok[None, :]
-        a1.append((k, base))
+        for r in range(1, p + 1):
+            rows = asm.block_rows(r)
+            add(rows, all_cols, base[rows],
+                [lambda th, r=r, k=k: big_theta(r, k, th, p)])
 
-    bblocks = []
     for r in range(1, p + 1):
         for s in range(1, asm.rstar(r)):
             exps, vals = asm.build_b_block(asm.rstar(r), s, nn)
@@ -357,48 +333,9 @@ def _build_caches(asm: _Assembler, nn: int):
             ivals = np.arange(rows.start + 1, rows.stop + 1)
             jvals = np.arange(cols.start + 1, cols.stop + 1)
             block = vals[(ivals[:, None] - jvals[None, :] + 1) - exps[0]]
-            bblocks.append((r, s, block))
-    return a2, a1, bblocks
-
-
-def _assemble(asm: _Assembler, caches, thetas: tuple[complex, ...]) -> np.ndarray:
-    """Sum the cached pieces with their theta weights into one matrix."""
-    a2, a1, bblocks = caches
-    p, N = asm.p, asm.N
-    mat = np.zeros((N, N), dtype=complex)
-    for k1, k2, terms, base in a2:
-        coef = np.zeros(N, dtype=complex)
-        for r in range(1, p + 1):
-            c = sum(sign * theta_profile(r, eps, thetas) for sign, eps in terms)
-            coef[asm.block_rows(r)] = c
-        mat += coef[:, None] * base
-    for k, base in a1:
-        coef = np.zeros(N, dtype=complex)
-        for r in range(1, p + 1):
-            coef[asm.block_rows(r)] = big_theta(r, k, thetas, p)
-        mat += coef[:, None] * base
-    for r, s, block in bblocks:
-        w = 1.0 + big_theta(r, s, thetas, p)
-        mat[asm.block_rows(r), asm.block_rows(s)] += w * block
-    if asm.conj is not None:
-        mat = mat * asm.conj
-    return mat
-
-
-def _theta_integral(asm: _Assembler, caches, radius: float, n_theta: int
-                    ) -> complex:
-    """Trapezoidal ``(p-1)``-fold integral of ``det(I+M)/prod(theta_k - 1)``."""
-    ct = circle(0.0, radius, n_theta)
-    p, N = asm.p, asm.N
-    eye = np.eye(N, dtype=complex)
-    total = 0.0 + 0.0j
-    for combo in _iproduct(range(n_theta), repeat=p - 1):
-        thetas = tuple(ct.nodes[c] for c in combo)
-        weight = math.prod(ct.weights[c] for c in combo)
-        denom = math.prod(th - 1.0 for th in thetas)
-        det = lu_det(eye + _assemble(asm, caches, thetas))
-        total += weight * det / denom
-    return total
+            add(rows, cols, block,
+                [lambda th: 1.0, lambda th, r=r, s=s: big_theta(r, s, th, p)])
+    return terms
 
 
 def det_theta(
@@ -421,12 +358,8 @@ def det_theta(
         raise ValueError("det_theta needs p >= 2 (use single_point_prob)")
     if len(thetas) != params.p - 1:
         raise ValueError(f"expected {params.p - 1} theta components")
-    if nu is None:
-        nu = compute_constants(params.q).c0 * params.n[-1] ** (1.0 / 3.0)
     asm = _Assembler(params, mu, nu, radius_scale)
-    caches = _build_caches(asm, nodes)
-    eye = np.eye(asm.N, dtype=complex)
-    return lu_det(eye + _assemble(asm, caches, tuple(thetas)))
+    return _det_at(asm.N, _terms(asm, nodes), tuple(thetas))
 
 
 def multipoint_prob_exact(
@@ -443,12 +376,13 @@ def multipoint_prob_exact(
 ) -> ExactResult:
     """Evaluate ``P(G(m_k, n_k) < a_k for all k)`` by contour quadrature.
 
-    Contour node counts start at ``base_nodes`` and double until two
-    successive evaluations agree within ``tol`` (``ConvergenceError``
-    otherwise).  ``mu``/``nu`` control the similarity conjugation (the
-    value is invariant); ``theta_radius`` (> 1) and ``radius_scale``
-    perturb contours without changing the value.  ``deadline`` is a
-    ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
+    Contour node counts start at ``base_nodes`` and double, at most
+    ``max_levels`` times, until two successive evaluations agree within
+    ``tol`` (``ConvergenceError`` otherwise).  ``mu``/``nu`` control the
+    similarity conjugation (the value is invariant); ``theta_radius``
+    (> 1) and ``radius_scale`` perturb contours without changing the
+    value.  ``deadline`` is a ``time.monotonic()`` stamp after which
+    ``BudgetError`` is raised.
     """
     start = time.perf_counter()
     if any(ak <= 0 for ak in params.a):
@@ -460,28 +394,18 @@ def multipoint_prob_exact(
         )
     if theta_radius <= 1.0:
         raise ValueError("theta_radius must exceed 1")
-    if nu is None:
-        nu = compute_constants(params.q).c0 * params.n[-1] ** (1.0 / 3.0)
     asm = _Assembler(params, mu, nu, radius_scale)
     n_theta = max(48, 2 * asm.N + 16)
-    prev = None
-    for level in range(max_levels + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("time budget exhausted during contour refinement")
-        nn = base_nodes * 2 ** level
-        caches = _build_caches(asm, nn)
-        val = _theta_integral(asm, caches, theta_radius, n_theta)
-        if prev is not None and abs(val - prev) < tol:
-            ms = (time.perf_counter() - start) * 1e3
-            return ExactResult(
-                value=float(val.real), imag_part=float(val.imag),
-                delta=float(abs(val - prev)), nodes=nn, theta_nodes=n_theta,
-                levels=level, converged=True, runtime_ms=ms,
-            )
-        prev = val
-    raise ConvergenceError(
-        f"contour refinement did not stabilize within {max_levels} doublings "
-        f"(last delta unavailable at tol={tol})"
+
+    def evaluate(level: int) -> complex:
+        terms = _terms(asm, base_nodes * 2 ** level)
+        return _theta_integral(asm.N, terms, asm.p, theta_radius, n_theta, deadline)
+
+    val, delta, level = _refine(evaluate, tol, max_levels, deadline)
+    return ExactResult(
+        value=float(val.real), imag_part=float(val.imag), delta=float(delta),
+        nodes=base_nodes * 2 ** level, theta_nodes=n_theta, levels=level,
+        converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
     )
 
 
@@ -509,27 +433,21 @@ def single_point_prob(
     tau = wc - 0.8 * min(dz, wc / 8.0)
     radius = sq - 0.4 * min(dz, (sq - q) / 2.0)
     ivals = np.arange(1, n + 1)
-    prev = None
-    for level in range(max_levels + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("time budget exhausted during contour refinement")
+
+    def evaluate(level: int) -> complex:
         nn = base_nodes * 2 ** level
         cone = circle(1.0, radius, nn)
         czero = circle(0.0, tau, nn)
-        rows = np.exp(_log_g_grid(cone.nodes, n - ivals, m, a - 1, q))
+        rows = np.exp(log_g(cone.nodes, n - ivals, m, a - 1, q))
         rows *= cone.weights[None, :]
-        cols = np.exp(-_log_g_grid(czero.nodes, n - ivals + 1, m, a - 1, q)).T
+        cols = np.exp(-log_g(czero.nodes, n - ivals + 1, m, a - 1, q)).T
         coup = czero.weights[None, :] / (cone.nodes[:, None] - czero.nodes[None, :])
         mat = (rows @ coup @ cols) / wc
-        det = lu_det(np.eye(n, dtype=complex) + mat)
-        if prev is not None and abs(det - prev) < tol:
-            ms = (time.perf_counter() - start) * 1e3
-            return ExactResult(
-                value=float(det.real), imag_part=float(det.imag),
-                delta=float(abs(det - prev)), nodes=nn, theta_nodes=0,
-                levels=level, converged=True, runtime_ms=ms,
-            )
-        prev = det
-    raise ConvergenceError(
-        f"contour refinement did not stabilize within {max_levels} doublings"
+        return lu_det(np.eye(n, dtype=complex) + mat)
+
+    det, delta, level = _refine(evaluate, tol, max_levels, deadline)
+    return ExactResult(
+        value=float(det.real), imag_part=float(det.imag), delta=float(delta),
+        nodes=base_nodes * 2 ** level, theta_nodes=0, levels=level,
+        converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
     )

@@ -130,16 +130,18 @@ def gstar_at(w, n: int, m: int, a: int, q: float):
     return np.exp(log_gstar(w, n, m, a, q))
 
 
-def log_g(w, n: int, m: int, a: int, q: float):
-    """Log of the critically normalized factor ``g = gstar(w)/gstar(w_c)``."""
+def log_g(w, n, m: int, a: int, q: float):
+    """Log of the critically normalized factor ``g = gstar(w)/gstar(w_c)``.
+
+    ``n`` may be an array of integer exponents; the result then has one
+    row per exponent and one column per entry of ``w``.
+    """
     sq = math.sqrt(q)
-    w_c = 1.0 - sq
     w = np.asarray(w, dtype=complex)
-    return (
-        n * (np.log(w) - math.log(w_c))
-        + (a + m) * (np.log(1.0 - w) - math.log(sq))
-        - m * (np.log(1.0 - w / (1.0 - q)) - math.log(sq / (1.0 + sq)))
+    const = (a + m) * (np.log(1.0 - w) - math.log(sq)) - m * (
+        np.log(1.0 - w / (1.0 - q)) - math.log(sq / (1.0 + sq))
     )
+    return np.multiply.outer(n, np.log(w) - math.log(1.0 - sq)) + const
 
 
 def log_script_g(w, t: float, x: float, xi: float):

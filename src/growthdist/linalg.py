@@ -1,26 +1,35 @@
-"""Deterministic determinants and Nystrom discretization.
+"""Determinants, Nystrom discretization and the theta-determinant engine.
 
 Fredholm determinants ``det(I + K)`` on a direct sum of half-line L^2
 spaces are evaluated by Nystrom's method: Gauss-Legendre nodes per block,
-the symmetrized matrix ``I + W^(1/2) K W^(1/2)``, and a deterministic
-pivoted LU factorization (largest-magnitude pivot, earliest index on ties)
-so results are bit-reproducible across runs.
+the symmetrized matrix ``I + W^(1/2) K W^(1/2)``, and an LU factorization
+with LAPACK partial pivoting.  Results are reproducible across reruns on
+one machine with one BLAS thread count.
 
 A second grid builder places one midpoint node per unit cell of width
 ``1/nu``; kernels that are piecewise constant on those cells (as arises
 when a discrete matrix is embedded as an integral operator by step
 interpolation with scale ``nu``) are then integrated exactly, making the
 Nystrom determinant equal to the discrete ``det(I + M)``.
+
+The finite-size law (``exact``) and its limit (``asymptotic``) share the
+private theta-determinant engine ``_det_at`` / ``_theta_integral`` /
+``_refine``.  Its terms ``(rows, cols, base, coefs)`` add
+``sum(c(theta) for c in coefs) * base`` to block ``[rows, cols]``; every
+theta-independent diagonal scaling is folded into ``base`` beforehand.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import composite_gl
+from .errors import BudgetError, ConvergenceError
+from .integrands import circle, composite_gl
 
 __all__ = [
     "lu_det",
@@ -33,25 +42,11 @@ __all__ = [
 
 
 def lu_det(matrix: np.ndarray) -> complex:
-    """Determinant via in-place LU with deterministic partial pivoting."""
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    """Determinant via LU with LAPACK partial pivoting."""
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    det = 1.0 + 0.0j
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        pivot = a[k, k]
-        if pivot == 0.0:
-            return 0.0 + 0.0j
-        det *= pivot
-        if k + 1 < n:
-            factors = a[k + 1:, k] / pivot
-            a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
-    return complex(det)
+    return complex(np.linalg.det(a))
 
 
 @dataclass(frozen=True)
@@ -188,3 +183,71 @@ def embed_discrete(
         return out
 
     return kernel
+
+
+# ---------------------------------------------------------------------------
+# theta-determinant engine
+# ---------------------------------------------------------------------------
+
+def _check_deadline(deadline: float | None, phase: str) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetError(f"time budget exhausted during {phase}")
+
+
+def _det_at(size: int, terms, theta: tuple[complex, ...]) -> complex:
+    """``det(I + sum_j c_j(theta) B_j)`` for terms ``(rows, cols, base, coefs)``."""
+    mat = np.eye(size, dtype=complex)
+    for rows, cols, base, coefs in terms:
+        w = sum(c(theta) for c in coefs)
+        if abs(w) < 1e-300:
+            continue
+        mat[rows, cols] += w * base
+    return lu_det(mat)
+
+
+def _theta_integral(
+    size: int, terms, p: int, radius: float, n_theta: int, deadline: float | None
+) -> complex:
+    """Trapezoidal ``(p-1)``-fold integral of ``det(I+M(theta))/prod(theta_k - 1)``.
+
+    Every theta variable runs over the circle ``|theta| = radius`` with
+    ``n_theta`` nodes; ``deadline`` is checked before every node.
+    """
+    ring = circle(0.0, radius, n_theta)
+    total = 0.0 + 0.0j
+    for combo in product(range(n_theta), repeat=p - 1):
+        _check_deadline(deadline, "theta integration")
+        theta = tuple(ring.nodes[j] for j in combo)
+        w = 1.0 + 0.0j
+        for j, tk in zip(combo, theta):
+            w *= ring.weights[j] / (tk - 1.0)
+        total += w * _det_at(size, terms, theta)
+    return total
+
+
+def _refine(
+    evaluate: Callable[[int], complex], tol: float, max_levels: int,
+    deadline: float | None,
+) -> tuple[complex, float, int]:
+    """Evaluate at levels ``0, 1, ..`` until two successive values agree.
+
+    ``evaluate(level)`` computes the value at the resolution doubled
+    ``level`` times.  At most ``max_levels`` doublings follow the first
+    evaluation.  Returns ``(value, delta, level)``; raises
+    ``ConvergenceError`` reporting the last delta, or ``BudgetError`` once
+    ``deadline`` has passed.
+    """
+    prev, delta, level = None, None, 0
+    for level in range(max_levels + 1):
+        _check_deadline(deadline, "refinement")
+        value = evaluate(level)
+        if prev is not None:
+            delta = abs(value - prev)
+            if delta <= tol:
+                return value, delta, level
+        prev = value
+    last = "unavailable" if delta is None else f"{delta:.3g}"
+    raise ConvergenceError(
+        f"refinement did not stabilize within {max_levels} doublings "
+        f"(last delta {last} at level {level}, tol={tol:g})"
+    )

@@ -201,10 +201,6 @@ def dp_exact_prob(params: ModelParams, state_budget: int = 10 ** 6) -> float:
 # determinantal sum
 # ---------------------------------------------------------------------------
 
-def _batched_det(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.det(mats)
-
-
 def _enumerate_vectors(N: int, lo: int, hi: int, bound_pos: int, bound_val: int
                        ) -> np.ndarray:
     """Nondecreasing integer N-vectors in [lo, hi] with x[bound_pos] < bound_val."""
@@ -268,7 +264,7 @@ def truncated_sum_prob(
     mats = np.empty((len(X1), N, N))
     for i in range(N):
         mats[:, i, :] = first_tabs[i][X1 - lo_t]
-    weight = _batched_det(mats)  # indexed by x^1
+    weight = np.linalg.det(mats)  # indexed by x^1
 
     # middle factors: det[D^(dn_r) w_{dm_r}(x^r_j - x^{r-1}_i)], r = 2..p-1
     for r in range(2, p):
@@ -280,7 +276,7 @@ def truncated_sum_prob(
         for start in range(0, len(Xp), chunk):
             sl = slice(start, min(start + chunk, len(Xp)))
             diffs = Xn[None, :, None, :] - Xp[sl, None, :, None]
-            dets = _batched_det(tab[diffs - dlo])
+            dets = np.linalg.det(tab[diffs - dlo])
             new_weight += weight[sl] @ dets
         weight = new_weight
 
@@ -293,7 +289,7 @@ def truncated_sum_prob(
     mats = np.empty((len(Xl), N, N))
     for j in range(N):
         mats[:, :, j] = last_tabs[j][(a[p - 1] - Xl) - lo_t]
-    return float(weight @ _batched_det(mats))
+    return float(weight @ np.linalg.det(mats))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ block-profile powers of auxiliary variables ``theta_k``,
     Theta(r | k)   = theta(r|eps^k) - theta(r|eps^{k+1})
                      for 1 <= k < min(r, p-1), else 0,
 
-with ``eps^k = (2,...,2,1,...,1)`` (k-1 twos), the parity indicators
-``chi_eps`` (odd eps: 1{x<0}; even eps: 1{x>=0}), and the enumeration of
+with ``eps^k = (2,...,2,1,...,1)`` (k-1 twos), and the enumeration of
 admissible sign vectors ``eps`` attached to an index pair ``k1 < k2``.
 """
 
@@ -59,7 +58,6 @@ __all__ = [
     "theta_profile",
     "eps_canonical",
     "big_theta",
-    "chi",
     "admissible_eps",
     "eps_sign_exponent",
     "mu_bound",
@@ -116,8 +114,8 @@ def nu_scale(q: float, T: float) -> float:
 def _as_int_tuple(name: str, values: Sequence) -> tuple[int, ...]:
     try:
         out = tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name} must be a sequence of integers") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{name} must be a sequence of finite integers") from exc
     for v, raw in zip(out, values):
         if float(raw) != float(v):
             raise SchemaError(f"{name} must contain integers, got {raw!r}")
@@ -126,9 +124,26 @@ def _as_int_tuple(name: str, values: Sequence) -> tuple[int, ...]:
 
 def _as_float_tuple(name: str, values: Sequence) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in values)
+        out = tuple(float(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name} must be a sequence of numbers") from exc
+    if not all(math.isfinite(v) for v in out):
+        raise SchemaError(f"{name} must contain finite numbers")
+    return out
+
+
+def _validate_points(params: KPZParams | LimitParams) -> None:
+    """Normalize and check the space-time points ``t, x, xi`` and ``mu``."""
+    for name in ("t", "x", "xi"):
+        object.__setattr__(params, name, _as_float_tuple(name, getattr(params, name)))
+    t = params.t
+    p = len(t)
+    if p == 0 or len(params.x) != p or len(params.xi) != p:
+        raise SchemaError("t, x, xi must be non-empty and of equal length")
+    if t[0] <= 0 or any(t[k] <= t[k - 1] for k in range(1, p)):
+        raise SchemaError("t must be positive and strictly increasing")
+    if params.mu is not None and not (0 <= params.mu < math.inf):
+        raise SchemaError("mu must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -198,20 +213,9 @@ class KPZParams:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise SchemaError(f"q must lie in (0, 1), got {self.q!r}")
-        if not self.T > 0:
-            raise SchemaError("T must be positive")
-        object.__setattr__(self, "t", _as_float_tuple("t", self.t))
-        object.__setattr__(self, "x", _as_float_tuple("x", self.x))
-        object.__setattr__(self, "xi", _as_float_tuple("xi", self.xi))
-        p = len(self.t)
-        if p == 0 or len(self.x) != p or len(self.xi) != p:
-            raise SchemaError("t, x, xi must be non-empty and of equal length")
-        if self.t[0] <= 0 or any(
-            self.t[k] <= self.t[k - 1] for k in range(1, p)
-        ):
-            raise SchemaError("t must be positive and strictly increasing")
-        if self.mu is not None and self.mu < 0:
-            raise SchemaError("mu must be non-negative")
+        if not 0 < self.T < math.inf:
+            raise SchemaError("T must be positive and finite")
+        _validate_points(self)
 
     @property
     def p(self) -> int:
@@ -228,18 +232,7 @@ class LimitParams:
     mu: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _as_float_tuple("t", self.t))
-        object.__setattr__(self, "x", _as_float_tuple("x", self.x))
-        object.__setattr__(self, "xi", _as_float_tuple("xi", self.xi))
-        p = len(self.t)
-        if p == 0 or len(self.x) != p or len(self.xi) != p:
-            raise SchemaError("t, x, xi must be non-empty and of equal length")
-        if self.t[0] <= 0 or any(
-            self.t[k] <= self.t[k - 1] for k in range(1, p)
-        ):
-            raise SchemaError("t must be positive and strictly increasing")
-        if self.mu is not None and self.mu < 0:
-            raise SchemaError("mu must be non-negative")
+        _validate_points(self)
 
     @property
     def p(self) -> int:
@@ -357,13 +350,6 @@ def big_theta(r: int, k: int, thetas: Sequence[complex], p: int) -> complex:
     out = theta_profile(r, eps_canonical(k, p), thetas)
     out -= theta_profile(r, eps_canonical(k + 1, p), thetas)
     return out
-
-
-def chi(eps: int, x: float) -> float:
-    """Parity indicator: odd ``eps`` gives 1{x < 0}, even gives 1{x >= 0}."""
-    if eps % 2 == 1:
-        return 1.0 if x < 0 else 0.0
-    return 1.0 if x >= 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,25 @@ def test_det_conjugate_symmetry():
     assert abs(dbar - np.conj(d)) / abs(d) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "inst, theta, ref",
+    [
+        (INST2, (2.0 * cmath.exp(0.6j),), 0.9888897976994094 + 0.004964927671872714j),
+        (
+            INST3,
+            (2.0 * cmath.exp(0.7j), 2.0 * cmath.exp(-0.4j)),
+            0.9971809107002068 + 0.000830559439842102j,
+        ),
+    ],
+    ids=["two-time", "three-time"],
+)
+def test_det_pinned_values(inst, theta, ref):
+    # recorded from the pure-Python LU evaluation that preceded the LAPACK
+    # engine, on the default determinant grid
+    got = fredholm_det_F(theta, inst)
+    assert abs(got - ref) / abs(ref) < 1e-10
+
+
 def test_det_invariant_under_conjugation_rate():
     th = 2.0 * cmath.exp(-0.8j)
     base = fredholm_det_F((th,), INST2, settings=det_settings())

@@ -8,14 +8,14 @@ import pytest
 from growthdist.errors import BudgetError, ConvergenceError
 from growthdist.exact import (
     _Assembler,
-    _build_caches,
-    _theta_integral,
+    _terms,
     det_theta,
     multipoint_prob_exact,
     single_point_prob,
 )
+from growthdist.linalg import _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
-from growthdist.params import ModelParams, big_theta, compute_constants
+from growthdist.params import ModelParams, compute_constants
 
 P2 = ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))
 
@@ -70,6 +70,15 @@ def test_det_theta_similarity_invariance():
     scaled = det_theta(P2, th, radius_scale=1.15)
     assert abs(shifted - base) / abs(base) < 1e-10
     assert abs(scaled - base) / abs(base) < 1e-10
+
+
+def test_det_theta_three_point_pinned_value():
+    # det_theta of the p = 3 instance at one off-axis theta, recorded from
+    # the pure-Python LU evaluation that preceded the LAPACK engine
+    mp = ModelParams(q=0.4, m=(3, 6, 9), n=(2, 4, 6), a=(5, 9, 13))
+    ref = 0.12033881459083873 + 0.007327673318929652j
+    got = det_theta(mp, (1.7 + 0.6j, 1.4 - 0.9j), mu=0.5)
+    assert abs(got - ref) / abs(ref) < 1e-10
 
 
 def test_det_theta_validates_inputs():
@@ -130,8 +139,10 @@ def test_multipoint_invariances():
 def test_multipoint_control_errors():
     with pytest.raises(ValueError):
         multipoint_prob_exact(P2, theta_radius=0.9)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="last delta unavailable"):
         multipoint_prob_exact(P2, max_levels=0)
+    with pytest.raises(ConvergenceError, match=r"last delta \d"):
+        multipoint_prob_exact(P2, max_levels=1, tol=0.0)
     with pytest.raises(BudgetError):
         multipoint_prob_exact(P2, deadline=0.0)
 
@@ -152,13 +163,12 @@ def test_boundary_blocks_are_nilpotent(mp):
     # (p-1)-th power vanishes identically
     p, n_last = mp.p, mp.n[-1]
     asm = _Assembler(mp, 0.0, _nu(mp), 1.0)
-    bblocks = _build_caches(asm, 64)[2]
     th = tuple(1.2 + 0.4j * k for k in range(1, p))
     b = np.zeros((n_last, n_last), dtype=complex)
-    for r, s, block in bblocks:
-        b[asm.block_rows(r), asm.block_rows(s)] += (
-            1.0 + big_theta(r, s, th, p)
-        ) * block
+    for rows, cols, base, coefs in _terms(asm, 64):
+        # the boundary pieces are the only terms confined to one block column
+        if cols != slice(0, n_last):
+            b[rows, cols] += sum(c(th) for c in coefs) * base
     assert np.abs(b).max() > 0.0
     assert np.abs(np.linalg.matrix_power(b, p - 1)).max() < 1e-12
 
@@ -167,8 +177,8 @@ def test_theta_trapezoid_saturates_with_bandwidth():
     # the determinant is a Laurent polynomial in theta, so the trapezoid
     # rule is exact once the node count clears its bandwidth
     asm = _Assembler(P2, 0.0, _nu(P2), 1.0)
-    caches = _build_caches(asm, 256)
-    lo = _theta_integral(asm, caches, 2.0, 48)
-    hi = _theta_integral(asm, caches, 2.0, 96)
+    terms = _terms(asm, 256)
+    lo = _theta_integral(asm.N, terms, P2.p, 2.0, 48, None)
+    hi = _theta_integral(asm.N, terms, P2.p, 2.0, 96, None)
     assert abs(lo - hi) < 1e-10
     assert lo.real == pytest.approx(dp_exact_prob(P2), abs=1e-9)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -13,7 +14,6 @@ from growthdist.params import (
     ModelParams,
     admissible_eps,
     big_theta,
-    chi,
     compute_constants,
     delta,
     delta_txxi,
@@ -249,13 +249,6 @@ def test_big_theta_vanishes_outside_window():
     assert big_theta(4, 2, th, p) != 0.0
 
 
-def test_chi_partition_of_unity():
-    for x in (-2.0, -0.5, 0.0, 0.3, 4.0):
-        assert chi(1, x) + chi(2, x) == 1.0
-    assert chi(2, 0.0) == 1.0 and chi(1, 0.0) == 0.0
-    assert chi(1, -1.0) == 1.0 and chi(2, 3.0) == 1.0
-
-
 def test_admissible_eps_windows():
     assert set(admissible_eps(0, 3, 3)) == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert set(admissible_eps(2, 3, 3)) == {(2, 1), (2, 2)}
@@ -312,6 +305,27 @@ def test_parse_instance_three_schemas():
 def test_parse_instance_rejects_malformed(doc):
     with pytest.raises(SchemaError):
         parse_instance(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"q": 0.5, "m": [1, 3], "n": [1, 2], "a": [2, 1e400]}',    # overflowing int
+        '{"q": NaN, "m": [1], "n": [1], "a": [1]}',
+        '{"t": [1, 2], "x": [0, NaN], "xi": [0, 0]}',
+        '{"t": [1, Infinity], "x": [0, 0], "xi": [0, 0]}',
+        '{"t": [1], "x": [0], "xi": [-Infinity]}',
+        '{"t": [1], "x": [0], "xi": [0], "mu": Infinity}',
+        '{"t": [1], "x": [0], "xi": [0], "mu": NaN}',
+        '{"q": 0.25, "T": Infinity, "t": [1], "x": [0], "xi": [0]}',
+        '{"q": 0.25, "T": NaN, "t": [1], "x": [0], "xi": [0]}',
+        '{"q": 0.25, "T": 20, "t": [1], "x": [NaN], "xi": [0]}',
+    ],
+)
+def test_parse_instance_rejects_non_finite(text):
+    # Python's json module reads 1e400 as inf and accepts NaN/Infinity
+    with pytest.raises(SchemaError):
+        parse_instance(json.loads(text))
 
 
 def test_instance_digest_canonical():
