@@ -39,8 +39,8 @@ Two independent evaluation paths are provided and cross-checked:
   of this module's contract and is exercised by the agreement tests.
 
 ``multitime_cdf`` integrates the Fredholm determinant over the theta
-circles with the trapezoidal rule (exponentially accurate for Laurent
-series) and doubles all resolutions until two successive levels agree;
+circles with the trapezoidal rule (exact for the Laurent polynomial in
+theta) and doubles all resolutions until two successive levels agree;
 ``_limit_terms`` hands the Nystrom-weighted kernel bases to the shared
 theta-determinant engine in ``linalg``, which does the summing,
 determinants, integration and refinement.
@@ -61,6 +61,7 @@ import numpy as np
 from .errors import ConvergenceError, SchemaError
 from .integrands import airy_ai, airy_kernel_matrix, composite_gl, log_script_g, vline
 from .linalg import (
+    _THETA_NODES,
     NystromGrid,
     _check_deadline,
     _det_at,
@@ -129,7 +130,6 @@ class LimitSettings:
     extent: float = 12.0
     block_nodes: int = 48
     theta_radius: float = 2.0
-    theta_nodes: int | None = None
     mu: float | None = None
     tol: float = 2e-6
     max_levels: int = 2
@@ -970,21 +970,6 @@ class AsymptoticResult:
     runtime_ms: float
 
 
-def _theta_count(p: int, grid_size: int, override: int | None) -> int:
-    """Trapezoid nodes resolving the Laurent bandwidth of the determinant.
-
-    The determinant's Laurent degree per theta variable is bounded by the
-    matrix size (each factor contributes degree <= 1 at p = 2, <= 2 above),
-    and positive-degree aliases are amplified by ``radius^n``, so the node
-    count must exceed the bandwidth with margin.
-    """
-    if override is not None:
-        n = override
-    else:
-        n = (grid_size if p == 2 else 2 * grid_size) + 16
-    return n + (n % 2)
-
-
 def multitime_cdf(
     instance: LimitParams,
     settings: LimitSettings | None = None,
@@ -994,40 +979,40 @@ def multitime_cdf(
     """Joint probability that the rescaled interface stays below ``xi``.
 
     Integrates ``det(I + F(theta)) / prod (theta_k - 1)`` over the product
-    of theta circles, doubling the Nystrom resolution (and with it the
-    theta bandwidth), at most ``settings.max_levels`` times, until two
-    successive levels agree within ``settings.tol``; raises
-    ``ConvergenceError`` otherwise.  ``p = 1`` routes to the Tracy-Widom
-    marginal ``F_GUE(xi_1 + x_1^2)``, refined the same way from
-    ``_TW_NODES`` quadrature nodes.
+    of theta circles.  Level ``l`` has ``settings.block_nodes * 2**l``
+    Nystrom nodes per block and ``8 * 2**l`` theta nodes per circle (exact
+    for Laurent degrees in ``[-4 * 2**l, 4 * 2**l)``); levels double, at
+    most ``settings.max_levels`` times, until two successive levels agree
+    within ``settings.tol``; raises ``ConvergenceError`` otherwise.
+    ``p = 1`` routes to the Tracy-Widom marginal ``F_GUE(xi_1 + x_1^2)``,
+    refined the same way from ``_TW_NODES`` quadrature nodes.
     """
     start = time.perf_counter()
     inst = instance
     settings = settings or det_settings()
 
-    def sizes(level: int) -> tuple[int, int]:
-        """Quadrature nodes and theta nodes per circle at ``level``."""
+    def sizes(level: int) -> int:
+        """Quadrature nodes at ``level``."""
         if inst.p == 1:
-            return _TW_NODES * 2 ** level, 0
-        n = len(block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level))
-        return n, _theta_count(inst.p, n, settings.theta_nodes)
+            return _TW_NODES * 2 ** level
+        return len(block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level))
 
     def evaluate(level: int) -> complex:
         if inst.p == 1:
-            return complex(_fgue(inst.xi[0] + inst.x[0] ** 2, nodes=sizes(level)[0]))
+            return complex(_fgue(inst.xi[0] + inst.x[0] ** 2, nodes=sizes(level)))
         grid = block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level)
         terms = _limit_terms(inst, settings, grid, deadline)
         return _theta_integral(
-            len(grid), terms, inst.p, settings.theta_radius, sizes(level)[1], deadline
+            len(grid), terms, inst.p, settings.theta_radius,
+            _THETA_NODES * 2 ** level, deadline,
         )
 
     value, _, level = _refine(evaluate, settings.tol, settings.max_levels, deadline)
-    grid_nodes, theta_nodes = sizes(level)
     return AsymptoticResult(
         value=float(value.real),
         imag_part=float(value.imag),
-        theta_nodes=theta_nodes,
-        grid_nodes=grid_nodes,
+        theta_nodes=0 if inst.p == 1 else _THETA_NODES * 2 ** level,
+        grid_nodes=sizes(level),
         levels=level,
         converged=True,
         runtime_ms=1e3 * (time.perf_counter() - start),

@@ -228,7 +228,6 @@ def _cmd_asymptotic(args) -> int:
         "extent": args.extent,
         "block_nodes": args.block_nodes,
         "theta_radius": args.theta_radius,
-        "theta_nodes": args.theta_nodes,
         "mu": args.mu,
         "tol": args.tol,
         "max_levels": args.max_levels,
@@ -474,9 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--theta-radius", type=float, default=None, help="radius of the theta circles"
     )
     asy.add_argument(
-        "--theta-nodes", type=int, default=None, help="theta trapezoid node override"
-    )
-    asy.add_argument(
         "--max-levels", type=int, default=None,
         help="grid doublings allowed after the first evaluation (default 2)",
     )
@@ -510,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.tol is None:
         args.tol = 1e-9 if args.command == "exact" else 2e-6
     try:
+        if not 0 <= args.seed < 2 ** 64:
+            raise SchemaError(f"--seed must be in [0, 2**64), got {args.seed}")
+        if args.workers < 1:
+            raise SchemaError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

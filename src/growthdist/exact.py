@@ -24,11 +24,12 @@ out of circular contour integrals of ratios of the normalized factor
 Every piece is weighted by Laurent monomials in ``theta`` attached to its
 row block, and the whole matrix is conjugated by ``exp(mu (n(i)-i)/nu)``
 (a similarity, so the determinant is invariant in exact arithmetic — a
-useful self-test).  The auxiliary integral is evaluated by the trapezoidal
-rule, which is exact here once the node count exceeds the Laurent bandwidth
-of the determinant.  ``_terms`` turns the pieces into the weighted bases of
-the theta-determinant engine in ``linalg``, which sums them, takes the
-determinant, integrates over theta and refines the contour node count.
+useful self-test).  The theta integral is evaluated by the trapezoidal
+rule, which is exact once the determinant has no Laurent degree outside
+``[-n_theta/2, n_theta/2)``.  ``_terms`` turns the pieces into the weighted
+bases of the theta-determinant engine in ``linalg``, which sums them, takes
+the determinant, integrates over theta and refines: level ``l`` has
+``base_nodes * 2**l`` contour nodes and ``n_theta = 8 * 2**l``.
 
 Numerical design: all circle radii approach the critical point ``w_c``
 (respectively ``sqrt(q)`` for circles around 1) at the natural fluctuation
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrands import Contour, circle, log_g
-from .linalg import _det_at, _refine, _theta_integral, lu_det
+from .linalg import _THETA_NODES, _det_at, _refine, _theta_integral, lu_det
 from .params import (
     ModelParams,
     admissible_eps,
@@ -376,13 +377,13 @@ def multipoint_prob_exact(
 ) -> ExactResult:
     """Evaluate ``P(G(m_k, n_k) < a_k for all k)`` by contour quadrature.
 
-    Contour node counts start at ``base_nodes`` and double, at most
-    ``max_levels`` times, until two successive evaluations agree within
-    ``tol`` (``ConvergenceError`` otherwise).  ``mu``/``nu`` control the
-    similarity conjugation (the value is invariant); ``theta_radius``
-    (> 1) and ``radius_scale`` perturb contours without changing the
-    value.  ``deadline`` is a ``time.monotonic()`` stamp after which
-    ``BudgetError`` is raised.
+    Contour node counts start at ``base_nodes`` and theta nodes at 8; both
+    double, at most ``max_levels`` times, until two successive evaluations
+    agree within ``tol`` (``ConvergenceError`` otherwise).  ``mu``/``nu``
+    control the similarity conjugation (the value is invariant);
+    ``theta_radius`` (> 1) and ``radius_scale`` perturb contours without
+    changing the value.  ``deadline`` is a ``time.monotonic()`` stamp after
+    which ``BudgetError`` is raised.
     """
     start = time.perf_counter()
     if any(ak <= 0 for ak in params.a):
@@ -395,17 +396,18 @@ def multipoint_prob_exact(
     if theta_radius <= 1.0:
         raise ValueError("theta_radius must exceed 1")
     asm = _Assembler(params, mu, nu, radius_scale)
-    n_theta = max(48, 2 * asm.N + 16)
 
     def evaluate(level: int) -> complex:
         terms = _terms(asm, base_nodes * 2 ** level)
-        return _theta_integral(asm.N, terms, asm.p, theta_radius, n_theta, deadline)
+        return _theta_integral(
+            asm.N, terms, asm.p, theta_radius, _THETA_NODES * 2 ** level, deadline
+        )
 
     val, delta, level = _refine(evaluate, tol, max_levels, deadline)
     return ExactResult(
         value=float(val.real), imag_part=float(val.imag), delta=float(delta),
-        nodes=base_nodes * 2 ** level, theta_nodes=n_theta, levels=level,
-        converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
+        nodes=base_nodes * 2 ** level, theta_nodes=_THETA_NODES * 2 ** level,
+        levels=level, converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
     )
 
 

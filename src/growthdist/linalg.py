@@ -189,6 +189,9 @@ def embed_discrete(
 # theta-determinant engine
 # ---------------------------------------------------------------------------
 
+_THETA_NODES = 8  # per circle at level 0: exact for Laurent degrees in [-4, 4)
+
+
 def _check_deadline(deadline: float | None, phase: str) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetError(f"time budget exhausted during {phase}")
@@ -210,18 +213,26 @@ def _theta_integral(
 ) -> complex:
     """Trapezoidal ``(p-1)``-fold integral of ``det(I+M(theta))/prod(theta_k - 1)``.
 
-    Every theta variable runs over the circle ``|theta| = radius`` with
-    ``n_theta`` nodes; ``deadline`` is checked before every node.
+    Each theta runs over ``|theta| = radius`` with ``n_theta`` (even) nodes
+    and ``1/(theta - 1) = sum_{j>=1} theta^-j`` is cut after ``n_theta/2``
+    terms, so the rule returns exactly the sum of the determinant's Laurent
+    coefficients with every degree ``>= 0``, at any radius ``> 1``, once it
+    has no degree outside ``[-n_theta/2, n_theta/2)``.  Callers take
+    ``n_theta = _THETA_NODES * 2**level``.  ``deadline`` is checked before
+    every node; a non-finite determinant raises ``ConvergenceError``.
     """
     ring = circle(0.0, radius, n_theta)
+    weights = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
     total = 0.0 + 0.0j
     for combo in product(range(n_theta), repeat=p - 1):
         _check_deadline(deadline, "theta integration")
         theta = tuple(ring.nodes[j] for j in combo)
-        w = 1.0 + 0.0j
-        for j, tk in zip(combo, theta):
-            w *= ring.weights[j] / (tk - 1.0)
-        total += w * _det_at(size, terms, theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = _det_at(size, terms, theta)
+        if not np.isfinite(det):
+            raise ConvergenceError(
+                f"non-finite determinant {det} at theta node {combo} of n_theta={n_theta}")
+        total += np.prod(weights[list(combo)]) * det
     return total
 
 

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from growthdist.asymptotic import multitime_cdf
 from growthdist.cli import main
+from growthdist.params import LimitParams
 
 ANCHOR = '{"t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}'
 TINY = '{"q": 0.4, "m": [1, 3], "n": [1, 2], "a": [2, 4]}'
+# a steep tilt whose determinants overflow at the first theta node
+OVERFLOWING = '{"t": [1, 1.25], "x": [0.1, -0.2], "xi": [0.3, 0.5]}'
 
 
 def _run(tmp_path, command: str, config: str | None, *extra: str) -> tuple[int, dict | None]:
@@ -54,18 +59,76 @@ def test_non_finite_numbers_are_schema_errors(tmp_path, capsys, command, config)
 
 
 @pytest.mark.parametrize(
-    "command, config", [("exact", TINY), ("asymptotic", ANCHOR)], ids=["exact", "asymptotic"]
+    "command, config, needle",
+    [
+        ("exact", TINY, "last delta"),
+        ("asymptotic", ANCHOR, "last delta"),
+        ("asymptotic", OVERFLOWING, "at theta node (0,) of n_theta=8"),
+    ],
+    ids=["exact", "asymptotic", "non-finite-det"],
 )
-def test_non_convergence_reports_last_delta(tmp_path, capsys, command, config):
+def test_non_convergence_reports_last_delta(tmp_path, capsys, command, config, needle):
     code, doc = _run(tmp_path, command, config, "--max-levels", "0")
     assert code == 3 and doc is None
-    assert "last delta" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "command, config", [("exact", TINY), ("asymptotic", ANCHOR)], ids=["exact", "asymptotic"]
+    "command, config, extra",
+    [
+        ("exact", TINY, ("--budget", "0")),
+        ("asymptotic", ANCHOR, ("--budget", "0")),
+        ("oracle", TINY, ("--state-budget", "1")),
+    ],
+    ids=["exact", "asymptotic", "oracle-states"],
 )
-def test_zero_budget_exits_4(tmp_path, capsys, command, config):
-    code, doc = _run(tmp_path, command, config, "--budget", "0")
+def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
+    code, doc = _run(tmp_path, command, config, *extra)
     assert code == 4 and doc is None
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, extra",
+    [
+        ("simulate", TINY, ("--seed", "-1")),
+        ("simulate", TINY, ("--seed", str(2 ** 64))),
+        ("simulate", TINY, ("--workers", "0")),
+        ("tw", None, ("--points", "1")),
+    ],
+    ids=["negative-seed", "seed-overflow", "no-workers", "one-point-sweep"],
+)
+def test_out_of_range_arguments_are_schema_errors(tmp_path, capsys, command, config, extra):
+    code, doc = _run(tmp_path, command, config, *extra)
+    assert code == 2 and doc is None
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, extra",
+    [
+        ("simulate", TINY, ("--samples", "2000", "--seed", "7", "--workers", "2")),
+        ("oracle", TINY, ()),
+        ("tw", None, ("--points", "3", "--format", "json")),
+    ],
+    ids=["simulate", "oracle", "tw"],
+)
+def test_reruns_are_byte_identical_but_for_runtime(tmp_path, command, config, extra):
+    texts = []
+    for _ in range(2):
+        code, doc = _run(tmp_path, command, config, *extra)
+        assert code == 0 and doc["diagnostics"]["runtime_ms"] >= 0
+        text = (tmp_path / "out.json").read_text(encoding="utf-8")
+        texts.append(re.sub(r'"runtime_ms": [^,\n]*', "", text))
+    assert texts[0] == texts[1]
+
+
+def test_three_time_limit_reduces_to_two_times(tmp_path):
+    # P(H_3 > 4) is about 5e-8, so the third time leaves the two-time law
+    code, doc = _run(
+        tmp_path, "asymptotic",
+        '{"t": [1, 1.5, 2], "x": [0, 0, 0], "xi": [0.3, 0.5, 4.0]}', "--budget", "60",
+    )
+    assert code == 0
+    two = multitime_cdf(LimitParams(t=(1.0, 1.5), x=(0.0, 0.0), xi=(0.3, 0.5)))
+    assert doc["value"] == pytest.approx(two.value, abs=1e-6)

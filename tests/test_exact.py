@@ -173,12 +173,16 @@ def test_boundary_blocks_are_nilpotent(mp):
     assert np.abs(np.linalg.matrix_power(b, p - 1)).max() < 1e-12
 
 
-def test_theta_trapezoid_saturates_with_bandwidth():
-    # the determinant is a Laurent polynomial in theta, so the trapezoid
-    # rule is exact once the node count clears its bandwidth
+@pytest.mark.parametrize("radius", [1.6, 2.0, 3.0])
+@pytest.mark.parametrize("n_theta", [8, 16, 48])
+def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
+    # the determinant is a Laurent polynomial in theta, so the truncated
+    # trapezoid rule is exact at any radius once the node count clears its
+    # bandwidth; every (n_theta, radius) pair is within 5e-13 of one
+    # reference, hence within 1e-12 of every other pair
     asm = _Assembler(P2, 0.0, _nu(P2), 1.0)
     terms = _terms(asm, 256)
-    lo = _theta_integral(asm.N, terms, P2.p, 2.0, 48, None)
-    hi = _theta_integral(asm.N, terms, P2.p, 2.0, 96, None)
-    assert abs(lo - hi) < 1e-10
-    assert lo.real == pytest.approx(dp_exact_prob(P2), abs=1e-9)
+    value = _theta_integral(asm.N, terms, P2.p, radius, n_theta, None)
+    ref = _theta_integral(asm.N, terms, P2.p, 2.0, 96, None)
+    assert abs(value - ref) < 5e-13
+    assert value.real == pytest.approx(dp_exact_prob(P2), abs=1e-9)
