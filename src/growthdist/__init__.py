@@ -13,13 +13,10 @@ from .asymptotic import (
     LimitSettings,
     airy_form_kernel,
     d_for_eps,
-    det_settings,
     eval_basic_kernel,
     fredholm_det_F,
     multitime_cdf,
-    single_time_cdf,
     tracy_widom,
-    two_point_kernel,
 )
 from .errors import BudgetError, ConvergenceError, SchemaError
 from .exact import ExactResult, det_theta, multipoint_prob_exact, single_point_prob
@@ -55,7 +52,6 @@ __all__ = [
     "build_table",
     "compute_constants",
     "d_for_eps",
-    "det_settings",
     "det_theta",
     "discretize",
     "dp_exact_prob",
@@ -72,9 +68,7 @@ __all__ = [
     "sample_weights",
     "schutz_determinant",
     "single_point_prob",
-    "single_time_cdf",
     "tracy_widom",
     "truncated_sum_prob",
-    "two_point_kernel",
     "__version__",
 ]

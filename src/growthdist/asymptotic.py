@@ -43,10 +43,10 @@ circles with the trapezoidal rule (exact for the Laurent polynomial in
 theta) and doubles all resolutions until two successive levels agree;
 ``_limit_terms`` hands the Nystrom-weighted kernel bases to the shared
 theta-determinant engine in ``linalg``, which does the summing,
-determinants, integration and refinement.
-The single-time marginal is the GUE Tracy-Widom law, exposed directly as
-``tracy_widom`` together with the contour-form kernel ``two_point_kernel``
-satisfying ``det(I - K) = F_GUE(xi + x^2)``.
+determinants, integration and refinement.  At ``p = 1`` there is no
+theta circle and the same route returns the single determinant
+``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates that marginal
+independently, from the Airy kernel.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .linalg import (
     _theta_integral,
     block_grid,
     lu_det,
-    nystrom_det,
 )
 from .params import (
     LimitParams,
@@ -83,7 +82,6 @@ from .params import (
 
 __all__ = [
     "LimitSettings",
-    "det_settings",
     "AsymptoticResult",
     "d_for_eps",
     "check_d_assignment",
@@ -92,8 +90,6 @@ __all__ = [
     "fredholm_det_F",
     "multitime_cdf",
     "tracy_widom",
-    "two_point_kernel",
-    "single_time_cdf",
 ]
 
 
@@ -107,7 +103,6 @@ _NODES_PER_RADIAN = 3.4 / (2.0 * math.pi)
 _MAX_LINE_NODES = 6000
 _INTERIOR_VMAX = 2.0      # oscillation allowance for lines with no u/v factor
 _AIRY_ARG_FLOOR = -58.0   # deepest Airy argument the evaluator certifies
-_TW_NODES = 96            # first quadrature level of the Tracy-Widom route
 
 
 @dataclass(frozen=True)
@@ -119,14 +114,20 @@ class LimitSettings:
     ``ladder_lo/ladder_hi`` the interval into which the eps-ordered ladder
     of growing lines is rescaled.  ``mu`` overrides the conjugation rate
     (default: the admissibility bound of the instance plus one).
+
+    Entries of a line-contour kernel at coordinate magnitude ``L`` carry
+    roundoff amplified by ``exp(d L)`` relative to fully cancelled true
+    values, so the default abscissas are small enough for determinants
+    over ``|u| <= extent``; analyticity makes every value independent of
+    the layout.
     """
 
-    d1: float = 0.8
-    d2: float = 1.6
-    d3: float = 0.8
-    d_single: float = 1.0
-    ladder_lo: float = 0.5
-    ladder_hi: float = 2.5
+    d1: float = 0.35
+    d2: float = 0.70
+    d3: float = 0.35
+    d_single: float = 0.45
+    ladder_lo: float = 0.25
+    ladder_hi: float = 1.05
     extent: float = 12.0
     block_nodes: int = 48
     theta_radius: float = 2.0
@@ -149,20 +150,6 @@ class LimitSettings:
             raise SchemaError("theta_radius must exceed 1")
         if self.mu is not None and self.mu < 0:
             raise SchemaError("mu must be non-negative")
-
-
-def det_settings() -> LimitSettings:
-    """Contour layout tuned for determinants on wide Nystrom grids.
-
-    Entries of a line-contour kernel at coordinate magnitude ``L`` carry
-    roundoff amplified by ``exp(d L)`` relative to fully cancelled true
-    values, so determinant assembly over ``|u| <= extent`` uses smaller
-    abscissas than the pointwise defaults; analyticity makes the value
-    itself independent of the choice.
-    """
-    return LimitSettings(
-        d1=0.35, d2=0.70, d3=0.35, d_single=0.45, ladder_lo=0.25, ladder_hi=1.05
-    )
 
 
 def _resolve_mu(inst: LimitParams, settings: LimitSettings) -> float:
@@ -944,7 +931,7 @@ def fredholm_det_F(
 ) -> complex:
     """``det(I + F(theta))`` on the direct-sum space via Nystrom quadrature."""
     inst = instance
-    settings = settings or det_settings()
+    settings = settings or LimitSettings()
     th = tuple(complex(z) for z in np.atleast_1d(theta))
     if len(th) != inst.p - 1:
         raise SchemaError(f"theta must have length {inst.p - 1}")
@@ -984,23 +971,16 @@ def multitime_cdf(
     for Laurent degrees in ``[-4 * 2**l, 4 * 2**l)``); levels double, at
     most ``settings.max_levels`` times, until two successive levels agree
     within ``settings.tol``; raises ``ConvergenceError`` otherwise.
-    ``p = 1`` routes to the Tracy-Widom marginal ``F_GUE(xi_1 + x_1^2)``,
-    refined the same way from ``_TW_NODES`` quadrature nodes.
     """
     start = time.perf_counter()
     inst = instance
-    settings = settings or det_settings()
+    settings = settings or LimitSettings()
 
-    def sizes(level: int) -> int:
-        """Quadrature nodes at ``level``."""
-        if inst.p == 1:
-            return _TW_NODES * 2 ** level
-        return len(block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level))
+    def grid_at(level: int) -> NystromGrid:
+        return block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level)
 
     def evaluate(level: int) -> complex:
-        if inst.p == 1:
-            return complex(_fgue(inst.xi[0] + inst.x[0] ** 2, nodes=sizes(level)))
-        grid = block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level)
+        grid = grid_at(level)
         terms = _limit_terms(inst, settings, grid, deadline)
         return _theta_integral(
             len(grid), terms, inst.p, settings.theta_radius,
@@ -1011,8 +991,9 @@ def multitime_cdf(
     return AsymptoticResult(
         value=float(value.real),
         imag_part=float(value.imag),
-        theta_nodes=0 if inst.p == 1 else _THETA_NODES * 2 ** level,
-        grid_nodes=sizes(level),
+        # per circle; p = 1 has no circle
+        theta_nodes=_THETA_NODES * 2 ** level if inst.p > 1 else 0,
+        grid_nodes=len(grid_at(level)),
         levels=level,
         converged=True,
         runtime_ms=1e3 * (time.perf_counter() - start),
@@ -1020,7 +1001,7 @@ def multitime_cdf(
 
 
 # ---------------------------------------------------------------------------
-# single-time law
+# Tracy-Widom marginal (independent oracle)
 # ---------------------------------------------------------------------------
 
 def _fgue(s: float, nodes: int = 96, span: float = 40.0, lam_max: float = 40.0) -> float:
@@ -1038,32 +1019,3 @@ def tracy_widom(s: float, *, nodes: int = 96) -> float:
     if not -10.0 <= s <= 6.0:
         raise SchemaError(f"tracy_widom argument must lie in [-10, 6], got {s}")
     return _fgue(s, nodes=nodes)
-
-
-def two_point_kernel(
-    t: float, x: float, xi: float, u, v, *, settings: LimitSettings | None = None
-):
-    """Contour-form single-time kernel whose determinant is the marginal law.
-
-    ``K(u, v) = oint oint (G(z)/G(zeta)) e^(zeta v - z u) / (z - zeta)``
-    over a decaying line left of the origin and a growing line right of
-    it, with the triple ``(t, x, xi)``; ``det(I - K)`` on ``(0, inf)``
-    equals ``F_GUE(xi + x^2)``.
-    """
-    inst = LimitParams(t=(float(t),), x=(float(x),), xi=(float(xi),), mu=0.0)
-    return eval_basic_kernel(1, {}, 1, u, 1, v, inst, settings=settings)
-
-
-def single_time_cdf(
-    t: float,
-    x: float,
-    xi: float,
-    *,
-    extent: float = 12.0,
-    nodes: int = 64,
-    settings: LimitSettings | None = None,
-) -> float:
-    """``det(I - K)`` of the single-time kernel on ``(0, extent)``."""
-    grid = block_grid(1, extent, nodes)
-    kern = two_point_kernel(t, x, xi, grid.nodes, grid.nodes, settings=settings)
-    return float(nystrom_det(-kern, grid).real)

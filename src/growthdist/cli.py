@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .asymptotic import (
     LimitSettings,
     airy_form_kernel,
     d_for_eps,
-    det_settings,
     eval_basic_kernel,
     fredholm_det_F,
     multitime_cdf,
@@ -45,7 +43,7 @@ from .errors import BudgetError, ConvergenceError, SchemaError
 from .exact import multipoint_prob_exact
 from .growth import mc_multipoint
 from .integrands import circle
-from .linalg import block_grid, cell_grid, embed_discrete, lu_det, nystrom_det
+from .linalg import block_grid, lu_det, nystrom_det
 from .oracle import dp_exact_prob, truncated_sum_prob, verify_sbp
 from .params import (
     KPZParams,
@@ -223,7 +221,6 @@ def _cmd_exact(args) -> int:
 def _cmd_asymptotic(args) -> int:
     doc = _load_config(args.config)
     inst = _as_limit(doc)
-    settings = det_settings()
     overrides = {
         "extent": args.extent,
         "block_nodes": args.block_nodes,
@@ -232,9 +229,7 @@ def _cmd_asymptotic(args) -> int:
         "tol": args.tol,
         "max_levels": args.max_levels,
     }
-    settings = replace(
-        settings, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    settings = LimitSettings(**{k: v for k, v in overrides.items() if v is not None})
     res = multitime_cdf(inst, settings, deadline=_deadline(args))
     payload = _payload(
         res.value,
@@ -259,6 +254,8 @@ def _cmd_tw(args) -> int:
             grid = [float(tok) for tok in args.s.split(",") if tok.strip()]
         except ValueError as exc:
             raise SchemaError(f"--s must be a comma-separated float list: {exc}")
+        if not grid:
+            raise SchemaError("--s must be a non-empty comma-separated float list")
     else:
         if args.points < 2:
             raise SchemaError("--points must be at least 2")
@@ -316,15 +313,6 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     rank_one = nystrom_det(np.outer(f, f), grid)
     exact_val = 1.0 + (1.0 - math.exp(-8.0)) / 2.0
     add("nystrom rank-one closed form", abs(rank_one - exact_val), 1e-10)
-
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    kern = embed_discrete(m, (2, 2), 3.0)
-    emb = nystrom_det(kern, cell_grid(2, 3.0, (2, 2)))
-    add(
-        "embedded step kernel preserves det",
-        abs(emb - lu_det(np.eye(4) + m)),
-        1e-10,
-    )
 
     ring = circle(0.0, 2.0, 64)
     resid = max(
@@ -510,6 +498,8 @@ def main(argv: list[str] | None = None) -> int:
             raise SchemaError(f"--seed must be in [0, 2**64), got {args.seed}")
         if args.workers < 1:
             raise SchemaError(f"--workers must be at least 1, got {args.workers}")
+        if args.budget is not None and not args.budget >= 0:
+            raise SchemaError(f"--budget must be a non-negative number, got {args.budget}")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

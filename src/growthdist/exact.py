@@ -386,6 +386,8 @@ def multipoint_prob_exact(
     which ``BudgetError`` is raised.
     """
     start = time.perf_counter()
+    if base_nodes < 1:
+        raise ValueError(f"base_nodes must be at least 1, got {base_nodes}")
     if any(ak <= 0 for ak in params.a):
         return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0)
     if params.p == 1:

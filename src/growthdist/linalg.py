@@ -6,12 +6,6 @@ the symmetrized matrix ``I + W^(1/2) K W^(1/2)``, and an LU factorization
 with LAPACK partial pivoting.  Results are reproducible across reruns on
 one machine with one BLAS thread count.
 
-A second grid builder places one midpoint node per unit cell of width
-``1/nu``; kernels that are piecewise constant on those cells (as arises
-when a discrete matrix is embedded as an integral operator by step
-interpolation with scale ``nu``) are then integrated exactly, making the
-Nystrom determinant equal to the discrete ``det(I + M)``.
-
 The finite-size law (``exact``) and its limit (``asymptotic``) share the
 private theta-determinant engine ``_det_at`` / ``_theta_integral`` /
 ``_refine``.  Its terms ``(rows, cols, base, coefs)`` add
@@ -24,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,9 +29,7 @@ __all__ = [
     "lu_det",
     "NystromGrid",
     "block_grid",
-    "cell_grid",
     "nystrom_det",
-    "embed_discrete",
 ]
 
 
@@ -89,100 +81,13 @@ def block_grid(p: int, extent: float = 12.0, n: int = 48) -> NystromGrid:
     )
 
 
-def cell_grid(p: int, nu: float, counts: tuple[int, ...]) -> NystromGrid:
-    """One midpoint node per unit cell of width ``1/nu``.
-
-    Block ``r < p`` covers the cells ``(-(c)/nu, -(c-1)/nu]`` for
-    ``c = 1..counts[r-1]`` on the negative axis; block ``p`` covers
-    ``((c-1)/nu, c/nu]`` on the positive axis.  Step kernels constant on
-    these cells are integrated exactly.
-    """
-    nodes, weights, slices = [], [], []
-    start = 0
-    for r in range(1, p + 1):
-        c = np.arange(1, counts[r - 1] + 1)
-        mids = (c - 0.5) / nu
-        x = mids if r == p else -mids[::-1]
-        nodes.append(x)
-        weights.append(np.full(len(x), 1.0 / nu))
-        slices.append(slice(start, start + len(x)))
-        start += len(x)
-    return NystromGrid(
-        p=p,
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        slices=tuple(slices),
-    )
-
-
-def nystrom_det(
-    kernel: np.ndarray | Callable[[int, np.ndarray, int, np.ndarray], np.ndarray],
-    grid: NystromGrid,
-) -> complex:
-    """``det(I + W^(1/2) K W^(1/2))`` for a kernel on ``grid``.
-
-    ``kernel`` is either the full matrix of kernel values at the grid
-    nodes or a callable ``(r, u, s, v) -> matrix`` evaluated blockwise.
-    """
-    if callable(kernel):
-        mat = np.zeros((len(grid), len(grid)), dtype=complex)
-        for r in range(1, grid.p + 1):
-            for s in range(1, grid.p + 1):
-                mat[grid.slices[r - 1], grid.slices[s - 1]] = kernel(
-                    r, grid.block(r), s, grid.block(s)
-                )
-        kernel = mat
+def nystrom_det(kernel: np.ndarray, grid: NystromGrid) -> complex:
+    """``det(I + W^(1/2) K W^(1/2))`` for the kernel matrix at the grid nodes."""
     if not np.all(np.isfinite(kernel)):
         raise ValueError("kernel values must be finite")
     sw = np.sqrt(grid.weights)
     mat = np.eye(len(grid), dtype=complex) + sw[:, None] * kernel * sw[None, :]
     return lu_det(mat)
-
-
-def embed_discrete(
-    matrix: np.ndarray, counts: Sequence[int], nu: float
-) -> Callable[[int, np.ndarray, int, np.ndarray], np.ndarray]:
-    """Step-kernel embedding of a finite block matrix.
-
-    Block ``r`` of ``matrix`` (sizes ``counts``) indexes ``counts[r-1]``
-    consecutive integer sites; site ``j`` (1-based within the block,
-    counted toward the block boundary) is smeared over a cell of width
-    ``1/nu``, giving the kernel
-
-        F(r, u; s, v) = nu * M[site_r(ceil(nu u)), site_s(ceil(nu v))],
-
-    where blocks ``r < p`` place their cells left of the origin (offsets
-    ``ceil(nu u)`` in ``-counts[r-1]+1 .. 0``) and block ``p`` right of it
-    (offsets ``1 .. counts[p-1]``); the kernel vanishes off-range.  On
-    ``cell_grid(p, nu, counts)`` the Nystrom determinant of the embedded
-    kernel equals ``det(I + M)`` exactly, and it is independent of ``nu``.
-    """
-    counts = tuple(int(c) for c in counts)
-    p = len(counts)
-    mat = np.asarray(matrix, dtype=complex)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    if mat.shape != (offsets[-1], offsets[-1]):
-        raise ValueError(
-            f"matrix of shape {mat.shape} does not match block sizes {counts}"
-        )
-
-    def positions(r: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cells = np.ceil(nu * np.asarray(u, dtype=float)).astype(int)
-        pos = cells - 1 if r == p else counts[r - 1] + cells - 1
-        ok = (pos >= 0) & (pos < counts[r - 1])
-        return np.clip(pos, 0, counts[r - 1] - 1), ok
-
-    def kernel(r: int, u, s: int, v) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        pu, oku = positions(r, u)
-        pv, okv = positions(s, v)
-        out = nu * mat[np.ix_(offsets[r - 1] + pu, offsets[s - 1] + pv)]
-        out[~oku, :] = 0.0
-        out[:, ~okv] = 0.0
-        return out
-
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +149,15 @@ def _refine(
 
     ``evaluate(level)`` computes the value at the resolution doubled
     ``level`` times.  At most ``max_levels`` doublings follow the first
-    evaluation.  Returns ``(value, delta, level)``; raises
-    ``ConvergenceError`` reporting the last delta, or ``BudgetError`` once
-    ``deadline`` has passed.
+    evaluation.  Returns ``(value, delta, level)``; raises ``ValueError``
+    unless ``tol > 0`` and ``max_levels >= 0``, ``ConvergenceError``
+    reporting the last delta, or ``BudgetError`` once ``deadline`` has
+    passed.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_levels < 0:
+        raise ValueError(f"max_levels must be non-negative, got {max_levels}")
     prev, delta, level = None, None, 0
     for level in range(max_levels + 1):
         _check_deadline(deadline, "refinement")

@@ -13,13 +13,10 @@ from growthdist.asymptotic import (
     airy_form_kernel,
     check_d_assignment,
     d_for_eps,
-    det_settings,
     eval_basic_kernel,
     fredholm_det_F,
     multitime_cdf,
-    single_time_cdf,
     tracy_widom,
-    two_point_kernel,
 )
 from growthdist.errors import SchemaError
 from growthdist.exact import det_theta
@@ -71,20 +68,6 @@ def test_tracy_widom_domain():
         tracy_widom(7.0)
 
 
-def test_single_time_cdf_independent_of_time():
-    x, xi = 0.4, 0.1
-    want = tracy_widom(xi + x * x)
-    assert single_time_cdf(1.0, x, xi) == pytest.approx(want, abs=1e-6)
-    assert single_time_cdf(2.5, x, xi) == pytest.approx(want, abs=1e-6)
-
-
-def test_two_point_kernel_scalar_mode():
-    val = two_point_kernel(1.0, 0.0, 0.1, 0.5, 0.7)
-    assert isinstance(val, complex)
-    mat = two_point_kernel(1.0, 0.0, 0.1, np.array([0.5]), np.array([0.7]))
-    assert val == pytest.approx(complex(mat[0, 0]))
-
-
 # ---------------------------------------------------------------------------
 # growing-line ladders
 # ---------------------------------------------------------------------------
@@ -130,6 +113,14 @@ def test_limit_settings_validation():
 # ---------------------------------------------------------------------------
 # kernel families: contour form vs Airy-operator form
 # ---------------------------------------------------------------------------
+
+def test_basic_kernel_scalar_mode():
+    inst = LimitParams(t=(1.0,), x=(0.0,), xi=(0.1,))
+    val = eval_basic_kernel(1, {}, 1, 0.5, 1, 0.7, inst)
+    assert isinstance(val, complex)
+    mat = eval_basic_kernel(1, {}, 1, np.array([0.5]), 1, np.array([0.7]), inst)
+    assert val == pytest.approx(complex(mat[0, 0]))
+
 
 def test_indicator_zeros():
     u, v = -0.5, -0.3
@@ -213,12 +204,8 @@ def test_det_pinned_values(inst, theta, ref):
 
 def test_det_invariant_under_conjugation_rate():
     th = 2.0 * cmath.exp(-0.8j)
-    base = fredholm_det_F((th,), INST2, settings=det_settings())
-    import dataclasses
-
-    shifted = fredholm_det_F(
-        (th,), INST2, settings=dataclasses.replace(det_settings(), mu=2.0)
-    )
+    base = fredholm_det_F((th,), INST2, settings=LimitSettings())
+    shifted = fredholm_det_F((th,), INST2, settings=LimitSettings(mu=2.0))
     assert abs(base - shifted) / abs(base) < 1e-8
 
 
@@ -226,11 +213,18 @@ def test_det_invariant_under_conjugation_rate():
 # the multi-time distribution
 # ---------------------------------------------------------------------------
 
-def test_multitime_single_time_route():
-    inst = LimitParams(t=(1.0,), x=(0.3,), xi=(0.2,))
-    res = multitime_cdf(inst)
+@pytest.mark.parametrize(
+    "t, x, xi",
+    [(1.0, 0.3, 0.2), (1.0, 0.4, 0.1), (2.5, 0.4, 0.1)],
+    ids=["t1-x0.3-xi0.2", "t1-x0.4-xi0.1", "t2.5-x0.4-xi0.1"],
+)
+def test_multitime_single_time_route(t, x, xi):
+    # the one-time law is the single determinant det(I + F) = F_GUE(xi + x^2),
+    # whatever the time
+    res = multitime_cdf(LimitParams(t=(t,), x=(x,), xi=(xi,)))
     assert res.converged
-    assert res.value == pytest.approx(tracy_widom(0.2 + 0.09, nodes=192), abs=1e-9)
+    assert res.value == pytest.approx(tracy_widom(xi + x * x, nodes=192), abs=1e-9)
+    assert res.grid_nodes == 48 * 2 ** res.levels
 
 
 def test_multitime_two_time_anchor():

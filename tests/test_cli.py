@@ -95,8 +95,22 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("simulate", TINY, ("--seed", str(2 ** 64))),
         ("simulate", TINY, ("--workers", "0")),
         ("tw", None, ("--points", "1")),
+        ("tw", None, ("--s", ",")),
+        ("tw", None, ("--s", "")),
+        ("exact", TINY, ("--budget", "nan")),
+        ("asymptotic", ANCHOR, ("--budget", "-1")),
+        ("exact", TINY, ("--base-nodes", "0")),
+        ("exact", TINY, ("--max-levels", "-1")),
+        ("asymptotic", ANCHOR, ("--max-levels", "-1")),
+        ("exact", TINY, ("--tol", "-1")),
+        ("asymptotic", ANCHOR, ("--tol", "-1")),
     ],
-    ids=["negative-seed", "seed-overflow", "no-workers", "one-point-sweep"],
+    ids=[
+        "negative-seed", "seed-overflow", "no-workers", "one-point-sweep",
+        "comma-only-s", "empty-s", "nan-budget", "negative-budget", "no-base-nodes",
+        "exact-negative-levels", "asymptotic-negative-levels", "exact-negative-tol",
+        "asymptotic-negative-tol",
+    ],
 )
 def test_out_of_range_arguments_are_schema_errors(tmp_path, capsys, command, config, extra):
     code, doc = _run(tmp_path, command, config, *extra)

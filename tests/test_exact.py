@@ -139,10 +139,12 @@ def test_multipoint_invariances():
 def test_multipoint_control_errors():
     with pytest.raises(ValueError):
         multipoint_prob_exact(P2, theta_radius=0.9)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        multipoint_prob_exact(P2, tol=0.0)
     with pytest.raises(ConvergenceError, match="last delta unavailable"):
         multipoint_prob_exact(P2, max_levels=0)
     with pytest.raises(ConvergenceError, match=r"last delta \d"):
-        multipoint_prob_exact(P2, max_levels=1, tol=0.0)
+        multipoint_prob_exact(P2, max_levels=1, tol=1e-300)
     with pytest.raises(BudgetError):
         multipoint_prob_exact(P2, deadline=0.0)
 

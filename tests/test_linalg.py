@@ -1,4 +1,4 @@
-"""LU determinants, Nystrom grids, and discrete-kernel embeddings."""
+"""LU determinants, Nystrom grids and Nystrom determinants."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from growthdist.linalg import (
-    block_grid,
-    cell_grid,
-    embed_discrete,
-    lu_det,
-    nystrom_det,
-)
+from growthdist.linalg import block_grid, lu_det, nystrom_det
 
 
 def _random_complex(rng, n):
@@ -70,17 +64,6 @@ def test_block_grid_layout(p):
         assert total == pytest.approx(extent, rel=1e-13)
 
 
-def test_cell_grid_uniform_cells():
-    nu = 4.0
-    grid = cell_grid(2, nu, (3, 2))
-    assert len(grid) == 5
-    assert np.allclose(grid.weights, 1.0 / nu)
-    assert np.all(grid.block(1) < 0) and np.all(grid.block(2) > 0)
-    # cells tile contiguous intervals of width 1/nu on each side of 0
-    assert np.allclose(np.diff(grid.block(1)), 1.0 / nu)
-    assert grid.block(2)[0] == pytest.approx(0.5 / nu)
-
-
 # ---------------------------------------------------------------------------
 # Fredholm determinants by quadrature
 # ---------------------------------------------------------------------------
@@ -99,21 +82,6 @@ def test_nystrom_det_rank_one_closed_form():
     assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_nystrom_det_accepts_blockwise_callable():
-    grid = block_grid(2, 4.0, 24)
-
-    def kernel(r, u, s, v):
-        return np.exp(-np.abs(u[:, None]) - np.abs(v[None, :])) * (0.1 * r + 0.05 * s)
-
-    dense = np.zeros((len(grid), len(grid)))
-    for r in (1, 2):
-        for s in (1, 2):
-            dense[grid.slices[r - 1], grid.slices[s - 1]] = kernel(
-                r, grid.block(r), s, grid.block(s)
-            )
-    assert nystrom_det(kernel, grid) == pytest.approx(nystrom_det(dense, grid), rel=1e-13)
-
-
 def test_nystrom_node_doubling_converges():
     # smooth separable kernel: doubling the resolution moves the value
     # far less than the coarse-grid discretization error
@@ -125,26 +93,3 @@ def test_nystrom_node_doubling_converges():
     want = 1.0 + math.sqrt(math.pi / 2.0) / 2.0 * math.erf(6.0 * math.sqrt(2.0))
     assert abs(det_at(48) - want) < 1e-8
     assert abs(det_at(96) - want) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# discrete embeddings
-# ---------------------------------------------------------------------------
-
-def test_embed_discrete_preserves_determinant():
-    rng = np.random.default_rng(3)
-    m = _random_complex(rng, 4)
-    kern = embed_discrete(m, (2, 2), 3.0)
-    emb = nystrom_det(kern, cell_grid(2, 3.0, (2, 2)))
-    assert emb == pytest.approx(lu_det(np.eye(4) + m), abs=1e-10)
-
-
-def test_embed_discrete_independent_of_density():
-    rng = np.random.default_rng(5)
-    m = _random_complex(rng, 5)
-    vals = [
-        nystrom_det(embed_discrete(m, (3, 2), nu), cell_grid(2, nu, (3, 2)))
-        for nu in (2.0, 5.0, 11.0)
-    ]
-    assert vals[0] == pytest.approx(vals[1], rel=1e-12)
-    assert vals[1] == pytest.approx(vals[2], rel=1e-12)
