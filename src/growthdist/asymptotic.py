@@ -64,7 +64,7 @@ from .linalg import (
     _THETA_NODES,
     NystromGrid,
     _check_deadline,
-    _det_at,
+    _det_sum,
     _refine,
     _theta_integral,
     block_grid,
@@ -144,8 +144,10 @@ class LimitSettings:
             raise SchemaError("need d1 < d2 and d3 < d2")
         if not (0 < self.ladder_lo < self.ladder_hi):
             raise SchemaError("need 0 < ladder_lo < ladder_hi")
-        if self.extent <= 0 or self.block_nodes < 8:
-            raise SchemaError("invalid grid controls")
+        if self.extent <= 0:
+            raise SchemaError(f"extent must be positive, got {self.extent}")
+        if self.block_nodes < 8:
+            raise SchemaError(f"block_nodes must be at least 8, got {self.block_nodes}")
         if self.theta_radius <= 1.0:
             raise SchemaError("theta_radius must exceed 1")
         if self.mu is not None and self.mu < 0:
@@ -932,12 +934,12 @@ def fredholm_det_F(
     """``det(I + F(theta))`` on the direct-sum space via Nystrom quadrature."""
     inst = instance
     settings = settings or LimitSettings()
-    th = tuple(complex(z) for z in np.atleast_1d(theta))
+    th = tuple(np.array([complex(z)]) for z in np.atleast_1d(theta))
     if len(th) != inst.p - 1:
         raise SchemaError(f"theta must have length {inst.p - 1}")
     if grid is None:
         grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    return _det_at(len(grid), _limit_terms(inst, settings, grid), th)
+    return _det_sum(len(grid), _limit_terms(inst, settings, grid), th, np.ones(1), 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,4 +1020,6 @@ def tracy_widom(s: float, *, nodes: int = 96) -> float:
     s = float(s)
     if not -10.0 <= s <= 6.0:
         raise SchemaError(f"tracy_widom argument must lie in [-10, 6], got {s}")
+    if nodes < 1:
+        raise SchemaError(f"nodes must be at least 1, got {nodes}")
     return _fgue(s, nodes=nodes)

@@ -13,8 +13,9 @@ Results are JSON documents ``{value, diagnostics{...}, provenance{config,
 seed}}`` (CSV only for sweep/statistics tables).  Output is byte-identical
 for identical config and seed, except for the runtime field.  Exit codes:
 0 success, 1 failed validation, 2 schema violation, 3 numerical
-non-convergence, 4 budget exceeded.  Output files are written atomically
-after the computation finishes, so failures leave no partial files.
+non-convergence, 4 budget exceeded (time, or memory numpy refuses to
+allocate).  Output files are written atomically after the computation
+finishes, so failures leave no partial files.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .asymptotic import (
 from .errors import BudgetError, ConvergenceError, SchemaError
 from .exact import multipoint_prob_exact
 from .growth import mc_multipoint
-from .integrands import circle
+from .integrands import circle, composite_gl
 from .linalg import block_grid, lu_det, nystrom_det
 from .oracle import dp_exact_prob, truncated_sum_prob, verify_sbp
 from .params import (
@@ -265,7 +266,8 @@ def _cmd_tw(args) -> int:
     values = [tracy_widom(s, nodes=args.nodes) for s in grid]
     ms = 1e3 * (time.perf_counter() - start)
     if args.format == "json":
-        doc = {"s": grid, "nodes": args.nodes}
+        # the rule takes whole 12-node panels; record the count it used
+        doc = {"s": grid, "nodes": len(composite_gl(0.0, 1.0, args.nodes)[0])}
         payload = _payload(
             None,
             {"runtime_ms": ms},
@@ -455,7 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
     asy.add_argument("--mu", type=float, default=None, help="conjugation rate override")
     asy.add_argument("--extent", type=float, default=None, help="half-line truncation")
     asy.add_argument(
-        "--block-nodes", type=int, default=None, help="initial nodes per block"
+        "--block-nodes", type=int, default=None,
+        help="initial nodes per block, rounded to whole 12-node panels (at least 8)",
     )
     asy.add_argument(
         "--theta-radius", type=float, default=None, help="radius of the theta circles"
@@ -471,7 +474,10 @@ def _build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--s-min", type=float, default=-4.0, help="sweep start")
     tw.add_argument("--s-max", type=float, default=2.0, help="sweep end")
     tw.add_argument("--points", type=int, default=7, help="sweep length")
-    tw.add_argument("--nodes", type=int, default=96, help="quadrature nodes")
+    tw.add_argument(
+        "--nodes", type=int, default=96,
+        help="quadrature nodes, rounded to whole 12-node panels",
+    )
     tw.set_defaults(func=_cmd_tw, default_format="csv")
 
     val = sub.add_parser("validate", parents=[common], help="consistency suite")
@@ -509,6 +515,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: memory budget exceeded in '{args.command}': {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrands import Contour, circle, log_g
-from .linalg import _THETA_NODES, _det_at, _refine, _theta_integral, lu_det
+from .linalg import _THETA_NODES, _det_sum, _refine, _theta_integral, lu_det
 from .params import (
     ModelParams,
     admissible_eps,
@@ -360,7 +360,8 @@ def det_theta(
     if len(thetas) != params.p - 1:
         raise ValueError(f"expected {params.p - 1} theta components")
     asm = _Assembler(params, mu, nu, radius_scale)
-    return _det_at(asm.N, _terms(asm, nodes), tuple(thetas))
+    node = tuple(np.array([complex(th)]) for th in thetas)
+    return _det_sum(asm.N, _terms(asm, nodes), node, np.ones(1), 1, None)
 
 
 def multipoint_prob_exact(

@@ -7,17 +7,20 @@ with LAPACK partial pivoting.  Results are reproducible across reruns on
 one machine with one BLAS thread count.
 
 The finite-size law (``exact``) and its limit (``asymptotic``) share the
-private theta-determinant engine ``_det_at`` / ``_theta_integral`` /
+private theta-determinant engine ``_det_sum`` / ``_theta_integral`` /
 ``_refine``.  Its terms ``(rows, cols, base, coefs)`` add
 ``sum(c(theta) for c in coefs) * base`` to block ``[rows, cols]``; every
 theta-independent diagonal scaling is folded into ``base`` beforehand.
+The engine evaluates every coefficient once per call on the whole flattened
+theta grid, builds the matrices ``I + sum_j c_j(theta) B_j`` in chunks of
+about ``_DET_BATCH_BYTES`` and takes each chunk's determinants in one
+batched ``lu_det`` call; a single theta point is a one-node grid.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -33,12 +36,17 @@ __all__ = [
 ]
 
 
-def lu_det(matrix: np.ndarray) -> complex:
-    """Determinant via LU with LAPACK partial pivoting."""
+def lu_det(matrix: np.ndarray) -> complex | np.ndarray:
+    """Determinant via LU with LAPACK partial pivoting.
+
+    A ``(n, n)`` matrix gives a ``complex``; a ``(..., n, n)`` stack gives
+    the array of its determinants, each equal to the single-matrix value.
+    """
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    return complex(np.linalg.det(a))
+    det = np.linalg.det(a)
+    return complex(det) if a.ndim == 2 else det
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,7 @@ def nystrom_det(kernel: np.ndarray, grid: NystromGrid) -> complex:
 # ---------------------------------------------------------------------------
 
 _THETA_NODES = 8  # per circle at level 0: exact for Laurent degrees in [-4, 4)
+_DET_BATCH_BYTES = 4 * 2 ** 20  # bytes of matrices per batched determinant call
 
 
 def _check_deadline(deadline: float | None, phase: str) -> None:
@@ -102,15 +111,44 @@ def _check_deadline(deadline: float | None, phase: str) -> None:
         raise BudgetError(f"time budget exhausted during {phase}")
 
 
-def _det_at(size: int, terms, theta: tuple[complex, ...]) -> complex:
-    """``det(I + sum_j c_j(theta) B_j)`` for terms ``(rows, cols, base, coefs)``."""
-    mat = np.eye(size, dtype=complex)
-    for rows, cols, base, coefs in terms:
-        w = sum(c(theta) for c in coefs)
-        if abs(w) < 1e-300:
-            continue
-        mat[rows, cols] += w * base
-    return lu_det(mat)
+def _det_sum(
+    size: int, terms, thetas: tuple[np.ndarray, ...], weights: np.ndarray,
+    n_theta: int, deadline: float | None,
+) -> complex:
+    """``sum_k weights[k] * det(I + sum_j c_j(theta_k) B_j)`` over theta nodes ``k``.
+
+    ``thetas[i][k]`` is component ``i`` of node ``k``; the nodes are the
+    flattened ``(n_theta,) * len(thetas)`` grid in row-major order.  Each
+    term's coefficients are tabulated once over all nodes; coefficients
+    below ``1e-300`` count as zero and a term that is zero over a chunk is
+    skipped.  ``deadline`` is checked before every chunk; a non-finite
+    determinant raises ``ConvergenceError`` naming its node.
+    """
+    count = len(weights)
+    table = np.zeros((len(terms), count), dtype=complex)
+    for row, (_, _, _, coefs) in zip(table, terms):
+        row[:] = sum(c(thetas) for c in coefs)
+    table[np.abs(table) < 1e-300] = 0.0
+    chunk = max(1, _DET_BATCH_BYTES // (16 * size * size))
+    eye = np.eye(size, dtype=complex)
+    total = 0.0 + 0.0j
+    for lo in range(0, count, chunk):
+        _check_deadline(deadline, "theta integration")
+        hi = min(lo + chunk, count)
+        mats = np.repeat(eye[None], hi - lo, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (rows, cols, base, _), coef in zip(terms, table[:, lo:hi]):
+                if coef.any():
+                    mats[:, rows, cols] += coef[:, None, None] * base
+            dets = lu_det(mats)
+        bad = np.flatnonzero(~np.isfinite(dets))
+        if bad.size:
+            node = np.unravel_index(lo + bad[0], (n_theta,) * len(thetas))
+            raise ConvergenceError(
+                f"non-finite determinant {complex(dets[bad[0]])} at theta node "
+                f"{tuple(int(j) for j in node)} of n_theta={n_theta}")
+        total += np.sum(weights[lo:hi] * dets)
+    return complex(total)
 
 
 def _theta_integral(
@@ -123,22 +161,19 @@ def _theta_integral(
     terms, so the rule returns exactly the sum of the determinant's Laurent
     coefficients with every degree ``>= 0``, at any radius ``> 1``, once it
     has no degree outside ``[-n_theta/2, n_theta/2)``.  Callers take
-    ``n_theta = _THETA_NODES * 2**level``.  ``deadline`` is checked before
-    every node; a non-finite determinant raises ``ConvergenceError``.
+    ``n_theta = _THETA_NODES * 2**level``.  All ``n_theta**(p-1)`` nodes go
+    to ``_det_sum`` at once, which tabulates the coefficients on the whole
+    grid and takes the determinants in chunked batches, checking
+    ``deadline`` before each chunk.
     """
     ring = circle(0.0, radius, n_theta)
     weights = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
-    total = 0.0 + 0.0j
-    for combo in product(range(n_theta), repeat=p - 1):
-        _check_deadline(deadline, "theta integration")
-        theta = tuple(ring.nodes[j] for j in combo)
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = _det_at(size, terms, theta)
-        if not np.isfinite(det):
-            raise ConvergenceError(
-                f"non-finite determinant {det} at theta node {combo} of n_theta={n_theta}")
-        total += np.prod(weights[list(combo)]) * det
-    return total
+    axes = np.meshgrid(*[ring.nodes] * (p - 1), indexing="ij")
+    thetas = tuple(axis.ravel() for axis in axes)
+    flat = np.ones(1, dtype=complex)
+    for _ in range(p - 1):
+        flat = np.multiply.outer(flat, weights).ravel()
+    return _det_sum(size, terms, thetas, flat, n_theta, deadline)
 
 
 def _refine(

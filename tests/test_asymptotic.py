@@ -66,6 +66,8 @@ def test_tracy_widom_domain():
         tracy_widom(-11.0)
     with pytest.raises(SchemaError):
         tracy_widom(7.0)
+    with pytest.raises(SchemaError):
+        tracy_widom(0.0, nodes=0)
 
 
 # ---------------------------------------------------------------------------

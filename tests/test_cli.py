@@ -104,12 +104,15 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("asymptotic", ANCHOR, ("--max-levels", "-1")),
         ("exact", TINY, ("--tol", "-1")),
         ("asymptotic", ANCHOR, ("--tol", "-1")),
+        ("tw", None, ("--s", "0", "--nodes", "0")),
+        ("tw", None, ("--s", "0", "--nodes", "-12")),
+        ("asymptotic", ANCHOR, ("--block-nodes", "0")),
     ],
     ids=[
         "negative-seed", "seed-overflow", "no-workers", "one-point-sweep",
         "comma-only-s", "empty-s", "nan-budget", "negative-budget", "no-base-nodes",
         "exact-negative-levels", "asymptotic-negative-levels", "exact-negative-tol",
-        "asymptotic-negative-tol",
+        "asymptotic-negative-tol", "tw-no-nodes", "tw-negative-nodes", "no-block-nodes",
     ],
 )
 def test_out_of_range_arguments_are_schema_errors(tmp_path, capsys, command, config, extra):
@@ -135,6 +138,32 @@ def test_reruns_are_byte_identical_but_for_runtime(tmp_path, command, config, ex
         text = (tmp_path / "out.json").read_text(encoding="utf-8")
         texts.append(re.sub(r'"runtime_ms": [^,\n]*', "", text))
     assert texts[0] == texts[1]
+
+
+def test_tw_records_the_node_count_it_used(tmp_path):
+    docs = {}
+    for nodes in ("12", "13", "96"):
+        code, docs[nodes] = _run(tmp_path, "tw", None, "--s", "0", "--nodes", nodes,
+                                 "--format", "json")
+        assert code == 0
+    assert docs["13"]["sweep"] == docs["12"]["sweep"]
+    assert docs["13"]["provenance"] == docs["12"]["provenance"]
+    assert docs["96"]["provenance"] != docs["12"]["provenance"]
+    assert docs["96"]["sweep"][0]["F_GUE"] == pytest.approx(0.969373, abs=1e-6)
+
+
+def test_impossible_allocation_exits_4(tmp_path, capsys, monkeypatch):
+    import growthdist.cli
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                          "(2000000, 2000000) and data type float64")
+
+    monkeypatch.setattr(growthdist.cli, "multipoint_prob_exact", refuse)
+    code, doc = _run(tmp_path, "exact", TINY)
+    assert code == 4 and doc is None
+    err = capsys.readouterr().err
+    assert "'exact'" in err and "29.1 TiB" in err
 
 
 def test_three_time_limit_reduces_to_two_times(tmp_path):

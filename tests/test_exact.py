@@ -13,11 +13,16 @@ from growthdist.exact import (
     multipoint_prob_exact,
     single_point_prob,
 )
+import growthdist.exact
+import growthdist.linalg
+import growthdist.params
+from growthdist.integrands import circle
 from growthdist.linalg import _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
 from growthdist.params import ModelParams, compute_constants
 
 P2 = ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))
+P3 = ModelParams(q=0.4, m=(3, 6, 9), n=(2, 4, 6), a=(5, 9, 13))
 
 
 def _nu(params):
@@ -188,3 +193,56 @@ def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
     ref = _theta_integral(asm.N, terms, P2.p, 2.0, 96, None)
     assert abs(value - ref) < 5e-13
     assert value.real == pytest.approx(dp_exact_prob(P2), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched theta engine
+# ---------------------------------------------------------------------------
+
+def _p3_level0():
+    asm = _Assembler(P3, 0.0, None, 1.0)
+    return asm, _terms(asm, 64)
+
+
+def test_batched_theta_integral_matches_per_node_sum():
+    # the engine tabulates coefficients on the whole grid and batches the
+    # determinants; the loop version sums weight * det_theta node by node
+    asm, terms = _p3_level0()
+    n_theta, radius = 8, 2.0
+    value = _theta_integral(asm.N, terms, P3.p, radius, n_theta, None)
+    ring = circle(0.0, radius, n_theta)
+    w = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
+    ref = sum(
+        w[i] * w[j] * det_theta(P3, (ring.nodes[i], ring.nodes[j]), nodes=64)
+        for i in range(n_theta) for j in range(n_theta)
+    )
+    assert abs(value - ref) / abs(ref) < 1e-13
+
+
+def test_batched_theta_integral_independent_of_chunk_size(monkeypatch):
+    asm, terms = _p3_level0()
+    batched = _theta_integral(asm.N, terms, P3.p, 2.0, 8, None)
+    monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 1)  # one matrix per chunk
+    single = _theta_integral(asm.N, terms, P3.p, 2.0, 8, None)
+    assert abs(single - batched) <= 1e-15
+
+
+def test_theta_coefficients_tabulated_once_per_level(monkeypatch):
+    # one level's coefficient work must not scale with the theta node count
+    calls = [0]
+    profile = growthdist.params.theta_profile
+
+    def counting(*args):
+        calls[0] += 1
+        return profile(*args)
+
+    monkeypatch.setattr(growthdist.params, "theta_profile", counting)
+    monkeypatch.setattr(growthdist.exact, "theta_profile", counting)
+    asm, terms = _p3_level0()
+    counts = []
+    for n_theta in (8, 16, 32):
+        calls[0] = 0
+        _theta_integral(asm.N, terms, P3.p, 2.0, n_theta, None)
+        counts.append(calls[0])
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3

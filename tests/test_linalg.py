@@ -39,6 +39,19 @@ def test_lu_det_multiplicative():
     assert abs(lu_det(a @ b) - prod) / abs(prod) < 1e-10
 
 
+def test_lu_det_stack_matches_single_matrices():
+    rng = np.random.default_rng(3)
+    stack = np.stack([_random_complex(rng, 7) for _ in range(6)])
+    dets = lu_det(stack)
+    assert isinstance(dets, np.ndarray) and dets.shape == (6,)
+    assert [complex(d) for d in dets] == [lu_det(m) for m in stack]
+    assert np.array_equal(lu_det(stack.reshape(2, 3, 7, 7)), dets.reshape(2, 3))
+    assert type(lu_det(stack[0])) is complex
+    for bad in (np.ones(3), np.ones((3, 2, 4))):
+        with pytest.raises(ValueError):
+            lu_det(bad)
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------

@@ -1,0 +1,45 @@
+"""Property tests of the finite-size law on generated small instances."""
+
+from __future__ import annotations
+
+import math
+from itertools import accumulate
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from growthdist.exact import multipoint_prob_exact
+from growthdist.oracle import dp_exact_prob
+from growthdist.params import ModelParams
+
+MAX_STATES = 150  # transfer-matrix states C(a_p - 1 + N, N), N = min(m_p, n_p)
+
+
+@st.composite
+def small_corners(draw):
+    """Ordered corners, non-decreasing thresholds, a small DP state space,
+    and the index of the threshold to raise."""
+    p = draw(st.sampled_from([2, 3]))
+    q = draw(st.floats(0.2, 0.6))
+    steps = st.lists(st.integers(1, 2), min_size=p, max_size=p)
+    m = tuple(accumulate(draw(steps)))
+    n = tuple(accumulate(draw(steps)))
+    width = min(m[-1], n[-1])
+    cap = max(c for c in range(1, 20) if math.comb(c - 1 + width, width) <= MAX_STATES)
+    a = tuple(sorted(draw(st.lists(st.integers(1, cap), min_size=p, max_size=p))))
+    return ModelParams(q=q, m=m, n=n, a=a), draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_corners())
+def test_exact_matches_dp_and_is_monotone_in_each_threshold(case):
+    params, k = case
+    value = multipoint_prob_exact(params).value
+    assert abs(value - dp_exact_prob(params)) < 1e-9
+    raised = list(params.a)
+    raised[k] += 1
+    higher = multipoint_prob_exact(
+        ModelParams(q=params.q, m=params.m, n=params.n, a=tuple(raised))
+    ).value
+    assert higher >= value - 1e-9
