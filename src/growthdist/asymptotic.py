@@ -43,10 +43,13 @@ circles with the trapezoidal rule (exact for the Laurent polynomial in
 theta) and doubles all resolutions until two successive levels agree;
 ``_limit_terms`` hands the Nystrom-weighted kernel bases to the shared
 theta-determinant engine in ``linalg``, which does the summing,
-determinants, integration and refinement.  At ``p = 1`` there is no
-theta circle and the same route returns the single determinant
-``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates that marginal
-independently, from the Airy kernel.
+determinants, integration and refinement.  One ``_LimitKernels`` serves
+every level of a call: it builds each line once, and per level it forms
+each line coupling, row and column factor and chain prefix once, shares it
+among all bases, and drops it when the level's bases are done.  At
+``p = 1`` there is no theta circle and the same route returns the single
+determinant ``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates
+that marginal independently, from the Airy kernel.
 """
 
 from __future__ import annotations
@@ -59,7 +62,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, SchemaError
-from .integrands import airy_ai, airy_kernel_matrix, composite_gl, log_script_g, vline
+from .integrands import (
+    _walk_chains,
+    airy_ai,
+    airy_kernel_matrix,
+    composite_gl,
+    log_script_g,
+    vline,
+)
 from .linalg import (
     _THETA_NODES,
     NystromGrid,
@@ -138,6 +148,9 @@ class LimitSettings:
     lam_nodes: int = 160
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SchemaError(f"{name} must be finite, got {value}")
         if min(self.d1, self.d2, self.d3, self.d_single) <= 0:
             raise SchemaError("contour distances must be positive")
         if not (self.d1 < self.d2 and self.d3 < self.d2):
@@ -232,16 +245,33 @@ def _vmax_bucket(arr: np.ndarray) -> float:
     return float(math.ceil(np.max(np.abs(arr)) + 1.0))
 
 
+class _Job(NamedTuple):
+    """One family chain: its links, the key of its column coordinates, its sign."""
+
+    links: tuple
+    vkey: object
+    sign: float
+
+
 class _LimitKernels:
     """Evaluates the basic kernel families on coordinate arrays.
 
-    Lines are truncated where the Gaussian decay of ``G^(+-1)`` reaches
+    Every family is a chain of line contours: the row factor
+    ``exp(-node * u)`` on the first line, Cauchy couplings ``1/(a - b)``
+    between adjacent lines with each interior line's weights in between,
+    and the column factor ``exp(node * v)`` on the last line.  Lines are
+    truncated where the Gaussian decay of ``G^(+-1)`` reaches
     ``exp(-_HW_SIGMA^2)`` and sampled densely enough for the accumulated
-    cubic phase plus the ``exp(i y u)`` rotation; built lines are cached
-    per (anchor, triple, oscillation budget).  If an instance's tilt
-    ``Dx`` would push some line's decay rate below ``_QC_FLOOR``, every
-    abscissa is scaled up by a common factor, which preserves all the
-    pairwise orderings the kernels depend on.
+    cubic phase plus the ``exp(i y u)`` rotation; they do not depend on the
+    Nystrom grid, so one instance builds each line once and keeps it.  If an
+    instance's tilt ``Dx`` would push some line's decay rate below
+    ``_QC_FLOOR``, every abscissa is scaled up by a common factor, which
+    preserves all the pairwise orderings the kernels depend on.
+
+    ``kernels`` evaluates many families at once: their chains are walked
+    together (``integrands._walk_chains``), so each line coupling, row and
+    column factor and chain prefix is formed once and shared, a coupling is
+    dropped after its last use, and nothing grid-sized outlives the call.
     """
 
     def __init__(self, inst: LimitParams, settings: LimitSettings):
@@ -260,6 +290,7 @@ class _LimitKernels:
                 ladder_hi=settings.ladder_hi * scale,
             )
         self.s = settings
+        # line key -> (nodes, weights times G^(+-1))
         self._lines: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- geometry ---------------------------------------------------------
@@ -284,11 +315,11 @@ class _LimitKernels:
 
     def _line(
         self, anchor: float, trip: tuple[float, float, float], vmax: float, inverse: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple:
+        """Key of the line at ``anchor`` for ``G^(+-1)(trip)``, built on first use."""
         key = (round(anchor, 12), trip, vmax, inverse)
-        hit = self._lines.get(key)
-        if hit is not None:
-            return hit
+        if key in self._lines:
+            return key
         dt, dx, dxi = trip
         qc = dt * abs(anchor) + (dx * dt ** (2.0 / 3.0)) * (1.0 if anchor > 0 else -1.0)
         if qc <= 0.02:
@@ -307,24 +338,7 @@ class _LimitKernels:
         lg = log_script_g(line.nodes, dt, dx, dxi)
         wf = line.weights * np.exp(-lg if inverse else lg)
         self._lines[key] = (line.nodes, wf)
-        return line.nodes, wf
-
-    # -- chain pieces ------------------------------------------------------
-
-    @staticmethod
-    def _rows(u: np.ndarray, nodes: np.ndarray, wf: np.ndarray) -> np.ndarray:
-        """``exp(-node * u)`` row factor with the line weight folded in."""
-        return np.exp(-np.outer(u, nodes)) * wf[None, :]
-
-    @staticmethod
-    def _cols(nodes: np.ndarray, wf: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``exp(node * v)`` column factor with the line weight folded in."""
-        return np.exp(np.outer(nodes, v)) * wf[:, None]
-
-    @staticmethod
-    def _couple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Cauchy coupling ``1/(a_i - b_j)`` between adjacent lines."""
-        return 1.0 / (a[:, None] - b[None, :])
+        return key
 
     def _ladder(
         self, k1: int, k2: int, epsw: tuple[int, ...]
@@ -340,105 +354,121 @@ class _LimitKernels:
             full[k1 + j] = e
         return d_for_eps(full, k1, k2, self.s.ladder_lo, self.s.ladder_hi)
 
-    # -- families ----------------------------------------------------------
+    # -- families: (sign, line keys) of each chain --------------------------
+    #
+    # ``ub``/``vb`` are the oscillation budgets of the row and column lines.
 
-    def family1(self, sbot: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def family1(self, sbot: int, ub: float, vb: float):
         """Single up/down pair: rows on the growing line, columns decaying."""
-        zn, zw = self._line(
-            self.s.d_single, self.trip(self.p - 1, self.p), _vmax_bucket(u), False
+        return 1.0, (
+            self._line(self.s.d_single, self.trip(self.p - 1, self.p), ub, False),
+            self._line(-self.s.d1, self.trip(sbot, self.p), vb, True),
         )
-        cn, cw = self._line(-self.s.d1, self.trip(sbot, self.p), _vmax_bucket(v), True)
-        return self._rows(u, zn, zw) @ self._couple(zn, cn) @ self._cols(cn, cw, v)
 
-    def family2(
-        self, k: int, rtop: int, sbot: int, u: np.ndarray, v: np.ndarray
-    ) -> np.ndarray:
+    def family2(self, k: int, rtop: int, sbot: int, ub: float, vb: float):
         """Two decaying lines coupled once."""
-        an, aw = self._line(-self.s.d1, self.trip(k, rtop), _vmax_bucket(u), True)
-        bn, bw = self._line(-self.s.d2, self.trip(sbot, k), _vmax_bucket(v), True)
-        return self._rows(u, an, aw) @ self._couple(an, bn) @ self._cols(bn, bw, v)
-
-    def family3(self, k: int, sbot: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Growing line, then two decaying lines."""
-        zn, zw = self._line(
-            self.s.d_single, self.trip(self.p - 1, self.p), _vmax_bucket(u), False
+        return 1.0, (
+            self._line(-self.s.d1, self.trip(k, rtop), ub, True),
+            self._line(-self.s.d2, self.trip(sbot, k), vb, True),
         )
-        mn, mw = self._line(-self.s.d2, self.trip(k, self.p), _INTERIOR_VMAX, True)
-        cn, cw = self._line(-self.s.d3, self.trip(sbot, k), _vmax_bucket(v), True)
-        chain = self._rows(u, zn, zw) @ (self._couple(zn, mn) * mw[None, :])
-        return chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
 
-    def family4(
-        self, k1: int, rtop: int, k2: int, sbot: int, u: np.ndarray, v: np.ndarray
-    ) -> np.ndarray:
+    def family3(self, k: int, sbot: int, ub: float, vb: float):
+        """Growing line, then two decaying lines."""
+        return 1.0, (
+            self._line(self.s.d_single, self.trip(self.p - 1, self.p), ub, False),
+            self._line(-self.s.d2, self.trip(k, self.p), _INTERIOR_VMAX, True),
+            self._line(-self.s.d3, self.trip(sbot, k), vb, True),
+        )
+
+    def family4(self, k1: int, rtop: int, k2: int, sbot: int, ub: float, vb: float):
         """Three decaying lines coupled in sequence."""
-        an, aw = self._line(-self.s.d1, self.trip(k1, rtop), _vmax_bucket(u), True)
-        mn, mw = self._line(-self.s.d2, self.trip(k2, k1), _INTERIOR_VMAX, True)
-        cn, cw = self._line(-self.s.d3, self.trip(sbot, k2), _vmax_bucket(v), True)
-        chain = self._rows(u, an, aw) @ (self._couple(an, mn) * mw[None, :])
-        return chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
+        return 1.0, (
+            self._line(-self.s.d1, self.trip(k1, rtop), ub, True),
+            self._line(-self.s.d2, self.trip(k2, k1), _INTERIOR_VMAX, True),
+            self._line(-self.s.d3, self.trip(sbot, k2), vb, True),
+        )
 
-    def _ladder_chain(
-        self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, u: np.ndarray,
-        final_vmax: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decaying row line plus the growing ladder up to (excl.) weights
-        of the last rung; returns (chain, last nodes, last weights)."""
-        an, aw = self._line(-self.s.d1, self.trip(k1, rtop), _vmax_bucket(u), True)
+    def _ladder_lines(
+        self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, ub: float,
+        last_vmax: float,
+    ) -> tuple:
+        """Decaying row line plus the growing ladder ``k1+1..k2``.  The
+        displayed first coupling is ``1/(z_{k1+1} - zeta_1)``, the negative of
+        the Cauchy matrix from the row line, so ladder chains carry sign -1."""
         ladder = self._ladder(k1, k2, epsw)
-        chain = self._rows(u, an, aw)
-        prev_nodes = an
-        for k in range(k1 + 1, k2 + 1):
-            vmax = final_vmax if k == k2 else _INTERIOR_VMAX
-            zn, zw = self._line(ladder[k], self.trip(k - 1, k), vmax, False)
-            coup = self._couple(zn, prev_nodes) if k == k1 + 1 else self._couple(
-                prev_nodes, zn
-            )
-            if k == k1 + 1:
-                # displayed coupling is 1/(z_{k1+1} - zeta_1)
-                chain = chain @ coup.T
-            else:
-                chain = chain @ coup
-            if k < k2:
-                chain = chain * zw[None, :]
-            prev_nodes = zn
-            last_w = zw
-        return chain, prev_nodes, last_w
+        return (self._line(-self.s.d1, self.trip(k1, rtop), ub, True),) + tuple(
+            self._line(ladder[k], self.trip(k - 1, k),
+                       last_vmax if k == k2 else _INTERIOR_VMAX, False)
+            for k in range(k1 + 1, k2 + 1)
+        )
 
-    def family5(
-        self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int,
-        u: np.ndarray, v: np.ndarray,
-    ) -> np.ndarray:
+    def family5(self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int,
+                ub: float, vb: float):
         """Decaying line into the ladder; the last rung carries ``v``."""
-        chain, zn, zw = self._ladder_chain(k1, k2, epsw, rtop, u, _vmax_bucket(v))
-        return chain @ self._cols(zn, zw, v)
+        return -1.0, self._ladder_lines(k1, k2, epsw, rtop, ub, vb)
 
-    def family6(
-        self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, sbot: int,
-        u: np.ndarray, v: np.ndarray,
-    ) -> np.ndarray:
+    def family6(self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, sbot: int,
+                ub: float, vb: float):
         """Ladder closed by a final decaying line carrying ``v``."""
-        chain, zn, zw = self._ladder_chain(k1, k2, epsw, rtop, u, _INTERIOR_VMAX)
-        chain = chain * zw[None, :]
-        cn, cw = self._line(-self.s.d2, self.trip(sbot, k2), _vmax_bucket(v), True)
-        return chain @ self._couple(zn, cn) @ self._cols(cn, cw, v)
+        return -1.0, self._ladder_lines(k1, k2, epsw, rtop, ub, _INTERIOR_VMAX) + (
+            self._line(-self.s.d2, self.trip(sbot, k2), vb, True),
+        )
 
-    def family7(
-        self, k1: int, k2: int, k3: int, epsw: tuple[int, ...], rtop: int, sbot: int,
-        u: np.ndarray, v: np.ndarray,
-    ) -> np.ndarray:
+    def family7(self, k1: int, k2: int, k3: int, epsw: tuple[int, ...], rtop: int,
+                sbot: int, ub: float, vb: float):
         """Ladder closed by two decaying lines."""
-        chain, zn, zw = self._ladder_chain(k1, k2, epsw, rtop, u, _INTERIOR_VMAX)
-        chain = chain * zw[None, :]
-        mn, mw = self._line(-self.s.d2, self.trip(k3, k2), _INTERIOR_VMAX, True)
-        cn, cw = self._line(-self.s.d3, self.trip(sbot, k3), _vmax_bucket(v), True)
-        chain = chain @ (self._couple(zn, mn) * mw[None, :])
-        return chain @ self._couple(mn, cn) @ self._cols(cn, cw, v)
+        return -1.0, self._ladder_lines(k1, k2, epsw, rtop, ub, _INTERIOR_VMAX) + (
+            self._line(-self.s.d2, self.trip(k3, k2), _INTERIOR_VMAX, True),
+            self._line(-self.s.d3, self.trip(sbot, k3), vb, True),
+        )
 
-    def evaluate(self, family: int, kw: dict, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Family ``family`` at ``(u, v)``, conjugated by ``exp(mu (v - u))``."""
-        builder = getattr(self, f"family{family}")
-        return builder(u=u, v=v, **kw) * np.exp(self.mu * (v[None, :] - u[:, None]))
+    def kernels(self, requests: Sequence[tuple], coords: dict) -> list[np.ndarray]:
+        """Family matrices for ``requests`` of ``(family, kw, ukey, vkey)``.
+
+        ``coords[ukey]`` and ``coords[vkey]`` are the row and column
+        coordinates; every matrix is conjugated by ``exp(mu (v - u))``.  A
+        column factor is dropped after the last chain that ends on it.
+        """
+        jobs = []
+        for family, kw, ukey, vkey in requests:
+            sign, lines = getattr(self, f"family{family}")(
+                ub=_vmax_bucket(coords[ukey]), vb=_vmax_bucket(coords[vkey]), **kw
+            )
+            # the first link carries the row coordinates; a later one whether
+            # its weights apply (the last line's sit in the column factors)
+            links = ((lines[0], ukey),) + tuple(
+                (line, i < len(lines) - 2) for i, line in enumerate(lines[1:])
+            )
+            jobs.append(_Job(links, vkey, sign))
+        ends: dict = {}
+        for job in dict.fromkeys(jobs):
+            key = (job.links[-1][0], job.vkey)
+            ends[key] = ends.get(key, 0) + 1
+        cols: dict = {}
+
+        def finish(job: _Job, prefix: np.ndarray) -> np.ndarray:
+            key = (job.links[-1][0], job.vkey)
+            if key not in cols:
+                nodes, wf = self._lines[key[0]]
+                cols[key] = np.exp(np.outer(nodes, coords[job.vkey])) * wf[:, None]
+            mat = prefix @ cols[key]
+            ends[key] -= 1
+            if not ends[key]:
+                del cols[key]
+            u, v = coords[job.links[0][1]], coords[job.vkey]
+            return (job.sign * mat) * np.exp(self.mu * (v[None, :] - u[:, None]))
+
+        def rows(link: tuple) -> np.ndarray:
+            nodes, wf = self._lines[link[0]]
+            return np.exp(-np.outer(coords[link[1]], nodes)) * wf[None, :]
+
+        values = _walk_chains(
+            jobs, contour=lambda link: link[0],
+            nodes=lambda link: self._lines[link[0]][0], rows=rows,
+            scale=lambda link: self._lines[link[0]][1] if link[1] else None,
+            finish=finish,
+        )
+        return [values[job] for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +600,7 @@ def eval_basic_kernel(
         mat = np.zeros((len(uarr), len(varr)), dtype=complex)
     else:
         kern = _LimitKernels(inst, settings)
-        mat = kern.evaluate(family, kw, uarr, varr)
+        mat = kern.kernels([(family, kw, "u", "v")], {"u": uarr, "v": varr})[0]
     if np.isscalar(u) and np.isscalar(v):
         return complex(mat[0, 0])
     return mat
@@ -882,8 +912,7 @@ def _block_terms(p: int, r: int, s: int) -> list[_Term]:
 
 
 def _limit_terms(
-    inst: LimitParams, settings: LimitSettings, grid: NystromGrid,
-    deadline: float | None = None,
+    kern: _LimitKernels, grid: NystromGrid, deadline: float | None = None,
 ) -> list:
     """Engine terms ``(rows, cols, base, coefs)`` of ``F(theta)`` on a Nystrom grid.
 
@@ -891,37 +920,43 @@ def _limit_terms(
     distinct terms frequently share the same matrix (same family, same
     resolved indices, same coordinate blocks), so each base is evaluated
     once, with the Nystrom weights ``W^(1/2) . W^(1/2)`` folded in, and
-    referenced by groups of coefficient functions.
+    referenced by groups of coefficient functions.  All bases of the grid
+    come from one ``kern.kernels`` call, which forms each line coupling, row
+    and column factor and chain prefix once, drops each coupling after its
+    last use, and keeps nothing grid-sized once the bases are built.
     """
-    kern = _LimitKernels(inst, settings)
-    sw = np.sqrt(grid.weights)
-    bases: list[np.ndarray] = []
-    cache: dict[tuple, int] = {}
-    terms = []
-    for r in range(1, inst.p + 1):
+    p = kern.p
+    # blocks below p share one coordinate array, block p has the other
+    coords = {r == p: grid.nodes[grid.slices[r - 1]] for r in range(1, p + 1)}
+    index: dict[tuple, int] = {}
+    requests, slices, blocks = [], [], []
+    for r in range(1, p + 1):
         rows = grid.slices[r - 1]
-        for s in range(1, inst.p + 1):
+        for s in range(1, p + 1):
             cols = grid.slices[s - 1]
             bucket: dict[int, list] = {}
-            for term in _block_terms(inst.p, r, s):
-                key = (
-                    term.family,
-                    tuple(sorted(term.kw.items())),
-                    r == inst.p,
-                    s == inst.p,
-                )
-                if key not in cache:
-                    _check_deadline(deadline, "assembly")
-                    base = kern.evaluate(term.family, term.kw, grid.nodes[rows],
-                                         grid.nodes[cols])
-                    if not np.all(np.isfinite(base)):
-                        raise ValueError("kernel values must be finite")
-                    cache[key] = len(bases)
-                    bases.append(sw[rows, None] * base * sw[None, cols])
-                bucket.setdefault(cache[key], []).append(term.coef)
-            for idx, coefs in bucket.items():
-                terms.append((rows, cols, bases[idx], coefs))
-    return terms
+            for term in _block_terms(p, r, s):
+                key = (term.family, tuple(sorted(term.kw.items())), r == p, s == p)
+                if key not in index:
+                    index[key] = len(requests)
+                    requests.append((term.family, term.kw, r == p, s == p))
+                    slices.append((rows, cols))
+                bucket.setdefault(index[key], []).append(term.coef)
+            blocks.append((rows, cols, bucket))
+    _check_deadline(deadline, "assembly")
+    sw = np.sqrt(grid.weights)
+    mats = kern.kernels(requests, coords)
+    mats.reverse()
+    bases = []
+    for rows, cols in slices:
+        base = mats.pop()  # each kernel matrix is dropped once weighted
+        if not np.all(np.isfinite(base)):
+            raise ValueError("kernel values must be finite")
+        bases.append(sw[rows, None] * base * sw[None, cols])
+    return [
+        (rows, cols, bases[idx], coefs)
+        for rows, cols, bucket in blocks for idx, coefs in bucket.items()
+    ]
 
 
 def fredholm_det_F(
@@ -939,7 +974,8 @@ def fredholm_det_F(
         raise SchemaError(f"theta must have length {inst.p - 1}")
     if grid is None:
         grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    return _det_sum(len(grid), _limit_terms(inst, settings, grid), th, np.ones(1), 1, None)
+    terms = _limit_terms(_LimitKernels(inst, settings), grid)
+    return _det_sum(len(grid), terms, th, np.ones(1), 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -977,13 +1013,14 @@ def multitime_cdf(
     start = time.perf_counter()
     inst = instance
     settings = settings or LimitSettings()
+    kern = _LimitKernels(inst, settings)
 
     def grid_at(level: int) -> NystromGrid:
         return block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level)
 
     def evaluate(level: int) -> complex:
         grid = grid_at(level)
-        terms = _limit_terms(inst, settings, grid, deadline)
+        terms = _limit_terms(kern, grid, deadline)
         return _theta_integral(
             len(grid), terms, inst.p, settings.theta_radius,
             _THETA_NODES * 2 ** level, deadline,

@@ -31,6 +31,16 @@ bases of the theta-determinant engine in ``linalg``, which sums them, takes
 the determinant, integrates over theta and refines: level ``l`` has
 ``base_nodes * 2**l`` contour nodes and ``n_theta = 8 * 2**l``.
 
+Per level, every piece but ``B`` is a chain: row factors on a first circle,
+Cauchy couplings ``1/(a - b)`` between successive circles scaled by node
+factors, and column factors on a last circle.  The pieces share most of
+their circles, so a level is assembled from distinct parts: each row,
+column and node factor and each ordered-circle Cauchy matrix is formed once,
+each shared chain prefix is multiplied once, and all chains are walked
+together link by link (``_Assembler.chain_values``).  Memory rule: a Cauchy
+matrix (``nn x nn``, the only large piece) lives from its first use to its
+last within the walk, and nothing built for a level survives it.
+
 Numerical design: all circle radii approach the critical point ``w_c``
 (respectively ``sqrt(q)`` for circles around 1) at the natural fluctuation
 scale ``c4 / nu`` of the instance, which keeps integrand magnitudes of
@@ -47,10 +57,11 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .integrands import Contour, circle, log_g
+from .integrands import Contour, _walk_chains, circle, log_g
 from .linalg import _THETA_NODES, _det_sum, _refine, _theta_integral, lu_det
 from .params import (
     ModelParams,
@@ -78,8 +89,53 @@ class ExactResult:
     runtime_ms: float
 
 
+class _Link(NamedTuple):
+    """One contour of a chain and the factors it carries.
+
+    ``circle`` is ``"zeta1"``, ``"zeta2"`` or the offset rank of a circle
+    around 1.  On the first link of a chain, ``factors`` is the corner
+    ``k1`` of the row factors on ``zeta_1`` (the ``L_p`` rows on the rank-0
+    circle take ``None``).  On a later circle around 1 it holds the
+    ``(k, absorb_pole_at_one, with_g)`` arguments of ``_Assembler._z_diag``;
+    on ``zeta_2`` it is ``None``, the weights sitting in the column factors.
+    """
+
+    circle: object
+    factors: object
+
+
+class _Chain(NamedTuple):
+    """An iterated contour integral ``rows @ couplings @ columns / (sign * w_c)``.
+
+    The column factors belong to corner ``k2`` on the last link's circle:
+    ``zeta_2``, or the last circle around 1 when it carries the column index.
+    """
+
+    links: tuple[_Link, ...]
+    k2: int
+    sign: float
+
+
+def _check_controls(mu: float, nu: float | None, radius_scale: float,
+                    theta_radius: float | None = None) -> None:
+    """Reject contour and conjugation controls that no contour layout realizes."""
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    for name, value in (("nu", nu), ("radius_scale", radius_scale)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if theta_radius is not None and not (math.isfinite(theta_radius) and theta_radius > 1):
+        raise ValueError(f"theta_radius must be finite and exceed 1, got {theta_radius}")
+
+
 class _Assembler:
-    """Builds the theta-independent kernel pieces at a given node count."""
+    """Builds the theta-independent kernel pieces of one instance.
+
+    The chain pieces are described node-count free (``leps_chain``,
+    ``lp_chain``, ``lk_chain``) and evaluated together at a level's node
+    count by ``chain_values``, which forms every shared factor and coupling
+    once and drops each coupling after its last use.
+    """
 
     def __init__(self, params: ModelParams, mu: float, nu: float | None,
                  radius_scale: float):
@@ -111,13 +167,15 @@ class _Assembler:
             d = np.exp(mu * (n_of_i - idx) / (nu_eff if nu is None else nu))
         self.conj = np.outer(d, 1.0 / d)
 
-    # -- contour factories ------------------------------------------------
+    # -- contours ---------------------------------------------------------
 
-    def _zeta(self, which: int, nn: int) -> Contour:
-        return circle(0.0, self.tau1 if which == 1 else self.tau2, nn)
-
-    def _one_circle(self, offset_rank: int, nn: int) -> Contour:
-        return circle(1.0, self.sq - (0.4 + 0.7 * offset_rank) * self.d_one, nn)
+    def _contour(self, key, nn: int) -> Contour:
+        """``"zeta1"``, ``"zeta2"`` or the circle around 1 of offset rank ``key``."""
+        if key == "zeta1":
+            return circle(0.0, self.tau1, nn)
+        if key == "zeta2":
+            return circle(0.0, self.tau2, nn)
+        return circle(1.0, self.sq - (0.4 + 0.7 * key) * self.d_one, nn)
 
     @staticmethod
     def _ladder(window: tuple[int, ...]) -> list[int]:
@@ -151,8 +209,17 @@ class _Assembler:
             out *= (1.0 - cz.nodes)[None, :]
         return out
 
+    def _rows_from_one(self, cz: Contour) -> np.ndarray:
+        """Row factors ``weights * g(z_p | n_p - i, Delta_p m, Delta_p a)`` of ``L_p``."""
+        p = self.p
+        grid = log_g(
+            cz.nodes, self.n0[p] - np.arange(1, self.N + 1),
+            self.m0[p] - self.m0[p - 1], self.a0[p] - self.a0[p - 1], self.q,
+        )
+        return np.exp(grid) * cz.weights[None, :]
+
     def _cols_to_zeta2(self, k2: int, cz: Contour) -> np.ndarray:
-        """Column factors ``1 / g(zeta_2 | n_{k2}-j+1, m_{k2}-m(j), a_{k2}-a(j))``."""
+        """Column factors ``weights / g(zeta_2 | n_{k2}-j+1, m_{k2}-m(j), a_{k2}-a(j))``."""
         out = np.empty((len(cz), self.N), dtype=complex)
         for s in range(1, self.p + 1):
             lo, hi = self.n0[s - 1], self.n0[s]
@@ -163,7 +230,16 @@ class _Assembler:
                 self.m0[k2] - ms, self.a0[k2] - as_, self.q,
             )
             out[:, lo:hi] = np.exp(-grid).T
-        return out
+        return out * cz.weights[:, None]
+
+    def _cols_on_one(self, k2: int, cz: Contour) -> np.ndarray:
+        """Column factors ``g(z_{k2} | j - 1 - n_{k2-1}, Delta_{k2} m, Delta_{k2} a)``
+        of ``J^eps``, whose last circle around 1 carries the column index."""
+        grid = log_g(
+            cz.nodes, np.arange(1, self.N + 1) - 1 - self.n0[k2 - 1],
+            self.m0[k2] - self.m0[k2 - 1], self.a0[k2] - self.a0[k2 - 1], self.q,
+        )
+        return np.exp(grid).T
 
     def _z_diag(self, k: int, cz: Contour, absorb_pole_at_one: bool,
                 with_g: bool = True) -> np.ndarray:
@@ -182,64 +258,77 @@ class _Assembler:
             vals = vals / (1.0 - cz.nodes)
         return vals
 
-    # -- kernel pieces ------------------------------------------------------
+    # -- kernel pieces as chains of contour couplings ----------------------
 
-    def build_leps(self, k1: int, k2: int, window: tuple[int, ...], nn: int,
-                   last_carries_column: bool = False) -> np.ndarray:
-        """Chain kernel over ``(k1, k2]`` with 1-circle order given by ``window``.
+    def leps_chain(self, k1: int, k2: int, window: tuple[int, ...],
+                   last_carries_column: bool = False) -> _Chain:
+        """``L^eps`` over ``(k1, k2]`` with 1-circle order given by ``window``.
 
         With ``last_carries_column`` the last 1-circle carries the column
-        index instead of closing through a second 0-circle (``J^eps``).
+        index instead of closing through a second 0-circle (``J^eps``).  The
+        first coupling is ``1/(z_{k1+1} - zeta_1)``, the negative of the
+        Cauchy matrix from ``zeta_1``, hence the sign.
         """
-        cz1 = self._zeta(1, nn)
-        ranks = self._ladder(window)
-        mat = self._rows_from_zeta1(k1, cz1)
-        prev = cz1.nodes
-        for pos, k in enumerate(range(k1 + 1, k2 + 1)):
-            czk = self._one_circle(ranks[pos], nn)
-            if pos == 0:
-                coup = 1.0 / (czk.nodes[None, :] - prev[:, None])
-            else:
-                coup = 1.0 / (prev[:, None] - czk.nodes[None, :])
-            diag = self._z_diag(
-                k, czk, absorb_pole_at_one=(pos == 0 and k1 == 0),
-                with_g=(k < k2 or not last_carries_column),
-            )
-            mat = mat @ (coup * diag[None, :])
-            prev = czk.nodes
-        if last_carries_column:
-            # column factors g(z_{k2} | j - 1 - n_{k2-1}, Delta_{k2} m, Delta_{k2} a)
-            jvals = np.arange(1, self.N + 1)
-            grid = log_g(
-                prev, jvals - 1 - self.n0[k2 - 1],
-                self.m0[k2] - self.m0[k2 - 1], self.a0[k2] - self.a0[k2 - 1], self.q,
-            ).T
-            return (mat @ np.exp(grid)) / self.wc
-        cz2 = self._zeta(2, nn)
-        coup = cz2.weights[None, :] / (prev[:, None] - cz2.nodes[None, :])
-        mat = mat @ coup @ self._cols_to_zeta2(k2, cz2)
-        return mat / self.wc
-
-    def build_lp(self, nn: int) -> np.ndarray:
-        """Row-block-p piece: one circle around 1 into one around 0."""
-        p = self.p
-        czp = self._one_circle(0, nn)
-        cz2 = self._zeta(2, nn)
-        ivals = np.arange(1, self.N + 1)
-        grid = log_g(
-            czp.nodes, self.n0[p] - ivals,
-            self.m0[p] - self.m0[p - 1], self.a0[p] - self.a0[p - 1], self.q,
+        links = (_Link("zeta1", k1),) + tuple(
+            _Link(rank, (k, pos == 0 and k1 == 0, k < k2 or not last_carries_column))
+            for pos, (k, rank) in enumerate(zip(range(k1 + 1, k2 + 1), self._ladder(window)))
         )
-        rows = np.exp(grid) * czp.weights[None, :]
-        coup = cz2.weights[None, :] / (czp.nodes[:, None] - cz2.nodes[None, :])
-        return (rows @ coup @ self._cols_to_zeta2(p, cz2)) / self.wc
+        if not last_carries_column:
+            links += (_Link("zeta2", None),)
+        return _Chain(links, k2, -1.0)
 
-    def build_lk(self, k: int, nn: int) -> np.ndarray:
+    def lp_chain(self) -> _Chain:
+        """Row-block-p piece: one circle around 1 into one around 0."""
+        return _Chain((_Link(0, None), _Link("zeta2", None)), self.p, 1.0)
+
+    def lk_chain(self, k: int) -> _Chain:
         """Double 0-circle piece with reference corner ``k``."""
-        cz1, cz2 = self._zeta(1, nn), self._zeta(2, nn)
-        rows = self._rows_from_zeta1(k, cz1)
-        coup = cz2.weights[None, :] / (cz1.nodes[:, None] - cz2.nodes[None, :])
-        return (rows @ coup @ self._cols_to_zeta2(k, cz2)) / self.wc
+        return _Chain((_Link("zeta1", k), _Link("zeta2", None)), k, 1.0)
+
+    def chain_values(self, chains: Sequence[_Chain], nn: int) -> dict[_Chain, np.ndarray]:
+        """``{chain: N x N value}`` at ``nn`` nodes per circle, from shared pieces.
+
+        ``integrands._walk_chains`` forms each ordered-circle Cauchy matrix
+        once, multiplies each shared prefix once and drops every coupling
+        after its last use; the row, column and node factors are formed once.
+        """
+        contours: dict = {}
+        factors: dict = {}
+
+        def contour(key) -> Contour:
+            if key not in contours:
+                contours[key] = self._contour(key, nn)
+            return contours[key]
+
+        def cached(key, make) -> np.ndarray:
+            if key not in factors:
+                factors[key] = make()
+            return factors[key]
+
+        def rows(link: _Link) -> np.ndarray:
+            if link.circle == "zeta1":
+                return self._rows_from_zeta1(link.factors, contour("zeta1"))
+            return self._rows_from_one(contour(link.circle))
+
+        def scale(link: _Link) -> np.ndarray | None:
+            if link.factors is None:
+                return None
+            k, absorb, with_g = link.factors
+            return cached(("nodes", link),
+                          lambda: self._z_diag(k, contour(link.circle), absorb, with_g))
+
+        def finish(chain: _Chain, prefix: np.ndarray) -> np.ndarray:
+            last = chain.links[-1].circle
+            cols = cached(("cols", chain.k2, last), lambda: (
+                self._cols_to_zeta2(chain.k2, contour(last)) if last == "zeta2"
+                else self._cols_on_one(chain.k2, contour(last))))
+            return (prefix @ cols) / (chain.sign * self.wc)
+
+        return _walk_chains(
+            chains, contour=lambda link: link.circle,
+            nodes=lambda link: contour(link.circle).nodes,
+            rows=rows, scale=scale, finish=finish,
+        )
 
     def build_b_block(self, rstar: int, s: int, nn: int) -> np.ndarray:
         """Toeplitz values of the single-circle piece for profile gap (s, r*)."""
@@ -286,9 +375,10 @@ def _a2_groups(p: int):
 def _terms(asm: _Assembler, nn: int) -> list:
     """Engine terms ``(rows, cols, base, coefs)`` at contour node count ``nn``.
 
-    Every theta-independent matrix piece is evaluated once and split into
-    row blocks, each carrying its theta coefficients; the similarity
-    conjugation is folded into the bases.
+    Every chain piece (``L^eps``, ``J^eps``, ``L_p``, ``L_k``) of the level
+    is evaluated in one ``chain_values`` walk over shared couplings, then
+    masked and split into row blocks, each carrying its theta coefficients;
+    the similarity conjugation is folded into the bases.
     """
     p, N = asm.p, asm.N
     terms = []
@@ -296,22 +386,32 @@ def _terms(asm: _Assembler, nn: int) -> list:
     def add(rows: slice, cols: slice, block: np.ndarray, coefs: list) -> None:
         terms.append((rows, cols, block * asm.conj[rows, cols], coefs))
 
-    all_cols = slice(0, N)
+    groups = []
     for k1, k2, window, signed in _a2_groups(p):
-        base = np.zeros((N, N), dtype=complex)
+        parts = []
         row_ok = np.array([asm.rstar(r) > k1 for r in asm.row_block])
         col_ok = np.array([asm.rstar(s) < k2 for s in asm.row_block])
         if row_ok.any() and col_ok.any():
-            leps = asm.build_leps(k1, k2, window, nn)
-            base += leps * row_ok[:, None] * col_ok[None, :]
+            parts.append((asm.leps_chain(k1, k2, window), row_ok[:, None] * col_ok[None, :]))
         if k2 < p:
             col_j = np.array([s == k2 for s in asm.row_block])
             if row_ok.any() and col_j.any():
-                jeps = asm.build_leps(k1, k2, window, nn, last_carries_column=True)
-                base += jeps * row_ok[:, None] * col_j[None, :]
+                parts.append((asm.leps_chain(k1, k2, window, last_carries_column=True),
+                              row_ok[:, None] * col_j[None, :]))
         if k1 == p - 1 and k2 == p:
             row_p = np.array([r == p for r in asm.row_block])
-            base += asm.build_lp(nn) * row_p[:, None]
+            parts.append((asm.lp_chain(), row_p[:, None]))
+        groups.append((signed, parts))
+    lks = [(k, asm.lk_chain(k), np.array([s < k for s in asm.row_block]))
+           for k in range(2, p - 1)]
+    values = asm.chain_values(
+        [chain for _, parts in groups for chain, _ in parts] + [c for _, c, _ in lks], nn)
+
+    all_cols = slice(0, N)
+    for signed, parts in groups:
+        base = np.zeros((N, N), dtype=complex)
+        for chain, mask in parts:
+            base += values[chain] * mask
         for r in range(1, p + 1):
             rows = asm.block_rows(r)
             add(rows, all_cols, base[rows], [
@@ -319,9 +419,8 @@ def _terms(asm: _Assembler, nn: int) -> list:
                 for sign, eps in signed
             ])
 
-    for k in range(2, p - 1):
-        col_ok = np.array([s < k for s in asm.row_block])
-        base = asm.build_lk(k, nn) * col_ok[None, :]
+    for k, chain, col_ok in lks:
+        base = values[chain] * col_ok[None, :]
         for r in range(1, p + 1):
             rows = asm.block_rows(r)
             add(rows, all_cols, base[rows],
@@ -359,6 +458,7 @@ def det_theta(
         raise ValueError("det_theta needs p >= 2 (use single_point_prob)")
     if len(thetas) != params.p - 1:
         raise ValueError(f"expected {params.p - 1} theta components")
+    _check_controls(mu, nu, radius_scale)
     asm = _Assembler(params, mu, nu, radius_scale)
     node = tuple(np.array([complex(th)]) for th in thetas)
     return _det_sum(asm.N, _terms(asm, nodes), node, np.ones(1), 1, None)
@@ -389,6 +489,7 @@ def multipoint_prob_exact(
     start = time.perf_counter()
     if base_nodes < 1:
         raise ValueError(f"base_nodes must be at least 1, got {base_nodes}")
+    _check_controls(mu, nu, radius_scale, theta_radius)
     if any(ak <= 0 for ak in params.a):
         return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0)
     if params.p == 1:
@@ -396,8 +497,6 @@ def multipoint_prob_exact(
             params, tol=tol, base_nodes=base_nodes, max_levels=max_levels,
             radius_scale=radius_scale, deadline=deadline,
         )
-    if theta_radius <= 1.0:
-        raise ValueError("theta_radius must exceed 1")
     asm = _Assembler(params, mu, nu, radius_scale)
 
     def evaluate(level: int) -> complex:

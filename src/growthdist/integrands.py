@@ -32,6 +32,7 @@ arguments, saddle-point contour quadrature outside) and the Airy kernel
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,6 +110,107 @@ def vline(anchor: float, halfwidth: float, n: int, panel_size: int = 8) -> Conto
     """Upward vertical line through ``anchor`` truncated at ``+-i*halfwidth``."""
     y, w = composite_gl(-halfwidth, halfwidth, n, panel_size)
     return Contour(nodes=anchor + 1j * y, weights=w / (2.0 * np.pi))
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy matrix ``1 / (a_i - b_j)`` coupling the nodes of two contours.
+
+    The reciprocal is taken in place, which avoids a second matrix-sized
+    allocation and gives the same values as ``1.0 / (a[:, None] - b)``.
+    """
+    out = np.subtract.outer(a, b)
+    return np.divide(1.0, out, out=out)
+
+
+def _walk_chains(
+    jobs: Sequence,
+    contour: Callable[[Hashable], Hashable],
+    nodes: Callable[[Hashable], np.ndarray],
+    rows: Callable[[Hashable], np.ndarray],
+    scale: Callable[[Hashable], np.ndarray | None],
+    finish: Callable[[Hashable, np.ndarray], np.ndarray],
+) -> dict:
+    """``{job: finish(job, product)}`` for chains of Cauchy couplings.
+
+    Each job is hashable and has a tuple ``links``.  ``rows(links[0])`` are
+    row factors on ``contour(links[0])``; every further link multiplies by
+    the Cauchy matrix from the previous link's ``nodes`` to its own, then
+    scales the columns by ``scale(link)`` (``None``: no scaling).  A job's
+    value is ``finish(job, product)``, taken as soon as its product exists.
+
+    The jobs are walked together, link by link.  At each depth the distinct
+    prefixes are grouped by the ordered pair of contours they cross; each
+    pair's Cauchy matrix is formed once, and every distinct prefix that
+    crosses it is multiplied by it once.  A Cauchy matrix is
+    dropped after its last use and a prefix once its extensions and its jobs
+    are done, so besides the current depth's prefixes only the couplings
+    still ahead stay alive.  The walk follows the jobs' order, so reruns
+    compute and sum alike.
+    """
+    steps: list[dict] = []  # steps[d]: the distinct prefixes of d + 2 links
+    ends: dict = {}
+    for job in dict.fromkeys(jobs):
+        links = job.links
+        ends.setdefault(links, []).append(job)
+        for d in range(len(links) - 1):
+            if d == len(steps):
+                steps.append({})
+            steps[d][links[:d + 2]] = None
+
+    def pair(prefix: tuple) -> tuple:
+        return contour(prefix[-2]), contour(prefix[-1])
+
+    uses: dict = {}
+    for step in steps:
+        for pr in dict.fromkeys(pair(prefix) for prefix in step):
+            uses[pr] = uses.get(pr, 0) + 1
+    couplings: dict = {}
+
+    def coupling(prefix: tuple) -> np.ndarray:
+        pr = pair(prefix)
+        mat = couplings.pop(pr, None)
+        if mat is None:
+            mat = _cauchy(nodes(prefix[-2]), nodes(prefix[-1]))
+        uses[pr] -= 1
+        if uses[pr]:
+            couplings[pr] = mat
+        return mat
+
+    out: dict = {}
+
+    def settle(level: dict, step: dict) -> dict:
+        """Take the jobs that end at this depth; keep what the next extends."""
+        for prefix, mat in level.items():
+            for job in ends.get(prefix, ()):
+                out[job] = finish(job, mat)
+        parents = dict.fromkeys(prefix[:-1] for prefix in step)
+        return {prefix: mat for prefix, mat in level.items() if prefix in parents}
+
+    level = {(link,): rows(link) for link in dict.fromkeys(job.links[0] for job in jobs)}
+    for step in steps:
+        level = settle(level, step)
+        groups: dict = {}
+        for prefix in step:
+            groups.setdefault(pair(prefix), {}).setdefault(prefix[:-1], []).append(prefix)
+        pending: dict = {}
+        for by_parent in groups.values():
+            for parent in by_parent:
+                pending[parent] = pending.get(parent, 0) + 1
+        nxt = {}
+        for by_parent in groups.values():
+            mat = coupling(next(iter(by_parent.values()))[0])
+            for parent, prefixes in by_parent.items():
+                part = level[parent] @ mat
+                for prefix in prefixes:
+                    factors = scale(prefix[-1])
+                    nxt[prefix] = part if factors is None else part * factors[None, :]
+                pending[parent] -= 1
+                if not pending[parent]:
+                    del level[parent]
+            del mat
+        level = nxt
+    settle(level, {})
+    return out
 
 
 # ---------------------------------------------------------------------------

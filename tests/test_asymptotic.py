@@ -8,8 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import growthdist.asymptotic
+import growthdist.integrands
 from growthdist.asymptotic import (
     LimitSettings,
+    _limit_terms,
+    _LimitKernels,
     airy_form_kernel,
     check_d_assignment,
     d_for_eps,
@@ -18,8 +22,9 @@ from growthdist.asymptotic import (
     multitime_cdf,
     tracy_widom,
 )
-from growthdist.errors import SchemaError
+from growthdist.errors import ConvergenceError, SchemaError
 from growthdist.exact import det_theta
+from growthdist.linalg import block_grid
 from growthdist.params import (
     KPZParams,
     LimitParams,
@@ -29,6 +34,7 @@ from growthdist.params import (
 
 INST2 = LimitParams(t=(1.0, 2.0), x=(0.1, -0.2), xi=(0.3, 0.5))
 INST3 = LimitParams(t=(1.0, 1.5, 2.0), x=(0.1, -0.2, 0.15), xi=(0.3, 0.5, 0.7))
+ANCHOR = LimitParams(t=(1.0, 2.0), x=(0.0, 0.0), xi=(0.2, 0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +243,45 @@ def test_multitime_two_time_anchor():
     assert -1e-4 <= res.value <= 1 + 1e-4
     # frozen two-time value from converged runs of this evaluator
     assert res.value == pytest.approx(0.9720743806856159, abs=5e-6)
+
+
+def test_each_line_coupling_formed_once_per_level(monkeypatch):
+    pairs = []
+    cauchy = growthdist.integrands._cauchy
+
+    def counting(a, b):
+        pairs.append((a.tobytes(), b.tobytes()))
+        return cauchy(a, b)
+
+    monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
+    kern = _LimitKernels(ANCHOR, LimitSettings())
+    for level in (0, 1):
+        pairs.clear()
+        _limit_terms(kern, block_grid(ANCHOR.p, 12.0, 48 * 2 ** level))
+        assert pairs
+        assert len(set(pairs)) == len(pairs)
+
+
+def test_lines_built_once_per_call(monkeypatch):
+    # the lines do not depend on the Nystrom grid, so a further level
+    # reuses them; tol=1e-300 forces every level to run
+    calls = [0]
+    vline = growthdist.asymptotic.vline
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return vline(*args, **kwargs)
+
+    monkeypatch.setattr(growthdist.asymptotic, "vline", counting)
+    counts = []
+    for max_levels in (1, 2):
+        calls[0] = 0
+        settings = LimitSettings(block_nodes=12, tol=1e-300, max_levels=max_levels)
+        with pytest.raises(ConvergenceError, match=f"at level {max_levels}"):
+            multitime_cdf(ANCHOR, settings)
+        counts.append(calls[0])
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 def test_multitime_invariant_under_time_rescaling():

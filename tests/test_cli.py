@@ -44,6 +44,27 @@ def test_validate_passes(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_failed_validation_exits_1(tmp_path, capsys, monkeypatch):
+    import growthdist.cli
+
+    checks, failed = growthdist.cli._validate_checks, []
+
+    def first_fails():
+        (name, _, detail), *rest = checks()
+        failed.append(name)
+        return [(name, False, detail), *rest]
+
+    monkeypatch.setattr(growthdist.cli, "_validate_checks", first_fails)
+    code, doc = _run(tmp_path, "validate", None)
+    assert code == 1
+    assert doc["value"] is False
+    assert doc["diagnostics"]["failed"] == failed
+    (name,) = failed
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(name))
+    assert "FAIL" in row
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -107,12 +128,29 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("tw", None, ("--s", "0", "--nodes", "0")),
         ("tw", None, ("--s", "0", "--nodes", "-12")),
         ("asymptotic", ANCHOR, ("--block-nodes", "0")),
+        ("exact", TINY, ("--theta-radius", "nan")),
+        ("exact", TINY, ("--theta-radius", "inf")),
+        ("exact", TINY, ("--radius-scale", "0")),
+        ("exact", TINY, ("--radius-scale", "nan")),
+        ("exact", TINY, ("--radius-scale", "-1")),
+        ("exact", TINY, ("--mu", "nan")),
+        ("exact", TINY, ("--mu", "inf")),
+        ("exact", TINY, ("--mu", "0.5", "--nu", "0")),
+        ("exact", TINY, ("--mu", "0.5", "--nu", "nan")),
+        ("asymptotic", ANCHOR, ("--theta-radius", "nan")),
+        ("asymptotic", ANCHOR, ("--theta-radius", "inf")),
+        ("asymptotic", ANCHOR, ("--extent", "nan")),
+        ("asymptotic", ANCHOR, ("--extent", "inf")),
     ],
     ids=[
         "negative-seed", "seed-overflow", "no-workers", "one-point-sweep",
         "comma-only-s", "empty-s", "nan-budget", "negative-budget", "no-base-nodes",
         "exact-negative-levels", "asymptotic-negative-levels", "exact-negative-tol",
         "asymptotic-negative-tol", "tw-no-nodes", "tw-negative-nodes", "no-block-nodes",
+        "exact-nan-theta-radius", "exact-inf-theta-radius", "zero-radius-scale",
+        "nan-radius-scale", "negative-radius-scale", "nan-mu", "inf-mu", "zero-nu",
+        "nan-nu", "asymptotic-nan-theta-radius", "asymptotic-inf-theta-radius",
+        "nan-extent", "inf-extent",
     ],
 )
 def test_out_of_range_arguments_are_schema_errors(tmp_path, capsys, command, config, extra):

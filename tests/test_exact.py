@@ -14,6 +14,7 @@ from growthdist.exact import (
     single_point_prob,
 )
 import growthdist.exact
+import growthdist.integrands
 import growthdist.linalg
 import growthdist.params
 from growthdist.integrands import circle
@@ -84,6 +85,15 @@ def test_det_theta_three_point_pinned_value():
     ref = 0.12033881459083873 + 0.007327673318929652j
     got = det_theta(mp, (1.7 + 0.6j, 1.4 - 0.9j), mu=0.5)
     assert abs(got - ref) / abs(ref) < 1e-10
+
+
+def test_det_theta_four_point_pinned_value():
+    # p = 4 is the smallest size with L_k pieces; the value was recorded
+    # from the per-term assembly that formed every coupling anew
+    mp = ModelParams(q=0.5, m=(1, 2, 3, 4), n=(1, 2, 3, 4), a=(2, 3, 5, 6))
+    ref = -0.02378328555988478 - 0.008215627189621683j
+    got = det_theta(mp, (1.3 + 0.4j, 1.6 - 0.5j, 1.2 + 0.9j), nodes=64)
+    assert abs(got - ref) / abs(ref) < 1e-12
 
 
 def test_det_theta_validates_inputs():
@@ -246,3 +256,21 @@ def test_theta_coefficients_tabulated_once_per_level(monkeypatch):
         counts.append(calls[0])
     assert counts[0] > 0
     assert counts == [counts[0]] * 3
+
+
+@pytest.mark.parametrize("mp", [P2, P3], ids=["p2", "p3"])
+def test_each_contour_coupling_formed_once_per_level(monkeypatch, mp):
+    pairs = []
+    cauchy = growthdist.integrands._cauchy
+
+    def counting(a, b):
+        pairs.append((a.tobytes(), b.tobytes()))
+        return cauchy(a, b)
+
+    monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
+    asm = _Assembler(mp, 0.0, None, 1.0)
+    for nn in (64, 128):
+        pairs.clear()
+        _terms(asm, nn)
+        assert pairs
+        assert len(set(pairs)) == len(pairs)

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.special
 
+import growthdist.integrands
 from growthdist.integrands import (
+    _walk_chains,
     airy_ai,
     airy_kernel_matrix,
     circle,
@@ -71,6 +75,52 @@ def test_vline_evaluates_gaussian_integral():
         got = v.integrate(np.exp(v.nodes ** 2 / 2.0))
         assert got.imag == pytest.approx(0.0, abs=1e-12)
         assert got.real == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-10)
+
+
+class _Job(NamedTuple):
+    links: tuple
+    tag: int
+
+
+def test_chain_walk_matches_direct_products(monkeypatch):
+    # chains that share prefixes, end at different depths and cross the
+    # pair (1, 2) at two depths; a link is (contour, scale the columns?)
+    rng = np.random.default_rng(3)
+    nodes = {c: circle(float(c), 0.2 + 0.05 * c, 16).nodes for c in range(4)}
+    rows = {c: rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16)) for c in nodes}
+    scales = {c: rng.normal(size=16) + 1j * rng.normal(size=16) for c in nodes}
+    jobs = [
+        _Job(((0, False), (1, True), (2, False)), 0),
+        _Job(((0, False), (1, True), (3, True), (2, False)), 1),
+        _Job(((0, False), (1, False)), 2),
+        _Job(((3, False), (1, True), (2, False)), 3),
+        _Job(((0, False), (3, True), (1, True), (2, True)), 4),
+        _Job(((0, False), (1, True), (2, False)), 5),
+    ]
+    formed = []
+    cauchy = growthdist.integrands._cauchy
+
+    def counting(a, b):
+        formed.append((a.tobytes(), b.tobytes()))
+        return cauchy(a, b)
+
+    monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
+    got = _walk_chains(
+        jobs, contour=lambda link: link[0], nodes=lambda link: nodes[link[0]],
+        rows=lambda link: rows[link[0]],
+        scale=lambda link: scales[link[0]] if link[1] else None,
+        finish=lambda job, prefix: prefix * (job.tag + 1),
+    )
+    assert set(got) == set(jobs)
+    for job in jobs:
+        ref = rows[job.links[0][0]]
+        for (a, _), (b, scaled) in zip(job.links, job.links[1:]):
+            ref = ref @ (1.0 / (nodes[a][:, None] - nodes[b][None, :]))
+            if scaled:
+                ref = ref * scales[b][None, :]
+        np.testing.assert_allclose(got[job], ref * (job.tag + 1), rtol=1e-13)
+    pairs = {(a[0], b[0]) for job in jobs for a, b in zip(job.links, job.links[1:])}
+    assert len(formed) == len(set(formed)) == len(pairs)
 
 
 # ---------------------------------------------------------------------------

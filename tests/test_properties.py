@@ -43,3 +43,15 @@ def test_exact_matches_dp_and_is_monotone_in_each_threshold(case):
         ModelParams(q=params.q, m=params.m, n=params.n, a=tuple(raised))
     ).value
     assert higher >= value - 1e-9
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_corners())
+def test_exact_is_invariant_under_reflection(case):
+    # G(m, n) and G(n, m) have the same joint law; the swap runs the same
+    # assembly with another N = n_p and another block layout
+    params, _ = case
+    swapped = ModelParams(q=params.q, m=params.n, n=params.m, a=params.a)
+    value = multipoint_prob_exact(params).value
+    assert abs(multipoint_prob_exact(swapped).value - value) < 1e-9
