@@ -20,7 +20,7 @@ from .asymptotic import (
 )
 from .errors import BudgetError, ConvergenceError, SchemaError
 from .exact import ExactResult, det_theta, multipoint_prob_exact, single_point_prob
-from .growth import MCResult, build_table, mc_multipoint, png_height, rescaled_height, sample_weights
+from .growth import MCResult, mc_multipoint, sample_weights
 from .oracle import dp_exact_prob, schutz_determinant, truncated_sum_prob
 from .params import (
     KPZParams,
@@ -49,7 +49,6 @@ __all__ = [
     "ScalingConstants",
     "SchemaError",
     "airy_form_kernel",
-    "build_table",
     "compute_constants",
     "d_for_eps",
     "det_theta",
@@ -63,8 +62,6 @@ __all__ = [
     "multitime_cdf",
     "nu_scale",
     "parse_instance",
-    "png_height",
-    "rescaled_height",
     "sample_weights",
     "schutz_determinant",
     "single_point_prob",

@@ -49,7 +49,7 @@ each line coupling, row and column factor and chain prefix once, shares it
 among all bases, and drops it when the level's bases are done.  At
 ``p = 1`` there is no theta circle and the same route returns the single
 determinant ``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates
-that marginal independently, from the Airy kernel.
+that marginal independently, from the closed-form Airy kernel.
 """
 
 from __future__ import annotations
@@ -1043,10 +1043,10 @@ def multitime_cdf(
 # Tracy-Widom marginal (independent oracle)
 # ---------------------------------------------------------------------------
 
-def _fgue(s: float, nodes: int = 96, span: float = 40.0, lam_max: float = 40.0) -> float:
+def _fgue(s: float, nodes: int = 96, span: float = 40.0) -> float:
     """``det(I - K_Ai)`` on ``(s, infinity)`` by Nystrom quadrature."""
     x, w = composite_gl(s, s + span, nodes, panel_size=12)
-    kern = airy_kernel_matrix(x, x, n=nodes, lam_max=lam_max)
+    kern = airy_kernel_matrix(x, x)
     sw = np.sqrt(w)
     mat = np.eye(len(x)) - sw[:, None] * kern * sw[None, :]
     return float(lu_det(mat).real)

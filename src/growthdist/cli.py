@@ -44,7 +44,7 @@ from .errors import BudgetError, ConvergenceError, SchemaError
 from .exact import multipoint_prob_exact
 from .growth import mc_multipoint
 from .integrands import circle, composite_gl
-from .linalg import block_grid, lu_det, nystrom_det
+from .linalg import _check_deadline, block_grid, lu_det, nystrom_det
 from .oracle import dp_exact_prob, truncated_sum_prob, verify_sbp
 from .params import (
     KPZParams,
@@ -138,7 +138,10 @@ def _cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     params = _as_discrete(doc)
     start = time.perf_counter()
-    res = mc_multipoint(params, args.samples, seed=args.seed, workers=args.workers)
+    res = mc_multipoint(
+        params, args.samples, seed=args.seed, workers=args.workers,
+        deadline=_deadline(args),
+    )
     ms = 1e3 * (time.perf_counter() - start)
     if args.format == "csv":
         rows = [
@@ -167,10 +170,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.state_budget < 0:
+        raise SchemaError(f"--state-budget must be non-negative, got {args.state_budget}")
     doc = _load_config(args.config)
     params = _as_discrete(doc)
     start = time.perf_counter()
-    value = dp_exact_prob(params, state_budget=args.state_budget)
+    value = dp_exact_prob(params, state_budget=args.state_budget, deadline=_deadline(args))
     ms = 1e3 * (time.perf_counter() - start)
     cap = params.a[-1]
     width = min(params.m[-1], params.n[-1])
@@ -262,8 +267,12 @@ def _cmd_tw(args) -> int:
             raise SchemaError("--points must be at least 2")
         step = (args.s_max - args.s_min) / (args.points - 1)
         grid = [args.s_min + i * step for i in range(args.points)]
+    deadline = _deadline(args)
     start = time.perf_counter()
-    values = [tracy_widom(s, nodes=args.nodes) for s in grid]
+    values = []
+    for s in grid:
+        _check_deadline(deadline, "the Tracy-Widom sweep")
+        values.append(tracy_widom(s, nodes=args.nodes))
     ms = 1e3 * (time.perf_counter() - start)
     if args.format == "json":
         # the rule takes whole 12-node panels; record the count it used

@@ -1,18 +1,17 @@
-"""Simulation of the corner growth model and its interface height.
+"""Monte Carlo sampling of the corner growth model.
 
 The last-passage recursion over independent geometric(q) weights
 ``P(w = k) = (1-q) q^k`` is
 
     G(m, n) = max{G(m-1, n), G(m, n-1)} + w(m, n),    G(m, 0) = G(0, n) = 0.
 
-Rotating the quadrant by 45 degrees gives the polynuclear growth picture:
-the interface height at (odd-parity) site ``x`` and time ``t`` is
-
-    h(x, t) = G((t+x+1)/2, (t-x+1)/2),   |x| < t,  h(x, 0) = 0,
-
-extended to real ``x`` by linear interpolation, and the rescaled process is
-
-    H_T(x, t) = (h(2 c1 x (tT)^(2/3), 2tT) - c2 tT) / (c3 (tT)^(1/3)).
+``mc_multipoint`` runs it row by row (``m = 1, 2, ...``) for a whole chunk
+of samples at once.  The row state is sample-contiguous, shape
+``(n_p, S)`` for ``S`` samples: each column step ``n`` is one vector
+``max`` and one vector add over ``S`` contiguous integers.  A row's
+uniforms are drawn sample-major into one preallocated buffer, turned into
+weights in place by the inverse transform, and transposed once into the
+row layout.
 
 Sampling is reproducible and worker-count independent: the sample stream is
 split into fixed-size chunks, chunk ``c`` of master seed ``s`` draws from a
@@ -29,13 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .params import ModelParams, compute_constants
+from .linalg import _check_deadline
+from .params import ModelParams
 
 __all__ = [
     "sample_weights",
-    "build_table",
-    "png_height",
-    "rescaled_height",
     "mc_multipoint",
     "MCResult",
 ]
@@ -72,79 +69,6 @@ def sample_weights(q: float, shape, seed: int, stream: int = 0) -> np.ndarray:
     return np.floor(np.log(u) / math.log(q)).astype(np.int64)
 
 
-def build_table(weights: np.ndarray) -> np.ndarray:
-    """Run the last-passage recursion over a weight array.
-
-    Parameters
-    ----------
-    weights : (M, N) integer array
-        ``weights[i, j]`` is the weight at grid point ``(m, n) = (i+1, j+1)``.
-
-    Returns
-    -------
-    (M+1, N+1) integer array ``G`` with the zero boundary included, so
-    ``G[m, n]`` is the last-passage value at ``(m, n)``.
-    """
-    w = np.asarray(weights)
-    if w.ndim != 2:
-        raise ValueError("weights must be a 2-d array")
-    M, N = w.shape
-    G = np.zeros((M + 1, N + 1), dtype=np.int64)
-    for m in range(1, M + 1):
-        row = G[m - 1]
-        out = G[m]
-        prev = 0
-        for n in range(1, N + 1):
-            prev = max(row[n], prev) + w[m - 1, n - 1]
-            out[n] = prev
-    return G
-
-
-def png_height(table: np.ndarray, x: float, t: int) -> float:
-    """Interface height ``h(x, t)`` read off a last-passage table.
-
-    ``x`` may be real; integer sites of the wrong parity and intermediate
-    points are filled by linear interpolation between the neighbouring
-    odd-parity sites.  Requires ``|x| < t`` and a table covering time ``t``.
-    """
-    t = int(t)
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    if t == 0:
-        raise ValueError("height at time 0 requires |x| < t = 0, which is empty")
-    if not abs(x) < t:
-        raise ValueError(f"need |x| < t, got x={x}, t={t}")
-    if table.shape[0] <= (t + math.floor(abs(x)) + 1) // 2 or \
-            table.shape[1] <= (t + math.floor(abs(x)) + 1) // 2:
-        raise ValueError("table too small for the requested (x, t)")
-
-    def h_odd(xi: int) -> float:
-        # xi + t odd and |xi| <= t + 1 here; outside |xi| < t the height is 0
-        if abs(xi) >= t:
-            return 0.0
-        return float(table[(t + xi + 1) // 2, (t - xi + 1) // 2])
-
-    lo = math.floor(x)
-    if (lo + t) % 2 == 0:
-        lo -= 1
-    hi = lo + 2
-    frac = (x - lo) / 2.0
-    return (1.0 - frac) * h_odd(lo) + frac * h_odd(hi)
-
-
-def rescaled_height(table: np.ndarray, q: float, x: float, t: float, T: float) -> float:
-    """Rescaled interface height ``H_T(x, t)``.
-
-    The interface time is rounded to the nearest integer lattice time.
-    """
-    c = compute_constants(q)
-    tT = t * T
-    tau = round(2.0 * tT)
-    pos = 2.0 * c.c1 * x * tT ** (2.0 / 3.0)
-    h = png_height(table, pos, tau)
-    return (h - c.c2 * tT) / (c.c3 * tT ** (1.0 / 3.0))
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimate of the multi-point probability
 # ---------------------------------------------------------------------------
@@ -159,24 +83,38 @@ class MCResult:
     successes: int
 
 
-def _chunk_successes(params: ModelParams, nsamples: int, seed: int, chunk: int) -> int:
-    """Count event successes in one sample chunk (vectorized over samples)."""
+def _chunk_successes(
+    params: ModelParams, nsamples: int, seed: int, chunk: int, deadline: float | None
+) -> int:
+    """Count event successes in one sample chunk (vectorized over samples).
+
+    Each row draws the chunk stream's next ``nsamples * n_p`` uniforms
+    sample-major, as ``gen.random(size=(nsamples, n_p))`` would, and uses
+    the inverse transform of :func:`sample_weights`.
+    """
+    _check_deadline(deadline, "Monte Carlo sampling")
     gen = _generator(seed, chunk)
     logq = math.log(params.q)
     mp, np_ = params.m[-1], params.n[-1]
     checkpoints = {m: k for k, m in enumerate(params.m)}
-    g = np.zeros((nsamples, np_), dtype=np.int64)
+    u = np.empty((nsamples, np_))
+    w = np.empty((np_, nsamples), dtype=np.int64)
+    g = np.zeros((np_, nsamples), dtype=np.int64)
     alive = np.ones(nsamples, dtype=bool)
     for m in range(1, mp + 1):
-        u = 1.0 - gen.random(size=(nsamples, np_))
-        w = np.floor(np.log(u) / logq).astype(np.int64)
-        prev = np.zeros(nsamples, dtype=np.int64)
-        for j in range(np_):
-            prev = np.maximum(g[:, j], prev) + w[:, j]
-            g[:, j] = prev
+        gen.random(out=u)
+        np.subtract(1.0, u, out=u)  # uniform on (0, 1]
+        np.log(u, out=u)
+        u /= logq
+        np.floor(u, out=u)
+        np.copyto(w, u.T, casting="unsafe")
+        g[0] += w[0]
+        for j in range(1, np_):
+            np.maximum(g[j], g[j - 1], out=g[j])
+            g[j] += w[j]
         if m in checkpoints:
             k = checkpoints[m]
-            alive &= g[:, params.n[k] - 1] < params.a[k]
+            alive &= g[params.n[k] - 1] < params.a[k]
     return int(alive.sum())
 
 
@@ -191,12 +129,18 @@ def _pairwise_sum(values: list[int]) -> int:
 
 
 def mc_multipoint(
-    params: ModelParams, nsamples: int, seed: int = 0, workers: int = 1
+    params: ModelParams,
+    nsamples: int,
+    seed: int = 0,
+    workers: int = 1,
+    deadline: float | None = None,
 ) -> MCResult:
     """Monte Carlo estimate of ``P(G(m_k, n_k) < a_k for all k)``.
 
     The result is bit-identical for any ``workers`` value: chunk boundaries
     and per-chunk generator streams depend only on ``(seed, nsamples)``.
+    ``deadline`` is a ``time.monotonic()`` stamp checked before every chunk;
+    past it, ``BudgetError`` is raised.
     """
     if nsamples <= 0:
         raise ValueError("nsamples must be positive")
@@ -211,12 +155,14 @@ def mc_multipoint(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(
                 pool.map(
-                    lambda ic: _chunk_successes(params, ic[1], seed, ic[0]),
+                    lambda ic: _chunk_successes(params, ic[1], seed, ic[0], deadline),
                     enumerate(sizes),
                 )
             )
     else:
-        counts = [_chunk_successes(params, sz, seed, c) for c, sz in enumerate(sizes)]
+        counts = [
+            _chunk_successes(params, sz, seed, c, deadline) for c, sz in enumerate(sizes)
+        ]
 
     successes = _pairwise_sum(counts)
     est = successes / nsamples

@@ -25,8 +25,11 @@ exponents are integers, so principal-branch logarithms exponentiate to the
 exact single-valued product.
 
 The module also provides the Airy function ``Ai`` (series for moderate
-arguments, saddle-point contour quadrature outside) and the Airy kernel
-``K_Ai(a, b) = int_0^inf Ai(a+s) Ai(b+s) ds``.
+arguments, saddle-point contour quadrature outside; a private ``Ai'`` takes
+the same series term by term and the same contours with an extra factor
+``-z``) and the Airy kernel ``K_Ai(a, b) = int_0^inf Ai(a+s) Ai(b+s) ds``
+in its closed form ``(Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b)``, with
+``Ai'(a)^2 - a Ai(a)^2`` where ``a = b`` (Tracy & Widom 1994).
 """
 
 from __future__ import annotations
@@ -261,13 +264,31 @@ _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 
-def _airy_series(s: np.ndarray) -> np.ndarray:
-    """Maclaurin series of Ai, reliable for |s| <= 5."""
-    f = np.ones_like(s)
-    g = s.copy()
+def _airy_series(s: np.ndarray, prime: bool) -> np.ndarray:
+    """Maclaurin series of Ai (or of Ai', term by term), reliable for |s| <= 5.
+
+    ``Ai = Ai(0) f + Ai'(0) g`` with ``f = 1 + s^3/6 + ...`` and
+    ``g = s + s^4/12 + ...``.  Each step multiplies a term by
+    ``s^3 / ((n+3)(n+2))`` (``f``) or ``s^3 / ((n+4)(n+3))`` (``g``); the
+    derivative of the new term is the old term times ``s^2 / (n+2)``
+    (``f``) or ``s^2 / (n+3)`` (``g``), which needs no division by ``s``.
+    """
     tf = np.ones_like(s)
     tg = s.copy()
     s3 = s ** 3
+    if prime:
+        f = np.zeros_like(s)
+        g = np.ones_like(s)
+        s2 = s ** 2
+        for k in range(40):
+            n = 3 * k
+            f += tf * s2 / (n + 2)
+            g += tg * s2 / (n + 3)
+            tf = tf * s3 / ((n + 3) * (n + 2))
+            tg = tg * s3 / ((n + 4) * (n + 3))
+        return _AI0 * f + _AIP0 * g
+    f = np.ones_like(s)
+    g = s.copy()
     for k in range(40):
         n = 3 * k
         tf = tf * s3 / ((n + 3) * (n + 2))
@@ -280,11 +301,13 @@ def _airy_series(s: np.ndarray) -> np.ndarray:
 _AIRY_CHUNK = 1024
 
 
-def _airy_right(s: np.ndarray) -> np.ndarray:
+def _airy_right(s: np.ndarray, prime: bool) -> np.ndarray:
     """Vertical-line quadrature through the saddle ``sqrt(s)``, for s > 5.
 
-    Elements are processed in chunks on a shared normalized grid (scaled
-    per element), so large batches stay vectorized.
+    ``Ai(s) = (1/2 pi i) int exp(z^3/3 - s z) dz``; ``Ai'`` carries the
+    extra factor ``-z`` inside the integral.  Elements are processed in
+    chunks on a shared normalized grid (scaled per element), so large
+    batches stay vectorized.
     """
     out = np.empty_like(s)
     for lo in range(0, len(s), _AIRY_CHUNK):
@@ -296,15 +319,19 @@ def _airy_right(s: np.ndarray) -> np.ndarray:
         tau, w = composite_gl(0.0, 1.0, n, panel_size=10)
         z = d[:, None] + 1j * (hw[:, None] * tau[None, :])
         f = z ** 3 / 3.0 - sv[:, None] * z
-        out[lo : lo + _AIRY_CHUNK] = hw * ((np.exp(f).real * w).sum(axis=1)) / math.pi
+        vals = np.exp(f)
+        if prime:
+            vals *= -z
+        out[lo : lo + _AIRY_CHUNK] = hw * ((vals.real * w).sum(axis=1)) / math.pi
     return out
 
 
-def _airy_left(s: np.ndarray) -> np.ndarray:
+def _airy_left(s: np.ndarray, prime: bool) -> np.ndarray:
     """Saddle-point contour through ``+-i sqrt(|s|)``, for s < -5.
 
     Chunked like :func:`_airy_right`; node counts follow the largest
-    oscillation in the chunk.
+    oscillation in the chunk.  For ``Ai'`` the factor ``-z`` turns the
+    segment's ``cos(phase)`` into ``y sin(phase)`` (the odd part cancels).
     """
     out = np.empty_like(s)
     for lo in range(0, len(s), _AIRY_CHUNK):
@@ -315,15 +342,38 @@ def _airy_left(s: np.ndarray) -> np.ndarray:
         nb = int(max(60, 10 * osc_b / math.pi))
         tau, wy = composite_gl(0.0, 1.0, nb, panel_size=10)
         y = r[:, None] * tau[None, :]
-        seg_b = r * ((np.cos(-(y ** 3) / 3.0 - sv[:, None] * y) * wy).sum(axis=1))
+        phase = -(y ** 3) / 3.0 - sv[:, None] * y
+        along = y * np.sin(phase) if prime else np.cos(phase)
+        seg_b = r * ((along * wy).sum(axis=1))
         # descent ray from the upper saddle in direction exp(i pi/4)
         hw = 7.0 / np.sqrt(r)
         nc = int(max(80, 14 * float(np.max(r))))
         tau_c, wt = composite_gl(0.0, 1.0, nc, panel_size=10)
         z = 1j * r[:, None] + (hw[:, None] * tau_c[None, :]) * np.exp(1j * np.pi / 4.0)
         f = z ** 3 / 3.0 - sv[:, None] * z
-        seg_c = np.exp(1j * np.pi / 4.0) * hw * ((np.exp(f) * wt).sum(axis=1))
+        vals = np.exp(f)
+        if prime:
+            vals *= -z
+        seg_c = np.exp(1j * np.pi / 4.0) * hw * ((vals * wt).sum(axis=1))
         out[lo : lo + _AIRY_CHUNK] = (seg_b + seg_c.imag) / math.pi
+    return out
+
+
+def _airy(s, prime: bool) -> np.ndarray:
+    """``Ai`` (or ``Ai'``) on a real array, flattened: series inside ``|s| <= 5``."""
+    flat = np.atleast_1d(np.asarray(s, dtype=float)).ravel().copy()
+    if np.any(flat < -60.0):
+        raise ValueError("airy_ai supports arguments >= -60")
+    out = np.empty_like(flat)
+    mid = np.abs(flat) <= 5.0
+    right = flat > 5.0
+    left = flat < -5.0
+    if mid.any():
+        out[mid] = _airy_series(flat[mid], prime)
+    if right.any():
+        out[right] = _airy_right(flat[right], prime)
+    if left.any():
+        out[left] = _airy_left(flat[left], prime)
     return out
 
 
@@ -334,35 +384,29 @@ def airy_ai(s) -> np.ndarray:
     Absolute accuracy ~1e-13 on ``[-60, inf)``; arguments below -60 raise.
     """
     arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel().copy()
-    if np.any(flat < -60.0):
-        raise ValueError("airy_ai supports arguments >= -60")
-    out = np.empty_like(flat)
-    mid = np.abs(flat) <= 5.0
-    right = flat > 5.0
-    left = flat < -5.0
-    if mid.any():
-        out[mid] = _airy_series(flat[mid])
-    if right.any():
-        out[right] = _airy_right(flat[right])
-    if left.any():
-        out[left] = _airy_left(flat[left])
-    res = out.reshape(np.atleast_1d(arr).shape)
-    return float(res[0]) if scalar else res
+    res = _airy(arr, prime=False).reshape(np.atleast_1d(arr).shape)
+    return float(res[0]) if arr.ndim == 0 else res
 
 
-def airy_kernel_matrix(
-    a: np.ndarray, b: np.ndarray, n: int = 96, lam_max: float = 40.0
-) -> np.ndarray:
-    """Airy kernel ``K_Ai(a_i, b_j) = int_0^lam_max Ai(a_i+s) Ai(b_j+s) ds``.
+def airy_kernel_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Airy kernel ``K_Ai(a_i, b_j) = int_0^inf Ai(a_i+s) Ai(b_j+s) ds``.
 
-    The truncation error is bounded by the super-exponential decay of
-    ``Ai`` at ``+lam_max`` relative to the smallest grid point.
+    Evaluated in closed form (Tracy & Widom 1994)::
+
+        K_Ai(a, b) = (Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b),   a != b,
+        K_Ai(a, a) = Ai'(a)^2 - a Ai(a)^2,
+
+    so a matrix costs one ``Ai`` and one ``Ai'`` per point.  Entries with
+    ``a_i == b_j`` take the second form wherever they sit in the matrix.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    lam, w = composite_gl(0.0, lam_max, n, panel_size=12)
-    fa = airy_ai(a[:, None] + lam[None, :])
-    fb = airy_ai(b[:, None] + lam[None, :])
-    return (fa * w) @ fb.T
+    ai_a, ai_b = airy_ai(a), airy_ai(b)
+    aip_a, aip_b = _airy(a, prime=True), _airy(b, prime=True)
+    diff = np.subtract.outer(a, b)
+    same = diff == 0.0
+    kern = np.outer(ai_a, aip_b) - np.outer(aip_a, ai_b)
+    np.divide(kern, diff, out=kern, where=~same)
+    i, _ = np.nonzero(same)
+    kern[same] = aip_a[i] ** 2 - a[i] * ai_a[i] ** 2
+    return kern

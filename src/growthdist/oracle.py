@@ -6,7 +6,9 @@ Two routes are provided, both independent of any contour integration:
   chain of last-passage columns ``(G(m,1), ..., G(m,N))``, with values
   capped at the final threshold (exact: by monotonicity any value reaching
   ``a_p`` already violates the final constraint, so the cap introduces no
-  truncation error).
+  truncation error).  The states are the rows of an integer array with a
+  mass vector beside it; each step expands all of them at once and merges
+  the transitions that meet by an exact integer key.
 
 * ``truncated_sum_prob`` — the determinantal sum
 
@@ -37,6 +39,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import BudgetError
+from .linalg import _check_deadline
 from .params import ModelParams
 
 __all__ = [
@@ -146,17 +149,82 @@ def schutz_determinant(
 # exact dynamic program
 # ---------------------------------------------------------------------------
 
-def dp_exact_prob(params: ModelParams, state_budget: int = 10 ** 6) -> float:
+_DP_ROWS = 1 << 20  # transitions expanded at once by one DP step
+
+
+def _row_keys(cols: np.ndarray, radix: int) -> np.ndarray:
+    """Integer keys of the rows of ``cols`` (entries in ``[0, radix)``).
+
+    Equal rows get equal keys and distinct rows distinct keys.  The key is
+    mixed-radix in ``radix``; whenever the next column would overflow
+    int64, the keys so far are first replaced by their dense ranks, which
+    keeps the keys exact for any row length.
+    """
+    key = np.zeros(len(cols), dtype=np.int64)
+    bound = 1  # keys lie in [0, bound)
+    for col in cols.T:
+        if bound > 2 ** 63 // radix:
+            ranks, key = np.unique(key, return_inverse=True)
+            bound = len(ranks)
+        key = key * radix + col
+        bound *= radix
+    return key
+
+
+def _dp_step(
+    states: np.ndarray, mass: np.ndarray, j: int, cap: int, geo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance column ``j`` of every state by one geometric increment.
+
+    State ``s`` moves to ``s`` with ``s[j] = v`` for every
+    ``v in [base, cap)``, ``base = max(s[j], s[j-1])``, with weight
+    ``geo[v - base]``; mass reaching ``cap`` is dropped.  Two transitions
+    land on the same state exactly when their parents agree off column
+    ``j`` and their values agree, so the parents are grouped by their
+    exact key off column ``j`` (``np.unique``), and the transitions are
+    summed into a dense ``(group, v)`` table with ``np.bincount``, in slices
+    of at most ``_DP_ROWS`` transitions.  The new states are the reachable
+    cells, in ``(group, v)`` order.
+    """
+    base = states[:, j] if j == 0 else np.maximum(states[:, j], states[:, j - 1])
+    _, group = np.unique(_row_keys(np.delete(states, j, axis=1), cap), return_inverse=True)
+    groups = int(group.max()) + 1
+    table = np.zeros(groups * cap)
+    step = max(1, _DP_ROWS // cap)
+    for lo in range(0, len(states), step):
+        counts = cap - base[lo:lo + step]
+        par = np.repeat(np.arange(lo, lo + len(counts)), counts)
+        off = np.arange(len(par)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cell = group[par] * cap + base[par] + off
+        table += np.bincount(cell, weights=mass[par] * geo[off], minlength=len(table))
+    lowest = np.full(groups, cap)
+    np.minimum.at(lowest, group, base)
+    cells = np.flatnonzero(np.arange(cap)[None, :] >= lowest[:, None])
+    parent = np.empty(groups, dtype=np.intp)
+    parent[group] = np.arange(len(states))
+    out = states[parent[cells // cap]]
+    out[:, j] = cells % cap
+    return out, table[cells]
+
+
+def dp_exact_prob(
+    params: ModelParams, state_budget: int = 10 ** 6, deadline: float | None = None
+) -> float:
     """Exact ``P(G(m_k, n_k) < a_k for all k)`` by transfer-matrix DP.
 
-    The state is the nondecreasing vector ``(G(m,1), ..., G(m,N))`` with
-    ``N = n_p``, evolved column by column; within a column the rows are
-    swept in order, so intermediate states mix new and old entries.  Values
-    are capped at ``a_p``: mass reaching the cap is dropped (it can never
-    satisfy the final constraint).  The grid is transposed when that gives
-    the smaller state vector.
+    The state is the vector ``(G(m,1), ..., G(m,N))`` with ``N = n_p``,
+    evolved column by column; within a column the rows are swept in order,
+    so intermediate states mix new and old entries.  The states are the
+    rows of a ``(K, N)`` integer array with a mass vector beside it; each
+    step expands every state over its admissible values at once and merges
+    duplicates (see ``_dp_step``).  Values are capped at ``a_p``: mass
+    reaching the cap is dropped (it can never satisfy the final
+    constraint).  The grid is transposed when that gives the smaller state
+    vector.
 
-    Raises ``BudgetError`` when ``C(a_p - 1 + N, N)`` exceeds the budget.
+    Raises ``BudgetError`` when ``C(a_p - 1 + N, N)`` exceeds the budget,
+    before anything is allocated, and when ``deadline`` (a
+    ``time.monotonic()`` stamp, checked before every row) has passed.
     """
     if any(ak <= 0 for ak in params.a):
         return 0.0
@@ -170,31 +238,22 @@ def dp_exact_prob(params: ModelParams, state_budget: int = 10 ** 6) -> float:
         )
     q = params.q
     checkpoints = {m: k for k, m in enumerate(params.m)}
-    # geometric increment probabilities, plus tail mass q**j for >= j
-    geo = [(1.0 - q) * q ** j for j in range(cap)]
+    # geometric increment probabilities; the tail q**cap beyond is dropped
+    geo = (1.0 - q) * q ** np.arange(cap, dtype=float)
 
-    dist: dict[tuple[int, ...], float] = {tuple([0] * N): 1.0}
+    states = np.zeros((1, N), dtype=np.int64)
+    mass = np.ones(1)
     for m in range(1, params.m[-1] + 1):
+        _check_deadline(deadline, "the transfer-matrix DP")
         for j in range(N):
-            new: dict[tuple[int, ...], float] = {}
-            for state, mass in dist.items():
-                base = max(state[j], state[j - 1] if j > 0 else 0)
-                head = state[:j]
-                tail = state[j + 1:]
-                for val in range(base, cap):
-                    ns = head + (val,) + tail
-                    w = mass * geo[val - base]
-                    if ns in new:
-                        new[ns] += w
-                    else:
-                        new[ns] = w
-                # mass escaping to >= cap is dropped (event already failed)
-            dist = new
+            states, mass = _dp_step(states, mass, j, cap, geo)
         if m in checkpoints:
             k = checkpoints[m]
-            nk, ak = params.n[k], params.a[k]
-            dist = {s: w for s, w in dist.items() if s[nk - 1] < ak}
-    return float(sum(dist.values()))
+            keep = states[:, params.n[k] - 1] < params.a[k]
+            states, mass = states[keep], mass[keep]
+            if not len(states):
+                return 0.0
+    return float(mass.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,13 @@ def test_non_convergence_reports_last_delta(tmp_path, capsys, command, config, n
         ("exact", TINY, ("--budget", "0")),
         ("asymptotic", ANCHOR, ("--budget", "0")),
         ("oracle", TINY, ("--state-budget", "1")),
+        ("oracle", TINY, ("--state-budget", "0")),
+        ("simulate", TINY, ("--samples", "100000", "--budget", "0")),
+        ("oracle", TINY, ("--budget", "0")),
+        ("tw", None, ("--budget", "0")),
     ],
-    ids=["exact", "asymptotic", "oracle-states"],
+    ids=["exact", "asymptotic", "oracle-states", "oracle-no-states", "simulate",
+         "oracle", "tw"],
 )
 def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
     code, doc = _run(tmp_path, command, config, *extra)
@@ -141,6 +146,7 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("asymptotic", ANCHOR, ("--theta-radius", "inf")),
         ("asymptotic", ANCHOR, ("--extent", "nan")),
         ("asymptotic", ANCHOR, ("--extent", "inf")),
+        ("oracle", TINY, ("--state-budget", "-1")),
     ],
     ids=[
         "negative-seed", "seed-overflow", "no-workers", "one-point-sweep",
@@ -150,7 +156,7 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         "exact-nan-theta-radius", "exact-inf-theta-radius", "zero-radius-scale",
         "nan-radius-scale", "negative-radius-scale", "nan-mu", "inf-mu", "zero-nu",
         "nan-nu", "asymptotic-nan-theta-radius", "asymptotic-inf-theta-radius",
-        "nan-extent", "inf-extent",
+        "nan-extent", "inf-extent", "negative-state-budget",
     ],
 )
 def test_out_of_range_arguments_are_schema_errors(tmp_path, capsys, command, config, extra):

@@ -1,4 +1,4 @@
-"""Weight sampling, last-passage tables, interface heights, Monte Carlo."""
+"""Weight sampling and the Monte Carlo estimator."""
 
 from __future__ import annotations
 
@@ -7,16 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from growthdist.growth import (
-    build_table,
-    mc_multipoint,
-    png_height,
-    rescaled_height,
-    sample_weights,
-)
+from growthdist.growth import mc_multipoint, sample_weights
 from growthdist.errors import SchemaError
 from growthdist.oracle import dp_exact_prob
-from growthdist.params import ModelParams, compute_constants
+from growthdist.params import ModelParams, discretize, parse_instance
 
 
 # ---------------------------------------------------------------------------
@@ -51,81 +45,6 @@ def test_sample_weights_validates_q():
         sample_weights(1.0, (4,), seed=0)
     with pytest.raises(SchemaError):
         sample_weights(-0.1, (4,), seed=0)
-
-
-# ---------------------------------------------------------------------------
-# last-passage tables
-# ---------------------------------------------------------------------------
-
-def test_build_table_hand_recursion():
-    # weights[i, j] sits at lattice point (m, n) = (i+1, j+1)
-    weights = np.array([[1, 2], [0, 3]])
-    g = build_table(weights)
-    assert g.shape == (3, 3)
-    assert np.all(g[0, :] == 0) and np.all(g[:, 0] == 0)
-    assert g[1, 1] == 1                      # just omega(1,1)
-    assert g[2, 1] == 1 + 0                  # down the m-axis
-    assert g[1, 2] == 1 + 2                  # along the n-axis
-    assert g[2, 2] == max(g[1, 2], g[2, 1]) + 3
-
-
-def test_build_table_monotone_in_both_directions():
-    w = sample_weights(0.6, (12, 9), seed=5)
-    g = build_table(w)
-    assert np.all(np.diff(g, axis=0) >= 0)
-    assert np.all(np.diff(g, axis=1) >= 0)
-    # the recursion never drops below the local weight
-    assert np.all(g[1:, 1:] >= w)
-
-
-def test_build_table_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        build_table(np.zeros(4, dtype=int))
-
-
-# ---------------------------------------------------------------------------
-# interface height
-# ---------------------------------------------------------------------------
-
-def test_png_height_odd_parity_reads_table():
-    w = sample_weights(0.5, (8, 8), seed=9)
-    g = build_table(w)
-    # at x + t odd the height is G((t+x+1)/2, (t-x+1)/2) read directly
-    for (x, t) in [(0, 1), (0, 3), (2, 3), (-2, 3), (1, 4)]:
-        m, n = (t + x + 1) // 2, (t - x + 1) // 2
-        assert png_height(g, x, t) == pytest.approx(float(g[m, n]))
-
-
-def test_png_height_interpolates_even_parity():
-    w = sample_weights(0.5, (8, 8), seed=9)
-    g = build_table(w)
-    h = lambda x, t: png_height(g, x, t)
-    for t in (3, 5):
-        for x0 in range(-t + 1, t - 2, 2):
-            mid = 0.5 * (h(x0, t) + h(x0 + 2, t))
-            assert h(x0 + 1.0, t) == pytest.approx(mid)
-            frac = h(x0 + 0.5, t)
-            assert frac == pytest.approx(0.75 * h(x0, t) + 0.25 * h(x0 + 2, t))
-
-
-def test_png_height_domain_errors():
-    g = build_table(sample_weights(0.5, (4, 4), seed=1))
-    with pytest.raises(ValueError):
-        png_height(g, 0, 0)       # |x| < t is empty at t = 0
-    with pytest.raises(ValueError):
-        png_height(g, 3, 3)       # |x| >= t
-    with pytest.raises(ValueError):
-        png_height(g, 0, 99)      # table too small
-
-
-def test_rescaled_height_recenters_and_rescales():
-    q, T, t, x = 0.25, 6.0, 1.0, 0.2
-    c = compute_constants(q)
-    g = build_table(sample_weights(q, (40, 40), seed=21))
-    tt = t * T
-    raw = png_height(g, 2 * c.c1 * x * tt ** (2 / 3), round(2 * tt))
-    want = (raw - c.c2 * tt) / (c.c3 * tt ** (1 / 3))
-    assert rescaled_height(g, q, x, t, T) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +87,27 @@ def test_mc_validates_sample_count():
     params = ModelParams(q=0.5, m=(1,), n=(1,), a=(1,))
     with pytest.raises(ValueError):
         mc_multipoint(params, 0)
+
+
+# Success counts are part of the reproducibility contract: the chunk streams
+# and the inverse transform must reproduce them exactly for any worker count.
+SCALED = {"q": 0.25, "t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "config, nsamples, seed, successes",
+    [
+        ({**SCALED, "T": 40}, 16384, 99, 15752),
+        ({**SCALED, "T": 10}, 20000, 5, 19234),
+        ({"q": 0.4, "m": [1, 2], "n": [1, 3], "a": [2, 4]}, 40000, 7, 21293),
+        ({"q": 0.6, "m": [3, 5], "n": [2, 4], "a": [3, 6]}, 30000, 11, 22),
+    ],
+    ids=["T40-seed99", "T10-seed5", "tiny-seed7", "tail-seed11"],
+)
+def test_mc_success_counts_are_pinned(config, nsamples, seed, successes, workers):
+    params = parse_instance(config)
+    if not isinstance(params, ModelParams):
+        params = discretize(params)
+    res = mc_multipoint(params, nsamples, seed=seed, workers=workers)
+    assert res.successes == successes

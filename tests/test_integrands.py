@@ -12,6 +12,7 @@ import scipy.special
 
 import growthdist.integrands
 from growthdist.integrands import (
+    _airy,
     _walk_chains,
     airy_ai,
     airy_kernel_matrix,
@@ -290,7 +291,7 @@ def test_airy_decay_and_domain():
 
 def test_airy_kernel_symmetry_and_positivity():
     a = np.linspace(-1.0, 2.0, 7)
-    k = airy_kernel_matrix(a, a, n=96)
+    k = airy_kernel_matrix(a, a)
     assert np.max(np.abs(k - k.T)) < 1e-13
     eig = np.linalg.eigvalsh(0.5 * (k + k.T))
     assert eig.min() > -1e-12
@@ -300,5 +301,22 @@ def test_airy_kernel_symmetry_and_positivity():
 def test_airy_kernel_against_direct_quadrature():
     lam, w = composite_gl(0.0, 40.0, 192, panel_size=12)
     direct = np.sum(w * scipy.special.airy(0.3 + lam)[0] * scipy.special.airy(-0.5 + lam)[0])
-    got = airy_kernel_matrix(np.array([0.3]), np.array([-0.5]), n=96)[0, 0]
+    got = airy_kernel_matrix(np.array([0.3]), np.array([-0.5]))[0, 0]
     assert got == pytest.approx(direct, rel=1e-9)
+
+
+def test_airy_prime_against_scipy():
+    s = np.linspace(-10.0, 50.0, 1201)
+    ref = scipy.special.airy(s)[1]
+    assert np.max(np.abs(_airy(s, prime=True) - ref)) < 1e-12
+
+
+def test_airy_kernel_at_coincident_off_diagonal_points():
+    # a_i == b_j off the diagonal takes the limit form Ai'(a)^2 - a Ai(a)^2
+    a, b = np.array([0.3, -0.5]), np.array([-0.5, 0.3])
+    lam, w = composite_gl(0.0, 40.0, 192, panel_size=12)
+    ai = {x: scipy.special.airy(x + lam)[0] for x in (0.3, -0.5)}
+    direct = np.array([[np.sum(w * ai[x] * ai[y]) for y in b] for x in a])
+    got = airy_kernel_matrix(a, b)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - direct)) < 1e-9

@@ -11,6 +11,7 @@ import pytest
 
 from growthdist.errors import BudgetError
 from growthdist.oracle import (
+    _row_keys,
     dp_exact_prob,
     nabla_pow,
     nabla_w,
@@ -150,6 +151,25 @@ def test_dp_transposition_symmetry():
     a = dp_exact_prob(ModelParams(q=0.4, m=(1, 3), n=(1, 2), a=(2, 4)))
     b = dp_exact_prob(ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4)))
     assert a == pytest.approx(b, abs=1e-14)
+
+
+def test_dp_value_is_pinned():
+    # recorded by the earlier dictionary-of-states DP
+    mp = ModelParams(q=0.4901, m=(4, 8), n=(3, 5), a=(6, 11))
+    assert dp_exact_prob(mp) == pytest.approx(0.011606711549096003, rel=1e-14, abs=0)
+
+
+def test_row_keys_are_exact_past_int64():
+    # 41 columns of radix 3 need 3**41 > 2**63 key values
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 3, size=(400, 41))
+    rows[200:] = rows[rng.integers(0, 200, size=200)]
+    rows[::7, 0] = rng.integers(0, 3, size=len(rows[::7]))
+    _, want = np.unique(rows, axis=0, return_inverse=True)
+    keys = _row_keys(rows, 3)
+    same_rows = want[:, None] == want[None, :]
+    same_keys = keys[:, None] == keys[None, :]
+    assert np.array_equal(same_rows, same_keys)
 
 
 def test_dp_state_budget():
