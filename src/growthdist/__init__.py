@@ -19,9 +19,9 @@ from .asymptotic import (
     tracy_widom,
 )
 from .errors import BudgetError, ConvergenceError, SchemaError
-from .exact import ExactResult, det_theta, multipoint_prob_exact, single_point_prob
+from .exact import ExactResult, det_theta, multipoint_prob_exact
 from .growth import MCResult, mc_multipoint, sample_weights
-from .oracle import dp_exact_prob, schutz_determinant, truncated_sum_prob
+from .oracle import dp_exact_prob, truncated_sum_prob
 from .params import (
     KPZParams,
     LimitParams,
@@ -30,7 +30,6 @@ from .params import (
     compute_constants,
     discretize,
     instance_digest,
-    nu_scale,
     parse_instance,
 )
 
@@ -60,11 +59,8 @@ __all__ = [
     "mc_multipoint",
     "multipoint_prob_exact",
     "multitime_cdf",
-    "nu_scale",
     "parse_instance",
     "sample_weights",
-    "schutz_determinant",
-    "single_point_prob",
     "tracy_widom",
     "truncated_sum_prob",
     "__version__",

@@ -70,16 +70,7 @@ from .integrands import (
     log_script_g,
     vline,
 )
-from .linalg import (
-    _THETA_NODES,
-    NystromGrid,
-    _check_deadline,
-    _det_sum,
-    _refine,
-    _theta_integral,
-    block_grid,
-    lu_det,
-)
+from .linalg import NystromGrid, _check_deadline, _det_at, _refine, block_grid, lu_det
 from .params import (
     LimitParams,
     admissible_eps,
@@ -113,6 +104,8 @@ _NODES_PER_RADIAN = 3.4 / (2.0 * math.pi)
 _MAX_LINE_NODES = 6000
 _INTERIOR_VMAX = 2.0      # oscillation allowance for lines with no u/v factor
 _AIRY_ARG_FLOOR = -58.0   # deepest Airy argument the evaluator certifies
+_LAM_MAX = 40.0           # widest decay-variable window of the Airy-operator form
+_LAM_NODES = 160          # Gauss-Legendre nodes on that window
 
 
 @dataclass(frozen=True)
@@ -144,8 +137,6 @@ class LimitSettings:
     mu: float | None = None
     tol: float = 2e-6
     max_levels: int = 2
-    lam_max: float = 40.0
-    lam_nodes: int = 160
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -246,10 +237,10 @@ def _vmax_bucket(arr: np.ndarray) -> float:
 
 
 class _Job(NamedTuple):
-    """One family chain: its links, the key of its column coordinates, its sign."""
+    """One family chain: its links, its ``(last line, column coordinates)`` key, its sign."""
 
     links: tuple
-    vkey: object
+    cols: tuple
     sign: float
 
 
@@ -270,8 +261,9 @@ class _LimitKernels:
 
     ``kernels`` evaluates many families at once: their chains are walked
     together (``integrands._walk_chains``), so each line coupling, row and
-    column factor and chain prefix is formed once and shared, a coupling is
-    dropped after its last use, and nothing grid-sized outlives the call.
+    column factor and chain prefix is formed once and shared, a coupling or
+    column factor is dropped after its last use, and nothing grid-sized
+    outlives the call.
     """
 
     def __init__(self, inst: LimitParams, settings: LimitSettings):
@@ -426,8 +418,9 @@ class _LimitKernels:
         """Family matrices for ``requests`` of ``(family, kw, ukey, vkey)``.
 
         ``coords[ukey]`` and ``coords[vkey]`` are the row and column
-        coordinates; every matrix is conjugated by ``exp(mu (v - u))``.  A
-        column factor is dropped after the last chain that ends on it.
+        coordinates; every matrix is conjugated by ``exp(mu (v - u))`` once
+        the walk is done, each in turn, so a conjugated and an unconjugated
+        copy of all of them never coexist.
         """
         jobs = []
         for family, kw, ukey, vkey in requests:
@@ -439,35 +432,23 @@ class _LimitKernels:
             links = ((lines[0], ukey),) + tuple(
                 (line, i < len(lines) - 2) for i, line in enumerate(lines[1:])
             )
-            jobs.append(_Job(links, vkey, sign))
-        ends: dict = {}
-        for job in dict.fromkeys(jobs):
-            key = (job.links[-1][0], job.vkey)
-            ends[key] = ends.get(key, 0) + 1
-        cols: dict = {}
-
-        def finish(job: _Job, prefix: np.ndarray) -> np.ndarray:
-            key = (job.links[-1][0], job.vkey)
-            if key not in cols:
-                nodes, wf = self._lines[key[0]]
-                cols[key] = np.exp(np.outer(nodes, coords[job.vkey])) * wf[:, None]
-            mat = prefix @ cols[key]
-            ends[key] -= 1
-            if not ends[key]:
-                del cols[key]
-            u, v = coords[job.links[0][1]], coords[job.vkey]
-            return (job.sign * mat) * np.exp(self.mu * (v[None, :] - u[:, None]))
+            jobs.append(_Job(links, (lines[-1], vkey), sign))
 
         def rows(link: tuple) -> np.ndarray:
             nodes, wf = self._lines[link[0]]
             return np.exp(-np.outer(coords[link[1]], nodes)) * wf[None, :]
 
+        def cols(key: tuple) -> np.ndarray:
+            nodes, wf = self._lines[key[0]]
+            return np.exp(np.outer(nodes, coords[key[1]])) * wf[:, None]
+
         values = _walk_chains(
-            jobs, contour=lambda link: link[0],
-            nodes=lambda link: self._lines[link[0]][0], rows=rows,
-            scale=lambda link: self._lines[link[0]][1] if link[1] else None,
-            finish=finish,
+            jobs, nodes=lambda key: self._lines[key][0], rows=rows,
+            scale=lambda link: self._lines[link[0]][1] if link[1] else None, cols=cols,
         )
+        for job, mat in values.items():
+            u, v = coords[job.links[0][1]], coords[job.cols[1]]
+            values[job] = mat * np.exp(self.mu * (v[None, :] - u[:, None]))
         return [values[job] for job in jobs]
 
 
@@ -491,52 +472,30 @@ def _eps_window(eps: Sequence[int], k1: int, k2: int, p: int) -> tuple[int, ...]
     return tuple(eps[k - 1] for k in range(k1 + 1, k2))
 
 
-def _resolve_family(
-    family: int, indices: dict, r: int, s: int, p: int, apply_indicator: bool
-) -> dict | None:
-    """Map raw indices to builder keyword arguments.
-
-    Returns ``None`` when the family's indicator vanishes (only in
-    indicator mode); raises ``ValueError`` when the requested increment
-    triples are not well-formed.
-    """
+def _resolve_family(family: int, indices: dict, r: int, s: int, p: int) -> dict:
+    """Map time indices ``r``, ``s`` and the raw inner indices to builder
+    keyword arguments; raises ``ValueError`` when the requested increment
+    triples are not well-formed."""
     idx = dict(indices or {})
-    if apply_indicator:
-        if not (1 <= r <= p and 1 <= s <= p):
-            raise ValueError(f"block indices must lie in 1..{p}")
-        rtop, sbot = min(r, p - 1), min(s, p - 1)
-    else:
-        rtop, sbot = r, s
     if family == 1:
-        if apply_indicator:
-            if r != p:
-                return None
-        else:
-            sbot = s
-        if not 0 <= sbot < p:
+        if not 0 <= s < p:
             raise ValueError("family 1 needs 0 <= s < p")
-        return {"sbot": sbot}
+        return {"sbot": s}
     if family == 2:
         (k,) = _need(idx, 2, "k")
-        if apply_indicator and not (s < k < rtop):
-            return None
-        if not (0 <= sbot < k < rtop <= p):
+        if not (0 <= s < k < r <= p):
             raise ValueError("family 2 needs s < k < r")
-        return {"k": k, "rtop": rtop, "sbot": sbot}
+        return {"k": k, "rtop": r, "sbot": s}
     if family == 3:
         (k,) = _need(idx, 3, "k")
-        if apply_indicator and not (r == p and s < k < p):
-            return None
-        if not (0 <= sbot < k < p):
+        if not (0 <= s < k < p):
             raise ValueError("family 3 needs s < k < p")
-        return {"k": k, "sbot": sbot}
+        return {"k": k, "sbot": s}
     if family == 4:
         k1, k2 = _need(idx, 4, "k1", "k2")
-        if apply_indicator and not (k1 < rtop and s < k2 < k1):
-            return None
-        if not (0 <= sbot < k2 < k1 < rtop <= p):
+        if not (0 <= s < k2 < k1 < r <= p):
             raise ValueError("family 4 needs s < k2 < k1 < r")
-        return {"k1": k1, "rtop": rtop, "k2": k2, "sbot": sbot}
+        return {"k1": k1, "rtop": r, "k2": k2, "sbot": s}
     if family in (5, 6, 7):
         k1, k2 = _need(idx, family, "k1", "k2")
         eps = idx.get("eps")
@@ -546,23 +505,17 @@ def _resolve_family(
             raise ValueError("need 0 <= k1 < k2 <= p")
         epsw = _eps_window(eps, k1, k2, p)
         if family == 5:
-            if apply_indicator and not (k1 < rtop and s == k2 < p):
-                return None
-            if not k1 < rtop <= p:
+            if not k1 < r <= p:
                 raise ValueError("family 5 needs k1 < r")
-            return {"k1": k1, "k2": k2, "epsw": epsw, "rtop": rtop}
+            return {"k1": k1, "k2": k2, "epsw": epsw, "rtop": r}
         if family == 6:
-            if apply_indicator and not (k1 < rtop and sbot < k2):
-                return None
-            if not (k1 < rtop <= p and 0 <= sbot < k2):
+            if not (k1 < r <= p and 0 <= s < k2):
                 raise ValueError("family 6 needs k1 < r and s < k2")
-            return {"k1": k1, "k2": k2, "epsw": epsw, "rtop": rtop, "sbot": sbot}
+            return {"k1": k1, "k2": k2, "epsw": epsw, "rtop": r, "sbot": s}
         (k3,) = _need(idx, 7, "k3")
-        if apply_indicator and not (k1 < rtop and s < k3 < k2):
-            return None
-        if not (k1 < rtop <= p and 0 <= sbot < k3 < k2):
+        if not (k1 < r <= p and 0 <= s < k3 < k2):
             raise ValueError("family 7 needs k1 < r and s < k3 < k2")
-        return {"k1": k1, "k2": k2, "k3": k3, "epsw": epsw, "rtop": rtop, "sbot": sbot}
+        return {"k1": k1, "k2": k2, "k3": k3, "epsw": epsw, "rtop": r, "sbot": s}
     raise ValueError(f"family must lie in 1..7, got {family}")
 
 
@@ -576,31 +529,23 @@ def eval_basic_kernel(
     instance: LimitParams,
     *,
     settings: LimitSettings | None = None,
-    apply_indicator: bool = True,
 ):
     """One basic kernel family evaluated by iterated line contours.
 
     ``indices`` supplies the family's inner indices (``k``, ``k1``, ``k2``,
-    ``k3``, full ``eps``).  With ``apply_indicator=True`` (default), ``r``
-    and ``s`` are block labels in ``1..p``: the family's indicator is
-    applied (returning exact zero where it vanishes) and the extreme time
-    indices are clamped to ``min(., p-1)`` as the families prescribe.
-    With ``apply_indicator=False``, ``r`` and ``s`` are used verbatim as
-    time indices, which exposes every family shape at any ``p`` for
-    cross-checks.  ``u``/``v`` may be scalars or 1-d arrays; the block
-    convention places ``u < 0`` for blocks below ``p`` and ``u > 0`` on
-    block ``p``.
+    ``k3``, full ``eps``); ``r`` and ``s`` are the time indices of the
+    family's first and last increment, used verbatim, which exposes every
+    family shape at any ``p`` for cross-checks (``_block_terms`` applies the
+    indicators and the clamping ``min(., p-1)`` of the assembled kernel).
+    ``u``/``v`` may be scalars or 1-d arrays; the block convention places
+    ``u < 0`` for blocks below ``p`` and ``u > 0`` on block ``p``.
     """
     inst = instance
-    settings = settings or LimitSettings()
     uarr = np.atleast_1d(np.asarray(u, dtype=float))
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    kw = _resolve_family(family, indices or {}, r, s, inst.p, apply_indicator)
-    if kw is None:
-        mat = np.zeros((len(uarr), len(varr)), dtype=complex)
-    else:
-        kern = _LimitKernels(inst, settings)
-        mat = kern.kernels([(family, kw, "u", "v")], {"u": uarr, "v": varr})[0]
+    kw = _resolve_family(family, indices or {}, r, s, inst.p)
+    kern = _LimitKernels(inst, settings or LimitSettings())
+    mat = kern.kernels([(family, kw, "u", "v")], {"u": uarr, "v": varr})[0]
     if np.isscalar(u) and np.isscalar(v):
         return complex(mat[0, 0])
     return mat
@@ -708,9 +653,7 @@ def _airy_factors(
     return factors, -sign
 
 
-def _chain_lam_max(
-    factors: list[_AiryFac], u: np.ndarray, v: np.ndarray, lam_max: float
-) -> float:
+def _chain_lam_max(factors: list[_AiryFac], u: np.ndarray, v: np.ndarray) -> float:
     """Largest lambda cutoff keeping every Airy argument certified.
 
     The chain integrand decays superexponentially in each lambda through
@@ -718,7 +661,7 @@ def _chain_lam_max(
     oscillatory factors costs only ``Ai(cutoff)``-sized truncation error.
     """
     m = len(factors) - 1
-    for cap in (lam_max, 32.0, 26.0, 22.0, 18.0):
+    for cap in (_LAM_MAX, 32.0, 26.0, 22.0, 18.0):
         ok = True
         for i, fac in enumerate(factors):
             left = (float(np.min(u)), float(np.max(u))) if i == 0 else (0.0, cap)
@@ -748,38 +691,32 @@ def airy_form_kernel(
     instance: LimitParams,
     *,
     settings: LimitSettings | None = None,
-    apply_indicator: bool = True,
 ):
     """Airy-operator form of a basic kernel family (independent oracle).
 
     Expands every Cauchy coupling of the family as a real integral over a
     decay variable and evaluates the resulting chain of shifted Airy
-    transforms by Gauss-Legendre quadrature on ``[0, lam_max]``.  Index
-    handling (indicators, clamping, bare mode) matches
-    :func:`eval_basic_kernel`; agreement between the two paths validates
-    both the contour layout and the coupling signs.
+    transforms by Gauss-Legendre quadrature on ``[0, _LAM_MAX]``.  Indices
+    mean what they mean in :func:`eval_basic_kernel`; agreement between the
+    two paths validates both the contour layout and the coupling signs.
     """
     inst = instance
-    settings = settings or LimitSettings()
     uarr = np.atleast_1d(np.asarray(u, dtype=float))
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    kw = _resolve_family(family, indices or {}, r, s, inst.p, apply_indicator)
-    if kw is None:
-        mat = np.zeros((len(uarr), len(varr)), dtype=complex)
-    else:
-        kern = _LimitKernels(inst, settings)
-        factors, sign = _airy_factors(family, kw, kern.trip, inst.p)
-        cap = _chain_lam_max(factors, uarr, varr, settings.lam_max)
-        lam, lw = composite_gl(0.0, cap, settings.lam_nodes, panel_size=12)
-        grids = [uarr] + [lam] * (len(factors) - 1) + [varr]
-        mat = None
-        for i, fac in enumerate(factors):
-            a, b = grids[i], grids[i + 1]
-            block = _airy_transform(fac.trip, fac.reflect, fac.cl * a[:, None] + fac.cr * b[None, :])
-            if i < len(factors) - 1:
-                block = block * lw[None, :]
-            mat = block if mat is None else mat @ block
-        mat = sign * mat * np.exp(kern.mu * (varr[None, :] - uarr[:, None]))
+    kw = _resolve_family(family, indices or {}, r, s, inst.p)
+    kern = _LimitKernels(inst, settings or LimitSettings())
+    factors, sign = _airy_factors(family, kw, kern.trip, inst.p)
+    cap = _chain_lam_max(factors, uarr, varr)
+    lam, lw = composite_gl(0.0, cap, _LAM_NODES, panel_size=12)
+    grids = [uarr] + [lam] * (len(factors) - 1) + [varr]
+    mat = None
+    for i, fac in enumerate(factors):
+        a, b = grids[i], grids[i + 1]
+        block = _airy_transform(fac.trip, fac.reflect, fac.cl * a[:, None] + fac.cr * b[None, :])
+        if i < len(factors) - 1:
+            block = block * lw[None, :]
+        mat = block if mat is None else mat @ block
+    mat = sign * mat * np.exp(kern.mu * (varr[None, :] - uarr[:, None]))
     if np.isscalar(u) and np.isscalar(v):
         return complex(mat[0, 0])
     return mat
@@ -969,13 +906,12 @@ def fredholm_det_F(
     """``det(I + F(theta))`` on the direct-sum space via Nystrom quadrature."""
     inst = instance
     settings = settings or LimitSettings()
-    th = tuple(np.array([complex(z)]) for z in np.atleast_1d(theta))
-    if len(th) != inst.p - 1:
+    theta = np.atleast_1d(theta)
+    if len(theta) != inst.p - 1:
         raise SchemaError(f"theta must have length {inst.p - 1}")
     if grid is None:
         grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    terms = _limit_terms(_LimitKernels(inst, settings), grid)
-    return _det_sum(len(grid), terms, th, np.ones(1), 1, None)
+    return _det_at(len(grid), _limit_terms(_LimitKernels(inst, settings), grid), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,10 +941,11 @@ def multitime_cdf(
 
     Integrates ``det(I + F(theta)) / prod (theta_k - 1)`` over the product
     of theta circles.  Level ``l`` has ``settings.block_nodes * 2**l``
-    Nystrom nodes per block and ``8 * 2**l`` theta nodes per circle (exact
-    for Laurent degrees in ``[-4 * 2**l, 4 * 2**l)``); levels double, at
-    most ``settings.max_levels`` times, until two successive levels agree
-    within ``settings.tol``; raises ``ConvergenceError`` otherwise.
+    Nystrom nodes per block and the engine's theta rule, ``8 * 2**l`` nodes
+    per circle (exact for Laurent degrees in ``[-4 * 2**l, 4 * 2**l)``);
+    levels double, at most ``settings.max_levels`` times, until two
+    successive levels agree within ``settings.tol``; raises
+    ``ConvergenceError`` otherwise.
     """
     start = time.perf_counter()
     inst = instance
@@ -1018,20 +955,17 @@ def multitime_cdf(
     def grid_at(level: int) -> NystromGrid:
         return block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level)
 
-    def evaluate(level: int) -> complex:
+    def terms_at(level: int) -> tuple[int, list]:
         grid = grid_at(level)
-        terms = _limit_terms(kern, grid, deadline)
-        return _theta_integral(
-            len(grid), terms, inst.p, settings.theta_radius,
-            _THETA_NODES * 2 ** level, deadline,
-        )
+        return len(grid), _limit_terms(kern, grid, deadline)
 
-    value, _, level = _refine(evaluate, settings.tol, settings.max_levels, deadline)
+    value, _, level, n_theta = _refine(
+        terms_at, inst.p, settings.theta_radius, settings.tol, settings.max_levels, deadline,
+    )
     return AsymptoticResult(
         value=float(value.real),
         imag_part=float(value.imag),
-        # per circle; p = 1 has no circle
-        theta_nodes=_THETA_NODES * 2 ** level if inst.p > 1 else 0,
+        theta_nodes=n_theta,  # per circle; p = 1 has no circle
         grid_nodes=len(grid_at(level)),
         levels=level,
         converged=True,

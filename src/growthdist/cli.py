@@ -198,7 +198,6 @@ def _cmd_exact(args) -> int:
     res = multipoint_prob_exact(
         params,
         mu=args.mu,
-        nu=args.nu,
         tol=args.tol,
         base_nodes=args.base_nodes,
         max_levels=args.max_levels,
@@ -356,8 +355,8 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     )
 
     inst = LimitParams(t=(1.0, 2.0), x=(0.1, -0.2), xi=(0.3, 0.5))
-    c1 = eval_basic_kernel(2, {"k": 1}, 2, -0.7, 0, -0.4, inst, apply_indicator=False)
-    c2 = airy_form_kernel(2, {"k": 1}, 2, -0.7, 0, -0.4, inst, apply_indicator=False)
+    c1 = eval_basic_kernel(2, {"k": 1}, 2, -0.7, 0, -0.4, inst)
+    c2 = airy_form_kernel(2, {"k": 1}, 2, -0.7, 0, -0.4, inst)
     add("contour vs Airy form (two-line family)", abs(c1 - c2), 1e-6)
 
     p1 = LimitParams(t=(1.0,), x=(0.0,), xi=(0.1,))
@@ -447,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exa = sub.add_parser("exact", parents=[common], help="finite-size contour formula")
     exa.add_argument("--mu", type=float, default=0.0, help="conjugation exponent")
-    exa.add_argument("--nu", type=float, default=None, help="embedding scale override")
     exa.add_argument("--base-nodes", type=int, default=64, help="initial contour nodes")
     exa.add_argument(
         "--max-levels", type=int, default=7,

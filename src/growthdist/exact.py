@@ -23,13 +23,12 @@ out of circular contour integrals of ratios of the normalized factor
 
 Every piece is weighted by Laurent monomials in ``theta`` attached to its
 row block, and the whole matrix is conjugated by ``exp(mu (n(i)-i)/nu)``
-(a similarity, so the determinant is invariant in exact arithmetic — a
-useful self-test).  The theta integral is evaluated by the trapezoidal
-rule, which is exact once the determinant has no Laurent degree outside
-``[-n_theta/2, n_theta/2)``.  ``_terms`` turns the pieces into the weighted
-bases of the theta-determinant engine in ``linalg``, which sums them, takes
-the determinant, integrates over theta and refines: level ``l`` has
-``base_nodes * 2**l`` contour nodes and ``n_theta = 8 * 2**l``.
+with ``nu`` the fluctuation scale (a similarity, so the determinant is
+invariant in exact arithmetic — a useful self-test).  ``_terms`` turns the
+pieces into the weighted bases of the theta-determinant engine in
+``linalg``, which sums them, takes the determinant, integrates over theta
+with its trapezoidal rule and refines; level ``l`` has ``base_nodes *
+2**l`` contour nodes.
 
 Per level, every piece but ``B`` is a chain: row factors on a first circle,
 Cauchy couplings ``1/(a - b)`` between successive circles scaled by node
@@ -38,8 +37,9 @@ their circles, so a level is assembled from distinct parts: each row,
 column and node factor and each ordered-circle Cauchy matrix is formed once,
 each shared chain prefix is multiplied once, and all chains are walked
 together link by link (``_Assembler.chain_values``).  Memory rule: a Cauchy
-matrix (``nn x nn``, the only large piece) lives from its first use to its
-last within the walk, and nothing built for a level survives it.
+matrix (``nn x nn``, the only large piece) or a column factor lives from its
+first use to its last within the walk, and nothing built for a level
+survives it.
 
 Numerical design: all circle radii approach the critical point ``w_c``
 (respectively ``sqrt(q)`` for circles around 1) at the natural fluctuation
@@ -47,8 +47,9 @@ scale ``c4 / nu`` of the instance, which keeps integrand magnitudes of
 order one near the dominant arc; node counts double until the value is
 stable to the requested tolerance.
 
-The single-point case ``p = 1`` has its own two-contour kernel
-(``single_point_prob``), refined by the same engine.
+The single-point case ``p = 1`` has no theta integral: its two-contour
+kernel (``_single_point_terms``) is one engine term, and the engine
+refines its single determinant ``det(I + K)`` like any other.
 """
 
 from __future__ import annotations
@@ -57,12 +58,17 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .integrands import Contour, _walk_chains, circle, log_g
-from .linalg import _THETA_NODES, _det_sum, _refine, _theta_integral, lu_det
+from .linalg import _det_at, _refine
+# Unused here since the engine takes every determinant, but kept importable:
+# a tracer that wraps ``lu_det`` in every module namespace holding it
+# (``perfbench/tracing.py``) checks that it restores this name too.
+from .linalg import lu_det
 from .params import (
     ModelParams,
     admissible_eps,
@@ -72,7 +78,7 @@ from .params import (
     theta_profile,
 )
 
-__all__ = ["ExactResult", "det_theta", "multipoint_prob_exact", "single_point_prob"]
+__all__ = ["ExactResult", "det_theta", "multipoint_prob_exact"]
 
 
 @dataclass(frozen=True)
@@ -105,25 +111,25 @@ class _Link(NamedTuple):
 
 
 class _Chain(NamedTuple):
-    """An iterated contour integral ``rows @ couplings @ columns / (sign * w_c)``.
+    """An iterated contour integral ``rows @ couplings @ columns / sign``.
 
-    The column factors belong to corner ``k2`` on the last link's circle:
-    ``zeta_2``, or the last circle around 1 when it carries the column index.
+    ``cols`` is ``(k2, circle)``: the column factors of corner ``k2`` on the
+    last link's circle, ``zeta_2`` or the last circle around 1 when it
+    carries the column index.  ``sign`` is ``+-w_c``.
     """
 
     links: tuple[_Link, ...]
-    k2: int
+    cols: tuple
     sign: float
 
 
-def _check_controls(mu: float, nu: float | None, radius_scale: float,
+def _check_controls(mu: float, radius_scale: float,
                     theta_radius: float | None = None) -> None:
     """Reject contour and conjugation controls that no contour layout realizes."""
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
-    for name, value in (("nu", nu), ("radius_scale", radius_scale)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(radius_scale) and radius_scale > 0):
+        raise ValueError(f"radius_scale must be finite and positive, got {radius_scale}")
     if theta_radius is not None and not (math.isfinite(theta_radius) and theta_radius > 1):
         raise ValueError(f"theta_radius must be finite and exceed 1, got {theta_radius}")
 
@@ -137,8 +143,7 @@ class _Assembler:
     once and drops each coupling after its last use.
     """
 
-    def __init__(self, params: ModelParams, mu: float, nu: float | None,
-                 radius_scale: float):
+    def __init__(self, params: ModelParams, mu: float, radius_scale: float):
         self.q = params.q
         self.p = params.p
         self.N = params.n[-1]
@@ -160,11 +165,11 @@ class _Assembler:
         self.d_one = min(dz, (self.sq - self.q) / (0.8 + 0.7 * self.p))
         self.tau1 = self.wc - 0.8 * self.d_zeta
         self.tau2 = self.wc - 1.6 * self.d_zeta
-        # conjugation (similarity) weights; nu defaults to the fluctuation scale
+        # conjugation (similarity) weights at the fluctuation scale
         d = np.ones(self.N)
         if mu != 0.0:
             n_of_i = np.array([self.prof[r][0] for r in self.row_block])
-            d = np.exp(mu * (n_of_i - idx) / (nu_eff if nu is None else nu))
+            d = np.exp(mu * (n_of_i - idx) / nu_eff)
         self.conj = np.outer(d, 1.0 / d)
 
     # -- contours ---------------------------------------------------------
@@ -275,35 +280,31 @@ class _Assembler:
         )
         if not last_carries_column:
             links += (_Link("zeta2", None),)
-        return _Chain(links, k2, -1.0)
+        return _Chain(links, (k2, links[-1].circle), -1.0 * self.wc)
 
     def lp_chain(self) -> _Chain:
         """Row-block-p piece: one circle around 1 into one around 0."""
-        return _Chain((_Link(0, None), _Link("zeta2", None)), self.p, 1.0)
+        return _Chain((_Link(0, None), _Link("zeta2", None)), (self.p, "zeta2"), self.wc)
 
     def lk_chain(self, k: int) -> _Chain:
         """Double 0-circle piece with reference corner ``k``."""
-        return _Chain((_Link("zeta1", k), _Link("zeta2", None)), k, 1.0)
+        return _Chain((_Link("zeta1", k), _Link("zeta2", None)), (k, "zeta2"), self.wc)
 
     def chain_values(self, chains: Sequence[_Chain], nn: int) -> dict[_Chain, np.ndarray]:
         """``{chain: N x N value}`` at ``nn`` nodes per circle, from shared pieces.
 
         ``integrands._walk_chains`` forms each ordered-circle Cauchy matrix
-        once, multiplies each shared prefix once and drops every coupling
-        after its last use; the row, column and node factors are formed once.
+        and each column factor once, multiplies each shared prefix once and
+        drops every coupling and column factor after its last use; the row
+        and node factors are formed once.
         """
         contours: dict = {}
-        factors: dict = {}
+        node_factors: dict = {}
 
         def contour(key) -> Contour:
             if key not in contours:
                 contours[key] = self._contour(key, nn)
             return contours[key]
-
-        def cached(key, make) -> np.ndarray:
-            if key not in factors:
-                factors[key] = make()
-            return factors[key]
 
         def rows(link: _Link) -> np.ndarray:
             if link.circle == "zeta1":
@@ -313,21 +314,19 @@ class _Assembler:
         def scale(link: _Link) -> np.ndarray | None:
             if link.factors is None:
                 return None
-            k, absorb, with_g = link.factors
-            return cached(("nodes", link),
-                          lambda: self._z_diag(k, contour(link.circle), absorb, with_g))
+            if link not in node_factors:
+                k, absorb, with_g = link.factors
+                node_factors[link] = self._z_diag(k, contour(link.circle), absorb, with_g)
+            return node_factors[link]
 
-        def finish(chain: _Chain, prefix: np.ndarray) -> np.ndarray:
-            last = chain.links[-1].circle
-            cols = cached(("cols", chain.k2, last), lambda: (
-                self._cols_to_zeta2(chain.k2, contour(last)) if last == "zeta2"
-                else self._cols_on_one(chain.k2, contour(last))))
-            return (prefix @ cols) / (chain.sign * self.wc)
+        def cols(key) -> np.ndarray:
+            k2, last = key
+            if last == "zeta2":
+                return self._cols_to_zeta2(k2, contour(last))
+            return self._cols_on_one(k2, contour(last))
 
         return _walk_chains(
-            chains, contour=lambda link: link.circle,
-            nodes=lambda link: contour(link.circle).nodes,
-            rows=rows, scale=scale, finish=finish,
+            chains, nodes=lambda key: contour(key).nodes, rows=rows, scale=scale, cols=cols,
         )
 
     def build_b_block(self, rstar: int, s: int, nn: int) -> np.ndarray:
@@ -438,37 +437,64 @@ def _terms(asm: _Assembler, nn: int) -> list:
     return terms
 
 
+def _single_point_terms(params: ModelParams, radius_scale: float):
+    """Engine terms of the p = 1 two-contour kernel, as ``nn -> terms``.
+
+    ``K = rows @ couplings @ columns / w_c`` runs from a circle around 1
+    into a circle around 0, both at the fluctuation scale of the instance;
+    ``P(G(m, n) < a) = det(I + K)`` is the one term ``(all, all, K, [1])``.
+    """
+    m, n, a = params.m[0], params.n[0], params.a[0]
+    q = params.q
+    consts = compute_constants(q)
+    wc, sq = consts.w_c, math.sqrt(q)
+    nu_eff = consts.c0 * n ** (1.0 / 3.0)
+    dz = consts.c4 / nu_eff * radius_scale
+    tau = wc - 0.8 * min(dz, wc / 8.0)
+    radius = sq - 0.4 * min(dz, (sq - q) / 2.0)
+    ivals = np.arange(1, n + 1)
+    every = slice(0, n)
+
+    def terms(nn: int) -> list:
+        cone = circle(1.0, radius, nn)
+        czero = circle(0.0, tau, nn)
+        rows = np.exp(log_g(cone.nodes, n - ivals, m, a - 1, q))
+        rows *= cone.weights[None, :]
+        cols = np.exp(-log_g(czero.nodes, n - ivals + 1, m, a - 1, q)).T
+        coup = czero.weights[None, :] / (cone.nodes[:, None] - czero.nodes[None, :])
+        return [(every, every, (rows @ coup @ cols) / wc, [lambda th: 1.0])]
+
+    return terms
+
+
 def det_theta(
     params: ModelParams,
     thetas: Sequence[complex],
     *,
     mu: float = 0.0,
-    nu: float | None = None,
     nodes: int = 256,
     radius_scale: float = 1.0,
 ) -> complex:
     """``det(I + A(theta) + B(theta))`` at a single ``theta`` point.
 
-    ``mu``/``nu`` set the similarity conjugation and ``radius_scale``
-    perturbs the contour radii within their admissible windows; the
-    determinant is invariant under both in exact arithmetic, which makes
-    this the natural entry point for invariance certificates.
+    ``mu`` sets the similarity conjugation and ``radius_scale`` perturbs
+    the contour radii within their admissible windows; the determinant is
+    invariant under both in exact arithmetic, which makes this the natural
+    entry point for invariance certificates.
     """
     if params.p < 2:
-        raise ValueError("det_theta needs p >= 2 (use single_point_prob)")
+        raise ValueError("det_theta needs p >= 2 (p = 1 has no theta)")
     if len(thetas) != params.p - 1:
         raise ValueError(f"expected {params.p - 1} theta components")
-    _check_controls(mu, nu, radius_scale)
-    asm = _Assembler(params, mu, nu, radius_scale)
-    node = tuple(np.array([complex(th)]) for th in thetas)
-    return _det_sum(asm.N, _terms(asm, nodes), node, np.ones(1), 1, None)
+    _check_controls(mu, radius_scale)
+    asm = _Assembler(params, mu, radius_scale)
+    return _det_at(asm.N, _terms(asm, nodes), thetas)
 
 
 def multipoint_prob_exact(
     params: ModelParams,
     *,
     mu: float = 0.0,
-    nu: float | None = None,
     tol: float = 1e-9,
     base_nodes: int = 64,
     max_levels: int = 7,
@@ -478,80 +504,30 @@ def multipoint_prob_exact(
 ) -> ExactResult:
     """Evaluate ``P(G(m_k, n_k) < a_k for all k)`` by contour quadrature.
 
-    Contour node counts start at ``base_nodes`` and theta nodes at 8; both
-    double, at most ``max_levels`` times, until two successive evaluations
-    agree within ``tol`` (``ConvergenceError`` otherwise).  ``mu``/``nu``
-    control the similarity conjugation (the value is invariant);
-    ``theta_radius`` (> 1) and ``radius_scale`` perturb contours without
-    changing the value.  ``deadline`` is a ``time.monotonic()`` stamp after
-    which ``BudgetError`` is raised.
+    Contour node counts start at ``base_nodes`` and theta nodes at 8 (none
+    at ``p = 1``); both double, at most ``max_levels`` times, until two
+    successive evaluations agree within ``tol`` (``ConvergenceError``
+    otherwise).  ``mu`` controls the similarity conjugation (the value is
+    invariant); ``theta_radius`` (> 1) and ``radius_scale`` perturb
+    contours without changing the value.  ``deadline`` is a
+    ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
     """
     start = time.perf_counter()
     if base_nodes < 1:
         raise ValueError(f"base_nodes must be at least 1, got {base_nodes}")
-    _check_controls(mu, nu, radius_scale, theta_radius)
+    _check_controls(mu, radius_scale, theta_radius)
     if any(ak <= 0 for ak in params.a):
         return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0)
     if params.p == 1:
-        return single_point_prob(
-            params, tol=tol, base_nodes=base_nodes, max_levels=max_levels,
-            radius_scale=radius_scale, deadline=deadline,
-        )
-    asm = _Assembler(params, mu, nu, radius_scale)
-
-    def evaluate(level: int) -> complex:
-        terms = _terms(asm, base_nodes * 2 ** level)
-        return _theta_integral(
-            asm.N, terms, asm.p, theta_radius, _THETA_NODES * 2 ** level, deadline
-        )
-
-    val, delta, level = _refine(evaluate, tol, max_levels, deadline)
+        terms = _single_point_terms(params, radius_scale)
+    else:
+        terms = partial(_terms, _Assembler(params, mu, radius_scale))
+    val, delta, level, n_theta = _refine(
+        lambda level: (params.n[-1], terms(base_nodes * 2 ** level)),
+        params.p, theta_radius, tol, max_levels, deadline,
+    )
     return ExactResult(
         value=float(val.real), imag_part=float(val.imag), delta=float(delta),
-        nodes=base_nodes * 2 ** level, theta_nodes=_THETA_NODES * 2 ** level,
+        nodes=base_nodes * 2 ** level, theta_nodes=n_theta,
         levels=level, converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
-    )
-
-
-def single_point_prob(
-    params: ModelParams,
-    *,
-    tol: float = 1e-9,
-    base_nodes: int = 64,
-    max_levels: int = 7,
-    radius_scale: float = 1.0,
-    deadline: float | None = None,
-) -> ExactResult:
-    """``P(G(m, n) < a)`` via the two-contour kernel determinant (p = 1)."""
-    if params.p != 1:
-        raise ValueError("single_point_prob expects a single corner")
-    start = time.perf_counter()
-    m, n, a = params.m[0], params.n[0], params.a[0]
-    if a <= 0:
-        return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0)
-    q = params.q
-    consts = compute_constants(q)
-    wc, sq = consts.w_c, math.sqrt(q)
-    nu_eff = consts.c0 * n ** (1.0 / 3.0)
-    dz = consts.c4 / nu_eff * radius_scale
-    tau = wc - 0.8 * min(dz, wc / 8.0)
-    radius = sq - 0.4 * min(dz, (sq - q) / 2.0)
-    ivals = np.arange(1, n + 1)
-
-    def evaluate(level: int) -> complex:
-        nn = base_nodes * 2 ** level
-        cone = circle(1.0, radius, nn)
-        czero = circle(0.0, tau, nn)
-        rows = np.exp(log_g(cone.nodes, n - ivals, m, a - 1, q))
-        rows *= cone.weights[None, :]
-        cols = np.exp(-log_g(czero.nodes, n - ivals + 1, m, a - 1, q)).T
-        coup = czero.weights[None, :] / (cone.nodes[:, None] - czero.nodes[None, :])
-        mat = (rows @ coup @ cols) / wc
-        return lu_det(np.eye(n, dtype=complex) + mat)
-
-    det, delta, level = _refine(evaluate, tol, max_levels, deadline)
-    return ExactResult(
-        value=float(det.real), imag_part=float(det.imag), delta=float(delta),
-        nodes=base_nodes * 2 ** level, theta_nodes=0, levels=level,
-        converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
     )

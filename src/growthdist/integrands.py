@@ -47,8 +47,6 @@ __all__ = [
     "composite_gl",
     "circle",
     "vline",
-    "log_gstar",
-    "gstar_at",
     "log_g",
     "log_script_g",
     "airy_ai",
@@ -125,34 +123,47 @@ def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
+def _take(cache: dict, uses: dict, key, make: Callable[[Hashable], np.ndarray]) -> np.ndarray:
+    """``make(key)`` on its first use; kept in ``cache`` until its last of ``uses[key]``."""
+    mat = cache.pop(key, None)
+    if mat is None:
+        mat = make(key)
+    uses[key] -= 1
+    if uses[key]:
+        cache[key] = mat
+    return mat
+
+
 def _walk_chains(
     jobs: Sequence,
-    contour: Callable[[Hashable], Hashable],
     nodes: Callable[[Hashable], np.ndarray],
     rows: Callable[[Hashable], np.ndarray],
     scale: Callable[[Hashable], np.ndarray | None],
-    finish: Callable[[Hashable, np.ndarray], np.ndarray],
+    cols: Callable[[Hashable], np.ndarray],
 ) -> dict:
-    """``{job: finish(job, product)}`` for chains of Cauchy couplings.
+    """``{job: (product @ cols(job.cols)) / job.sign}`` for chains of Cauchy couplings.
 
-    Each job is hashable and has a tuple ``links``.  ``rows(links[0])`` are
-    row factors on ``contour(links[0])``; every further link multiplies by
-    the Cauchy matrix from the previous link's ``nodes`` to its own, then
-    scales the columns by ``scale(link)`` (``None``: no scaling).  A job's
-    value is ``finish(job, product)``, taken as soon as its product exists.
+    Each job is hashable and has a tuple ``links``, a hashable ``cols`` key
+    and a scalar ``sign``; the first entry of every link is the key of its
+    contour.  ``rows(links[0])`` are row factors on the first contour; every
+    further link multiplies by the Cauchy matrix from the previous contour's
+    ``nodes`` to its own, then scales the columns by ``scale(link)``
+    (``None``: no scaling).  A job's value is taken as soon as its product
+    exists.
 
     The jobs are walked together, link by link.  At each depth the distinct
     prefixes are grouped by the ordered pair of contours they cross; each
     pair's Cauchy matrix is formed once, and every distinct prefix that
-    crosses it is multiplied by it once.  A Cauchy matrix is
-    dropped after its last use and a prefix once its extensions and its jobs
-    are done, so besides the current depth's prefixes only the couplings
-    still ahead stay alive.  The walk follows the jobs' order, so reruns
-    compute and sum alike.
+    crosses it is multiplied by it once.  A Cauchy matrix or a column factor
+    is formed on its first use and dropped after its last, and a prefix once
+    its extensions and its jobs are done, so besides the current depth's
+    prefixes only the couplings and column factors still ahead stay alive.
+    The walk follows the jobs' order, so reruns compute and sum alike.
     """
+    jobs = list(dict.fromkeys(jobs))
     steps: list[dict] = []  # steps[d]: the distinct prefixes of d + 2 links
     ends: dict = {}
-    for job in dict.fromkeys(jobs):
+    for job in jobs:
         links = job.links
         ends.setdefault(links, []).append(job)
         for d in range(len(links) - 1):
@@ -161,23 +172,20 @@ def _walk_chains(
             steps[d][links[:d + 2]] = None
 
     def pair(prefix: tuple) -> tuple:
-        return contour(prefix[-2]), contour(prefix[-1])
+        return prefix[-2][0], prefix[-1][0]
 
     uses: dict = {}
     for step in steps:
         for pr in dict.fromkeys(pair(prefix) for prefix in step):
             uses[pr] = uses.get(pr, 0) + 1
+    col_uses: dict = {}
+    for job in jobs:
+        col_uses[job.cols] = col_uses.get(job.cols, 0) + 1
     couplings: dict = {}
+    col_factors: dict = {}
 
-    def coupling(prefix: tuple) -> np.ndarray:
-        pr = pair(prefix)
-        mat = couplings.pop(pr, None)
-        if mat is None:
-            mat = _cauchy(nodes(prefix[-2]), nodes(prefix[-1]))
-        uses[pr] -= 1
-        if uses[pr]:
-            couplings[pr] = mat
-        return mat
+    def cauchy(pr: tuple) -> np.ndarray:
+        return _cauchy(nodes(pr[0]), nodes(pr[1]))
 
     out: dict = {}
 
@@ -185,7 +193,7 @@ def _walk_chains(
         """Take the jobs that end at this depth; keep what the next extends."""
         for prefix, mat in level.items():
             for job in ends.get(prefix, ()):
-                out[job] = finish(job, mat)
+                out[job] = (mat @ _take(col_factors, col_uses, job.cols, cols)) / job.sign
         parents = dict.fromkeys(prefix[:-1] for prefix in step)
         return {prefix: mat for prefix, mat in level.items() if prefix in parents}
 
@@ -200,8 +208,8 @@ def _walk_chains(
             for parent in by_parent:
                 pending[parent] = pending.get(parent, 0) + 1
         nxt = {}
-        for by_parent in groups.values():
-            mat = coupling(next(iter(by_parent.values()))[0])
+        for pr, by_parent in groups.items():
+            mat = _take(couplings, uses, pr, cauchy)
             for parent, prefixes in by_parent.items():
                 part = level[parent] @ mat
                 for prefix in prefixes:

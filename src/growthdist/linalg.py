@@ -7,14 +7,16 @@ with LAPACK partial pivoting.  Results are reproducible across reruns on
 one machine with one BLAS thread count.
 
 The finite-size law (``exact``) and its limit (``asymptotic``) share the
-private theta-determinant engine ``_det_sum`` / ``_theta_integral`` /
-``_refine``.  Its terms ``(rows, cols, base, coefs)`` add
-``sum(c(theta) for c in coefs) * base`` to block ``[rows, cols]``; every
-theta-independent diagonal scaling is folded into ``base`` beforehand.
-The engine evaluates every coefficient once per call on the whole flattened
-theta grid, builds the matrices ``I + sum_j c_j(theta) B_j`` in chunks of
-about ``_DET_BATCH_BYTES`` and takes each chunk's determinants in one
-batched ``lu_det`` call; a single theta point is a one-node grid.
+private theta-determinant engine.  A route only describes its terms
+``(rows, cols, base, coefs)``, which add ``sum(c(theta) for c in coefs) *
+base`` to block ``[rows, cols]`` (every theta-independent diagonal scaling
+folded into ``base``), and how they are built at each refinement level.
+The engine owns the rest: ``_refine`` is the one refinement loop and picks
+the theta rule of each level, ``_theta_integral`` lays out the theta grid,
+and ``_det_sum`` evaluates every coefficient once on the whole flattened
+grid, builds the matrices ``I + sum_j c_j(theta) B_j`` in chunks of about
+``_DET_BATCH_BYTES`` and takes each chunk's determinants in one batched
+``lu_det`` call; ``_det_at`` is the one-node grid of a single theta point.
 """
 
 from __future__ import annotations
@@ -62,9 +64,6 @@ class NystromGrid:
     nodes: np.ndarray
     weights: np.ndarray
     slices: tuple[slice, ...]
-
-    def block(self, r: int) -> np.ndarray:
-        return self.nodes[self.slices[r - 1]]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -118,11 +117,12 @@ def _det_sum(
     """``sum_k weights[k] * det(I + sum_j c_j(theta_k) B_j)`` over theta nodes ``k``.
 
     ``thetas[i][k]`` is component ``i`` of node ``k``; the nodes are the
-    flattened ``(n_theta,) * len(thetas)`` grid in row-major order.  Each
-    term's coefficients are tabulated once over all nodes; coefficients
-    below ``1e-300`` count as zero and a term that is zero over a chunk is
-    skipped.  ``deadline`` is checked before every chunk; a non-finite
-    determinant raises ``ConvergenceError`` naming its node.
+    flattened ``(n_theta,) * len(thetas)`` grid in row-major order (no
+    component at all: one node).  Each term's coefficients are tabulated
+    once over all nodes; coefficients below ``1e-300`` count as zero and a
+    term that is zero over a chunk is skipped.  ``deadline`` is checked
+    before every chunk; a non-finite determinant raises ``ConvergenceError``
+    naming its node.
     """
     count = len(weights)
     table = np.zeros((len(terms), count), dtype=complex)
@@ -143,12 +143,19 @@ def _det_sum(
             dets = lu_det(mats)
         bad = np.flatnonzero(~np.isfinite(dets))
         if bad.size:
-            node = np.unravel_index(lo + bad[0], (n_theta,) * len(thetas))
-            raise ConvergenceError(
-                f"non-finite determinant {complex(dets[bad[0]])} at theta node "
-                f"{tuple(int(j) for j in node)} of n_theta={n_theta}")
+            where = ""
+            if thetas:
+                node = np.unravel_index(lo + bad[0], (n_theta,) * len(thetas))
+                where = f" at theta node {tuple(int(j) for j in node)} of n_theta={n_theta}"
+            raise ConvergenceError(f"non-finite determinant {complex(dets[bad[0]])}{where}")
         total += np.sum(weights[lo:hi] * dets)
     return complex(total)
+
+
+def _det_at(size: int, terms, thetas) -> complex:
+    """``det(I + sum_j c_j(theta) B_j)`` at the single point ``theta``."""
+    node = tuple(np.array([complex(th)]) for th in thetas)
+    return _det_sum(size, terms, node, np.ones(1), 1, None)
 
 
 def _theta_integral(
@@ -160,11 +167,11 @@ def _theta_integral(
     and ``1/(theta - 1) = sum_{j>=1} theta^-j`` is cut after ``n_theta/2``
     terms, so the rule returns exactly the sum of the determinant's Laurent
     coefficients with every degree ``>= 0``, at any radius ``> 1``, once it
-    has no degree outside ``[-n_theta/2, n_theta/2)``.  Callers take
-    ``n_theta = _THETA_NODES * 2**level``.  All ``n_theta**(p-1)`` nodes go
-    to ``_det_sum`` at once, which tabulates the coefficients on the whole
-    grid and takes the determinants in chunked batches, checking
-    ``deadline`` before each chunk.
+    has no degree outside ``[-n_theta/2, n_theta/2)``.  At ``p = 1`` there is
+    no theta and the integral is the single determinant ``det(I + M)``.  All
+    ``n_theta**(p-1)`` nodes go to ``_det_sum`` at once, which tabulates the
+    coefficients on the whole grid and takes the determinants in chunked
+    batches, checking ``deadline`` before each chunk.
     """
     ring = circle(0.0, radius, n_theta)
     weights = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
@@ -177,17 +184,19 @@ def _theta_integral(
 
 
 def _refine(
-    evaluate: Callable[[int], complex], tol: float, max_levels: int,
-    deadline: float | None,
-) -> tuple[complex, float, int]:
-    """Evaluate at levels ``0, 1, ..`` until two successive values agree.
+    terms_at: Callable[[int], tuple[int, list]], p: int, radius: float, tol: float,
+    max_levels: int, deadline: float | None,
+) -> tuple[complex, float, int, int]:
+    """Integrate over theta at levels ``0, 1, ..`` until two successive values agree.
 
-    ``evaluate(level)`` computes the value at the resolution doubled
-    ``level`` times.  At most ``max_levels`` doublings follow the first
-    evaluation.  Returns ``(value, delta, level)``; raises ``ValueError``
-    unless ``tol > 0`` and ``max_levels >= 0``, ``ConvergenceError``
-    reporting the last delta, or ``BudgetError`` once ``deadline`` has
-    passed.
+    ``terms_at(level)`` returns the matrix size and the terms at the
+    route's resolution doubled ``level`` times.  Level ``l`` integrates them
+    with ``n_theta = _THETA_NODES * 2**l`` nodes per theta circle of
+    ``radius`` (``n_theta = 0`` at ``p = 1``, which has no circle).  At most
+    ``max_levels`` doublings follow the first evaluation.  Returns
+    ``(value, delta, level, n_theta)``; raises ``ValueError`` unless
+    ``tol > 0`` and ``max_levels >= 0``, ``ConvergenceError`` reporting the
+    last delta, or ``BudgetError`` once ``deadline`` has passed.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -196,11 +205,12 @@ def _refine(
     prev, delta, level = None, None, 0
     for level in range(max_levels + 1):
         _check_deadline(deadline, "refinement")
-        value = evaluate(level)
+        n_theta = _THETA_NODES * 2 ** level if p > 1 else 0
+        value = _theta_integral(*terms_at(level), p, radius, n_theta, deadline)
         if prev is not None:
             delta = abs(value - prev)
             if delta <= tol:
-                return value, delta, level
+                return value, delta, level, n_theta
         prev = value
     last = "unavailable" if delta is None else f"{delta:.3g}"
     raise ConvergenceError(

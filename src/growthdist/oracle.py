@@ -24,8 +24,7 @@ Two routes are provided, both independent of any contour integration:
   the difference kernels bounds every summation variable on both sides, so
   the enumeration window below makes the sum exact.
 
-The building blocks — the weight ``w_m``, integer powers of ``D`` and the
-one-step transition determinant ``det[D^(j-i) w_steps(y_j - x_i)]`` — are
+The building blocks — the weight ``w_m`` and integer powers of ``D`` — are
 exported for direct testing, together with a numeric check of the
 summation-by-parts identities that justify the determinantal sum.
 """
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,7 +46,6 @@ __all__ = [
     "nabla_w",
     "nabla_w_table",
     "nabla_pow",
-    "schutz_determinant",
     "dp_exact_prob",
     "truncated_sum_prob",
     "verify_sbp",
@@ -124,25 +122,6 @@ def nabla_w_table(k: int, m: int, q: float, lo: int, hi: int) -> np.ndarray:
             vals = vals[1:] - vals[:-1]
         return vals[lo - base_lo:]
     return np.array([nabla_w(k, m, q, int(x)) for x in range(lo, hi + 1)])
-
-
-def schutz_determinant(
-    x: Sequence[int], y: Sequence[int], steps: int, q: float
-) -> float:
-    """One-step transition weight ``det[D^(j-i) w_steps(y_j - x_i)]``.
-
-    ``x`` and ``y`` are nondecreasing integer vectors of equal length; the
-    value is the probability that the column vector of last-passage values
-    moves from ``x`` to ``y`` across ``steps`` grid columns.
-    """
-    N = len(x)
-    if len(y) != N:
-        raise ValueError("x and y must have equal length")
-    mat = np.empty((N, N))
-    for i in range(N):
-        for j in range(N):
-            mat[i, j] = nabla_w(j - i, steps, q, y[j] - x[i])
-    return float(np.linalg.det(mat))
 
 
 # ---------------------------------------------------------------------------

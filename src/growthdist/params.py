@@ -48,15 +48,12 @@ __all__ = [
     "KPZParams",
     "LimitParams",
     "compute_constants",
-    "nu_scale",
     "discretize",
     "delta",
     "delta_x",
     "delta_xi",
     "delta_txxi",
-    "theta_eps_power",
     "theta_profile",
-    "eps_canonical",
     "big_theta",
     "admissible_eps",
     "eps_sign_exponent",
@@ -100,11 +97,6 @@ def compute_constants(q: float) -> ScalingConstants:
     c3 = q ** (1.0 / 6.0) * (1.0 + sq) ** (1.0 / 3.0) / (1.0 - sq)
     c4 = q ** (1.0 / 3.0) * (1.0 - sq) / (1.0 + sq) ** (1.0 / 3.0)
     return ScalingConstants(q=q, w_c=1.0 - sq, c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
-
-
-def nu_scale(q: float, T: float) -> float:
-    """Fluctuation scale ``nu_T = c0 T^(1/3)``."""
-    return compute_constants(q).c0 * T ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +171,6 @@ class ModelParams:
     @property
     def p(self) -> int:
         return len(self.m)
-
-    def block_of(self, i: int) -> int:
-        """Block index r in 1..p with ``n_{r-1} < i <= n_r``."""
-        if not (1 <= i <= self.n[-1]):
-            raise ValueError(f"index {i} outside 1..{self.n[-1]}")
-        for r, nk in enumerate(self.n, start=1):
-            if i <= nk:
-                return r
-        raise AssertionError("unreachable")
 
     def blocked(self, k: int) -> tuple[int, int, int]:
         """Profile values ``(n(i), m(i), a(i))`` shared by block ``r``.

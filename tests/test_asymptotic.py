@@ -124,18 +124,10 @@ def test_limit_settings_validation():
 
 def test_basic_kernel_scalar_mode():
     inst = LimitParams(t=(1.0,), x=(0.0,), xi=(0.1,))
-    val = eval_basic_kernel(1, {}, 1, 0.5, 1, 0.7, inst)
+    val = eval_basic_kernel(1, {}, 1, 0.5, 0, 0.7, inst)
     assert isinstance(val, complex)
-    mat = eval_basic_kernel(1, {}, 1, np.array([0.5]), 1, np.array([0.7]), inst)
+    mat = eval_basic_kernel(1, {}, 1, np.array([0.5]), 0, np.array([0.7]), inst)
     assert val == pytest.approx(complex(mat[0, 0]))
-
-
-def test_indicator_zeros():
-    u, v = -0.5, -0.3
-    # no admissible inner index at p = 2 for the two-decaying-line family
-    assert eval_basic_kernel(2, {"k": 1}, 2, u, 1, v, INST2) == 0.0
-    # the single up/down pair only feeds the last block row
-    assert eval_basic_kernel(1, {}, 1, u, 1, v, INST2) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -149,19 +141,19 @@ def test_indicator_zeros():
 def test_remaining_families_match_airy_forms(family, indices, r, s, inst):
     u = np.array([-0.8, -0.2, 0.5])
     v = np.array([-0.6, 0.1, 0.9])
-    a = eval_basic_kernel(family, indices, r, u, s, v, inst, apply_indicator=False)
-    b = airy_form_kernel(family, indices, r, u, s, v, inst, apply_indicator=False)
+    a = eval_basic_kernel(family, indices, r, u, s, v, inst)
+    b = airy_form_kernel(family, indices, r, u, s, v, inst)
     assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_kernel_invariant_under_contour_shifts():
     u = np.array([-0.7, 0.3])
     v = np.array([-0.4, 0.6])
-    base = eval_basic_kernel(6, {"k1": 0, "k2": 2, "eps": (1,)}, 2, u, 1, v, INST2)
+    base = eval_basic_kernel(6, {"k1": 0, "k2": 2, "eps": (1,)}, 1, u, 1, v, INST2)
     moved = eval_basic_kernel(
         6,
         {"k1": 0, "k2": 2, "eps": (1,)},
-        2,
+        1,
         u,
         1,
         v,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import pytest
 
@@ -95,6 +96,25 @@ def test_non_convergence_reports_last_delta(tmp_path, capsys, command, config, n
 
 
 @pytest.mark.parametrize(
+    "config",
+    [
+        '{"q": 0.05, "m": [500], "n": [500], "a": [60]}',
+        '{"q": 0.9, "m": [300], "n": [300], "a": [5000]}',
+    ],
+    ids=["small-q", "large-a"],
+)
+def test_overflowing_single_point_exits_3_at_once(tmp_path, capsys, config):
+    # p = 1 determinants that overflow: a non-finite value, not a crash, a
+    # numpy warning or a run through every level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = _run(tmp_path, "exact", config)
+    assert code == 3 and doc is None
+    err = capsys.readouterr().err
+    assert "non-finite determinant" in err and "theta node" not in err
+
+
+@pytest.mark.parametrize(
     "command, config, extra",
     [
         ("exact", TINY, ("--budget", "0")),
@@ -140,8 +160,6 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("exact", TINY, ("--radius-scale", "-1")),
         ("exact", TINY, ("--mu", "nan")),
         ("exact", TINY, ("--mu", "inf")),
-        ("exact", TINY, ("--mu", "0.5", "--nu", "0")),
-        ("exact", TINY, ("--mu", "0.5", "--nu", "nan")),
         ("asymptotic", ANCHOR, ("--theta-radius", "nan")),
         ("asymptotic", ANCHOR, ("--theta-radius", "inf")),
         ("asymptotic", ANCHOR, ("--extent", "nan")),
@@ -154,8 +172,8 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         "exact-negative-levels", "asymptotic-negative-levels", "exact-negative-tol",
         "asymptotic-negative-tol", "tw-no-nodes", "tw-negative-nodes", "no-block-nodes",
         "exact-nan-theta-radius", "exact-inf-theta-radius", "zero-radius-scale",
-        "nan-radius-scale", "negative-radius-scale", "nan-mu", "inf-mu", "zero-nu",
-        "nan-nu", "asymptotic-nan-theta-radius", "asymptotic-inf-theta-radius",
+        "nan-radius-scale", "negative-radius-scale", "nan-mu", "inf-mu",
+        "asymptotic-nan-theta-radius", "asymptotic-inf-theta-radius",
         "nan-extent", "inf-extent", "negative-state-budget",
     ],
 )

@@ -11,7 +11,6 @@ from growthdist.exact import (
     _terms,
     det_theta,
     multipoint_prob_exact,
-    single_point_prob,
 )
 import growthdist.exact
 import growthdist.integrands
@@ -20,14 +19,10 @@ import growthdist.params
 from growthdist.integrands import circle
 from growthdist.linalg import _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
-from growthdist.params import ModelParams, compute_constants
+from growthdist.params import ModelParams
 
 P2 = ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))
 P3 = ModelParams(q=0.4, m=(3, 6, 9), n=(2, 4, 6), a=(5, 9, 13))
-
-
-def _nu(params):
-    return compute_constants(params.q).c0 * params.n[-1] ** (1 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +32,7 @@ def _nu(params):
 def test_single_point_single_cell_geometric():
     for q in (0.3, 0.7):
         for a in (1, 2, 4):
-            res = single_point_prob(ModelParams(q=q, m=(1,), n=(1,), a=(a,)))
+            res = multipoint_prob_exact(ModelParams(q=q, m=(1,), n=(1,), a=(a,)))
             assert res.value == pytest.approx(1 - q ** a, abs=1e-10)
             assert res.converged
 
@@ -47,14 +42,14 @@ def test_single_point_strip_negative_binomial():
     from growthdist.oracle import w_weight
 
     q, m, a = 0.35, 3, 5
-    res = single_point_prob(ModelParams(q=q, m=(m,), n=(1,), a=(a,)))
+    res = multipoint_prob_exact(ModelParams(q=q, m=(m,), n=(1,), a=(a,)))
     cdf = sum(w_weight(x, m, q) for x in range(0, a))
     assert res.value == pytest.approx(cdf, abs=1e-10)
 
 
 def test_single_point_square_matches_transfer_matrix():
     mp = ModelParams(q=0.5, m=(3,), n=(3,), a=(5,))
-    res = single_point_prob(mp)
+    res = multipoint_prob_exact(mp)
     assert res.value == pytest.approx(dp_exact_prob(mp), abs=1e-8)
 
 
@@ -179,7 +174,7 @@ def test_boundary_blocks_are_nilpotent(mp):
     # the boundary pieces only occupy block column s < min(r, p-1), so the
     # (p-1)-th power vanishes identically
     p, n_last = mp.p, mp.n[-1]
-    asm = _Assembler(mp, 0.0, _nu(mp), 1.0)
+    asm = _Assembler(mp, 0.0, 1.0)
     th = tuple(1.2 + 0.4j * k for k in range(1, p))
     b = np.zeros((n_last, n_last), dtype=complex)
     for rows, cols, base, coefs in _terms(asm, 64):
@@ -197,7 +192,7 @@ def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
     # trapezoid rule is exact at any radius once the node count clears its
     # bandwidth; every (n_theta, radius) pair is within 5e-13 of one
     # reference, hence within 1e-12 of every other pair
-    asm = _Assembler(P2, 0.0, _nu(P2), 1.0)
+    asm = _Assembler(P2, 0.0, 1.0)
     terms = _terms(asm, 256)
     value = _theta_integral(asm.N, terms, P2.p, radius, n_theta, None)
     ref = _theta_integral(asm.N, terms, P2.p, 2.0, 96, None)
@@ -210,7 +205,7 @@ def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
 # ---------------------------------------------------------------------------
 
 def _p3_level0():
-    asm = _Assembler(P3, 0.0, None, 1.0)
+    asm = _Assembler(P3, 0.0, 1.0)
     return asm, _terms(asm, 64)
 
 
@@ -268,7 +263,7 @@ def test_each_contour_coupling_formed_once_per_level(monkeypatch, mp):
         return cauchy(a, b)
 
     monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
-    asm = _Assembler(mp, 0.0, None, 1.0)
+    asm = _Assembler(mp, 0.0, 1.0)
     for nn in (64, 128):
         pairs.clear()
         _terms(asm, nn)

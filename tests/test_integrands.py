@@ -80,25 +80,28 @@ def test_vline_evaluates_gaussian_integral():
 
 class _Job(NamedTuple):
     links: tuple
-    tag: int
+    cols: int
+    sign: float
 
 
 def test_chain_walk_matches_direct_products(monkeypatch):
-    # chains that share prefixes, end at different depths and cross the
-    # pair (1, 2) at two depths; a link is (contour, scale the columns?)
+    # chains that share prefixes, end at different depths, cross the pair
+    # (1, 2) at two depths and share column factors; a link is (contour,
+    # scale the columns?)
     rng = np.random.default_rng(3)
     nodes = {c: circle(float(c), 0.2 + 0.05 * c, 16).nodes for c in range(4)}
     rows = {c: rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16)) for c in nodes}
     scales = {c: rng.normal(size=16) + 1j * rng.normal(size=16) for c in nodes}
+    colmats = {k: rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3)) for k in range(2)}
     jobs = [
-        _Job(((0, False), (1, True), (2, False)), 0),
-        _Job(((0, False), (1, True), (3, True), (2, False)), 1),
-        _Job(((0, False), (1, False)), 2),
-        _Job(((3, False), (1, True), (2, False)), 3),
-        _Job(((0, False), (3, True), (1, True), (2, True)), 4),
-        _Job(((0, False), (1, True), (2, False)), 5),
+        _Job(((0, False), (1, True), (2, False)), 0, 1.0),
+        _Job(((0, False), (1, True), (3, True), (2, False)), 1, -2.0),
+        _Job(((0, False), (1, False)), 0, 3.0),
+        _Job(((3, False), (1, True), (2, False)), 1, -4.0),
+        _Job(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
+        _Job(((0, False), (1, True), (2, False)), 1, -6.0),
     ]
-    formed = []
+    formed, made = [], []
     cauchy = growthdist.integrands._cauchy
 
     def counting(a, b):
@@ -107,10 +110,9 @@ def test_chain_walk_matches_direct_products(monkeypatch):
 
     monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
     got = _walk_chains(
-        jobs, contour=lambda link: link[0], nodes=lambda link: nodes[link[0]],
-        rows=lambda link: rows[link[0]],
+        jobs, nodes=lambda key: nodes[key], rows=lambda link: rows[link[0]],
         scale=lambda link: scales[link[0]] if link[1] else None,
-        finish=lambda job, prefix: prefix * (job.tag + 1),
+        cols=lambda key: made.append(key) or colmats[key],
     )
     assert set(got) == set(jobs)
     for job in jobs:
@@ -119,9 +121,10 @@ def test_chain_walk_matches_direct_products(monkeypatch):
             ref = ref @ (1.0 / (nodes[a][:, None] - nodes[b][None, :]))
             if scaled:
                 ref = ref * scales[b][None, :]
-        np.testing.assert_allclose(got[job], ref * (job.tag + 1), rtol=1e-13)
+        np.testing.assert_allclose(got[job], (ref @ colmats[job.cols]) / job.sign, rtol=1e-13)
     pairs = {(a[0], b[0]) for job in jobs for a, b in zip(job.links, job.links[1:])}
     assert len(formed) == len(set(formed)) == len(pairs)
+    assert sorted(made) == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Independent references: weights, difference calculus, transfer matrix,
-step determinants, and the truncated determinantal sum."""
+"""Independent references: weights, difference calculus, transfer matrix
+and the truncated determinantal sum."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from growthdist.oracle import (
     nabla_pow,
     nabla_w,
     nabla_w_table,
-    schutz_determinant,
     truncated_sum_prob,
     verify_sbp,
     w_weight,
@@ -70,42 +68,6 @@ def test_nabla_w_matches_generic_operator(k):
         assert nabla_w(k, m, q, x) == pytest.approx(ref(x), abs=1e-14)
     tab = nabla_w_table(k, m, q, -2, 10)
     assert np.allclose(tab, [nabla_w(k, m, q, x) for x in range(-2, 11)], atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# step-transition determinants
-# ---------------------------------------------------------------------------
-
-def test_schutz_single_particle_reduces_to_weight():
-    q = 0.3
-    for steps in (1, 2, 3):
-        for y in (0, 2, 5):
-            assert schutz_determinant((0,), (y,), steps, q) == pytest.approx(
-                w_weight(y, steps, q), rel=1e-12
-            )
-
-
-def test_schutz_rows_sum_to_one():
-    q = 0.4
-    x = (0, 2)
-    total = sum(
-        schutz_determinant(x, y, 1, q)
-        for y in itertools.product(range(0, 40), repeat=2)
-        if y[0] <= y[1]
-    )
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_schutz_semigroup_property():
-    q = 0.35
-    x, y = (0, 1), (2, 4)
-    direct = schutz_determinant(x, y, 2, q)
-    hop = sum(
-        schutz_determinant(x, z, 1, q) * schutz_determinant(z, y, 1, q)
-        for z in itertools.product(range(0, 30), repeat=2)
-        if z[0] <= z[1]
-    )
-    assert hop == pytest.approx(direct, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

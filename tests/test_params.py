@@ -24,7 +24,6 @@ from growthdist.params import (
     eps_sign_exponent,
     instance_digest,
     mu_bound,
-    nu_scale,
     parse_instance,
     theta_eps_power,
     theta_profile,
@@ -68,11 +67,6 @@ def test_constants_domain(q):
         compute_constants(q)
 
 
-def test_nu_scale_matches_constants():
-    c = compute_constants(0.3)
-    assert nu_scale(0.3, 50.0) == pytest.approx(c.c0 * 50.0 ** (1 / 3), rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
@@ -80,7 +74,6 @@ def test_nu_scale_matches_constants():
 def test_model_params_accessors():
     mp = ModelParams(q=0.3, m=(1, 2, 4), n=(2, 3, 4), a=(3, 5, 6))
     assert mp.p == 3
-    assert [mp.block_of(i) for i in range(1, 5)] == [1, 1, 2, 3]
     assert mp.blocked(1) == (2, 1, 3)
     assert mp.blocked(2) == (3, 2, 5)
     # the last block reuses the profile of block p-1
