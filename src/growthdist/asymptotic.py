@@ -21,7 +21,11 @@ up/down ordering is dictated by a sign vector ``eps``).  All kernels carry
 the conjugation ``exp(mu (v - u))``, which leaves every determinant
 invariant but makes each block decay fast enough to truncate.
 
-Two independent evaluation paths are provided and cross-checked:
+A family is named by its number and one index dict ``kw`` as
+``_block_terms`` writes it: ``rtop``/``sbot`` (first and last time index),
+``k``, ``k1``, ``k2``, ``k3``, and the ladder's interior signs ``epsw``
+(``eps_{k1+1}..eps_{k2-1}``); ``_LimitKernels._chain`` turns it into the
+family's lines.  Two independent evaluation paths are cross-checked:
 
 * ``eval_basic_kernel`` computes a family directly as a chain of node
   matrices over the line contours (rows: the ``u`` exponential and its
@@ -259,11 +263,13 @@ class _LimitKernels:
     ``_QC_FLOOR``, every abscissa is scaled up by a common factor, which
     preserves all the pairwise orderings the kernels depend on.
 
-    ``kernels`` evaluates many families at once: their chains are walked
-    together (``integrands._walk_chains``), so each line coupling, row and
-    column factor and chain prefix is formed once and shared, a coupling or
-    column factor is dropped after its last use, and nothing grid-sized
-    outlives the call.
+    ``_chain(family, kw)`` lists a family's lines.  ``kernels`` gives the
+    first line the oscillation budget of ``u``, the last that of ``v`` and
+    the others ``_INTERIOR_VMAX``, and walks many chains together
+    (``integrands._walk_chains``), so each line coupling, row and column
+    factor and chain prefix is formed once and shared, a coupling or column
+    factor is dropped after its last use, and nothing grid-sized outlives
+    the call.
     """
 
     def __init__(self, inst: LimitParams, settings: LimitSettings):
@@ -288,6 +294,8 @@ class _LimitKernels:
     # -- geometry ---------------------------------------------------------
 
     def trip(self, k1: int, k2: int) -> tuple[float, float, float]:
+        if not 0 <= k1 < k2 <= self.p:
+            raise ValueError(f"need 0 <= k1 < k2 <= {self.p}, got ({k1}, {k2})")
         return delta_txxi(self.inst.t, self.inst.x, self.inst.xi, k1, k2)
 
     def _anchor_scale(self, s: LimitSettings) -> float:
@@ -341,78 +349,48 @@ class _LimitKernels:
         rescaled ladder depends on nothing else, so the remaining entries
         are padded with ones.
         """
+        if not (0 <= k1 < k2 <= self.p and len(epsw) == k2 - k1 - 1):
+            raise ValueError(f"need 0 <= k1 < k2 <= {self.p} and k2 - k1 - 1 signs, "
+                             f"got ({k1}, {k2}) and epsw={tuple(epsw)}")
         full = [1] * (self.p - 1)
         for j, e in enumerate(epsw):
             full[k1 + j] = e
         return d_for_eps(full, k1, k2, self.s.ladder_lo, self.s.ladder_hi)
 
-    # -- families: (sign, line keys) of each chain --------------------------
-    #
-    # ``ub``/``vb`` are the oscillation budgets of the row and column lines.
+    # -- families: one description each -----------------------------------
 
-    def family1(self, sbot: int, ub: float, vb: float):
-        """Single up/down pair: rows on the growing line, columns decaying."""
-        return 1.0, (
-            self._line(self.s.d_single, self.trip(self.p - 1, self.p), ub, False),
-            self._line(-self.s.d1, self.trip(sbot, self.p), vb, True),
-        )
+    def _chain(self, family: int, kw: dict) -> tuple[float, list[tuple]]:
+        """``(sign, [(abscissa, k_from, k_to, inverse), ...])`` of a family.
 
-    def family2(self, k: int, rtop: int, sbot: int, ub: float, vb: float):
-        """Two decaying lines coupled once."""
-        return 1.0, (
-            self._line(-self.s.d1, self.trip(k, rtop), ub, True),
-            self._line(-self.s.d2, self.trip(sbot, k), vb, True),
-        )
-
-    def family3(self, k: int, sbot: int, ub: float, vb: float):
-        """Growing line, then two decaying lines."""
-        return 1.0, (
-            self._line(self.s.d_single, self.trip(self.p - 1, self.p), ub, False),
-            self._line(-self.s.d2, self.trip(k, self.p), _INTERIOR_VMAX, True),
-            self._line(-self.s.d3, self.trip(sbot, k), vb, True),
-        )
-
-    def family4(self, k1: int, rtop: int, k2: int, sbot: int, ub: float, vb: float):
-        """Three decaying lines coupled in sequence."""
-        return 1.0, (
-            self._line(-self.s.d1, self.trip(k1, rtop), ub, True),
-            self._line(-self.s.d2, self.trip(k2, k1), _INTERIOR_VMAX, True),
-            self._line(-self.s.d3, self.trip(sbot, k2), vb, True),
-        )
-
-    def _ladder_lines(
-        self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, ub: float,
-        last_vmax: float,
-    ) -> tuple:
-        """Decaying row line plus the growing ladder ``k1+1..k2``.  The
-        displayed first coupling is ``1/(z_{k1+1} - zeta_1)``, the negative of
-        the Cauchy matrix from the row line, so ladder chains carry sign -1."""
-        ladder = self._ladder(k1, k2, epsw)
-        return (self._line(-self.s.d1, self.trip(k1, rtop), ub, True),) + tuple(
-            self._line(ladder[k], self.trip(k - 1, k),
-                       last_vmax if k == k2 else _INTERIOR_VMAX, False)
-            for k in range(k1 + 1, k2 + 1)
-        )
-
-    def family5(self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int,
-                ub: float, vb: float):
-        """Decaying line into the ladder; the last rung carries ``v``."""
-        return -1.0, self._ladder_lines(k1, k2, epsw, rtop, ub, vb)
-
-    def family6(self, k1: int, k2: int, epsw: tuple[int, ...], rtop: int, sbot: int,
-                ub: float, vb: float):
-        """Ladder closed by a final decaying line carrying ``v``."""
-        return -1.0, self._ladder_lines(k1, k2, epsw, rtop, ub, _INTERIOR_VMAX) + (
-            self._line(-self.s.d2, self.trip(sbot, k2), vb, True),
-        )
-
-    def family7(self, k1: int, k2: int, k3: int, epsw: tuple[int, ...], rtop: int,
-                sbot: int, ub: float, vb: float):
-        """Ladder closed by two decaying lines."""
-        return -1.0, self._ladder_lines(k1, k2, epsw, rtop, ub, _INTERIOR_VMAX) + (
-            self._line(-self.s.d2, self.trip(k3, k2), _INTERIOR_VMAX, True),
-            self._line(-self.s.d3, self.trip(sbot, k3), vb, True),
-        )
+        Each entry is one line: its abscissa, the increment whose
+        ``G^(+-1)`` it carries, and whether that is ``1/G`` (a decaying
+        line).  Ladder families 5-7 run a decaying row line into the growing
+        ladder ``k1+1..k2``; their first coupling ``1/(z_{k1+1} - zeta_1)`` is
+        the negative of the Cauchy matrix from the row line, hence sign -1.
+        """
+        s, p = self.s, self.p
+        if family == 1:  # single up/down pair
+            return 1.0, [(s.d_single, p - 1, p, False), (-s.d1, kw["sbot"], p, True)]
+        if family == 2:  # two decaying lines
+            return 1.0, [(-s.d1, kw["k"], kw["rtop"], True), (-s.d2, kw["sbot"], kw["k"], True)]
+        if family == 3:  # growing line, then two decaying lines
+            return 1.0, [(s.d_single, p - 1, p, False), (-s.d2, kw["k"], p, True),
+                          (-s.d3, kw["sbot"], kw["k"], True)]
+        if family == 4:  # three decaying lines
+            return 1.0, [(-s.d1, kw["k1"], kw["rtop"], True), (-s.d2, kw["k2"], kw["k1"], True),
+                          (-s.d3, kw["sbot"], kw["k2"], True)]
+        if family not in (5, 6, 7):
+            raise ValueError(f"family must lie in 1..7, got {family}")
+        k1, k2 = kw["k1"], kw["k2"]
+        ladder = self._ladder(k1, k2, kw["epsw"])
+        lines = [(-s.d1, k1, kw["rtop"], True)]
+        lines += [(ladder[k], k - 1, k, False) for k in range(k1 + 1, k2 + 1)]
+        if family == 6:  # closed by a decaying line
+            lines.append((-s.d2, kw["sbot"], k2, True))
+        elif family == 7:  # closed by two decaying lines
+            lines.append((-s.d2, kw["k3"], k2, True))
+            lines.append((-s.d3, kw["sbot"], kw["k3"], True))
+        return -1.0, lines
 
     def kernels(self, requests: Sequence[tuple], coords: dict) -> list[np.ndarray]:
         """Family matrices for ``requests`` of ``(family, kw, ukey, vkey)``.
@@ -424,9 +402,14 @@ class _LimitKernels:
         """
         jobs = []
         for family, kw, ukey, vkey in requests:
-            sign, lines = getattr(self, f"family{family}")(
-                ub=_vmax_bucket(coords[ukey]), vb=_vmax_bucket(coords[vkey]), **kw
-            )
+            sign, chain = self._chain(family, kw)
+            # oscillation budgets: the row line carries u, the column line v
+            vmax = [_vmax_bucket(coords[ukey])] + [_INTERIOR_VMAX] * (len(chain) - 2)
+            vmax.append(_vmax_bucket(coords[vkey]))
+            lines = [
+                self._line(anchor, self.trip(k_from, k_to), budget, inverse)
+                for (anchor, k_from, k_to, inverse), budget in zip(chain, vmax)
+            ]
             # the first link carries the row coordinates; a later one whether
             # its weights apply (the last line's sit in the column factors)
             links = ((lines[0], ukey),) + tuple(
@@ -452,79 +435,10 @@ class _LimitKernels:
         return [values[job] for job in jobs]
 
 
-# ---------------------------------------------------------------------------
-# index resolution shared by both evaluation paths
-# ---------------------------------------------------------------------------
-
-def _need(indices: dict, family: int, *names: str) -> list[int]:
-    out = []
-    for name in names:
-        if name not in indices or indices[name] is None:
-            raise ValueError(f"family {family} requires index '{name}'")
-        out.append(indices[name])
-    return out
-
-
-def _eps_window(eps: Sequence[int], k1: int, k2: int, p: int) -> tuple[int, ...]:
-    eps = tuple(int(e) for e in eps)
-    if len(eps) != p - 1 or any(e not in (1, 2) for e in eps):
-        raise ValueError(f"eps must have length {p - 1} with entries in {{1, 2}}")
-    return tuple(eps[k - 1] for k in range(k1 + 1, k2))
-
-
-def _resolve_family(family: int, indices: dict, r: int, s: int, p: int) -> dict:
-    """Map time indices ``r``, ``s`` and the raw inner indices to builder
-    keyword arguments; raises ``ValueError`` when the requested increment
-    triples are not well-formed."""
-    idx = dict(indices or {})
-    if family == 1:
-        if not 0 <= s < p:
-            raise ValueError("family 1 needs 0 <= s < p")
-        return {"sbot": s}
-    if family == 2:
-        (k,) = _need(idx, 2, "k")
-        if not (0 <= s < k < r <= p):
-            raise ValueError("family 2 needs s < k < r")
-        return {"k": k, "rtop": r, "sbot": s}
-    if family == 3:
-        (k,) = _need(idx, 3, "k")
-        if not (0 <= s < k < p):
-            raise ValueError("family 3 needs s < k < p")
-        return {"k": k, "sbot": s}
-    if family == 4:
-        k1, k2 = _need(idx, 4, "k1", "k2")
-        if not (0 <= s < k2 < k1 < r <= p):
-            raise ValueError("family 4 needs s < k2 < k1 < r")
-        return {"k1": k1, "rtop": r, "k2": k2, "sbot": s}
-    if family in (5, 6, 7):
-        k1, k2 = _need(idx, family, "k1", "k2")
-        eps = idx.get("eps")
-        if eps is None:
-            raise ValueError(f"family {family} requires index 'eps'")
-        if not (0 <= k1 < k2 <= p):
-            raise ValueError("need 0 <= k1 < k2 <= p")
-        epsw = _eps_window(eps, k1, k2, p)
-        if family == 5:
-            if not k1 < r <= p:
-                raise ValueError("family 5 needs k1 < r")
-            return {"k1": k1, "k2": k2, "epsw": epsw, "rtop": r}
-        if family == 6:
-            if not (k1 < r <= p and 0 <= s < k2):
-                raise ValueError("family 6 needs k1 < r and s < k2")
-            return {"k1": k1, "k2": k2, "epsw": epsw, "rtop": r, "sbot": s}
-        (k3,) = _need(idx, 7, "k3")
-        if not (k1 < r <= p and 0 <= s < k3 < k2):
-            raise ValueError("family 7 needs k1 < r and s < k3 < k2")
-        return {"k1": k1, "k2": k2, "k3": k3, "epsw": epsw, "rtop": r, "sbot": s}
-    raise ValueError(f"family must lie in 1..7, got {family}")
-
-
 def eval_basic_kernel(
     family: int,
-    indices: dict | None,
-    r: int,
+    kw: dict,
     u,
-    s: int,
     v,
     instance: LimitParams,
     *,
@@ -532,19 +446,20 @@ def eval_basic_kernel(
 ):
     """One basic kernel family evaluated by iterated line contours.
 
-    ``indices`` supplies the family's inner indices (``k``, ``k1``, ``k2``,
-    ``k3``, full ``eps``); ``r`` and ``s`` are the time indices of the
-    family's first and last increment, used verbatim, which exposes every
-    family shape at any ``p`` for cross-checks (``_block_terms`` applies the
-    indicators and the clamping ``min(., p-1)`` of the assembled kernel).
-    ``u``/``v`` may be scalars or 1-d arrays; the block convention places
-    ``u < 0`` for blocks below ``p`` and ``u > 0`` on block ``p``.
+    ``kw`` holds the family's indices in the vocabulary ``_block_terms``
+    writes: ``rtop``/``sbot``, the time indices of the first and last
+    increment, and the inner indices ``k``, ``k1``, ``k2``, ``k3`` and
+    ``epsw`` (the interior signs ``eps_{k1+1}..eps_{k2-1}`` of a ladder).
+    They are used verbatim, which exposes every family shape at any ``p``
+    for cross-checks.  Raises ``ValueError`` for an unknown family, an
+    increment ``(k_from, k_to)`` outside ``0 <= k_from < k_to <= p`` or an
+    ``epsw`` of the wrong length.  ``u``/``v`` may be scalars or 1-d
+    arrays; the block convention places ``u < 0`` for blocks below ``p`` and
+    ``u > 0`` on block ``p``.
     """
-    inst = instance
     uarr = np.atleast_1d(np.asarray(u, dtype=float))
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    kw = _resolve_family(family, indices or {}, r, s, inst.p)
-    kern = _LimitKernels(inst, settings or LimitSettings())
+    kern = _LimitKernels(instance, settings or LimitSettings())
     mat = kern.kernels([(family, kw, "u", "v")], {"u": uarr, "v": varr})[0]
     if np.isscalar(u) and np.isscalar(v):
         return complex(mat[0, 0])
@@ -683,10 +598,8 @@ def _chain_lam_max(factors: list[_AiryFac], u: np.ndarray, v: np.ndarray) -> flo
 
 def airy_form_kernel(
     family: int,
-    indices: dict | None,
-    r: int,
+    kw: dict,
     u,
-    s: int,
     v,
     instance: LimitParams,
     *,
@@ -696,16 +609,17 @@ def airy_form_kernel(
 
     Expands every Cauchy coupling of the family as a real integral over a
     decay variable and evaluates the resulting chain of shifted Airy
-    transforms by Gauss-Legendre quadrature on ``[0, _LAM_MAX]``.  Indices
-    mean what they mean in :func:`eval_basic_kernel`; agreement between the
+    transforms by Gauss-Legendre quadrature on ``[0, _LAM_MAX]``.  ``kw``
+    means what it means in :func:`eval_basic_kernel` and is checked the same
+    way (``_LimitKernels._chain`` and ``trip``); the factor signs and
+    coefficients come from ``_airy_factors`` alone, so agreement between the
     two paths validates both the contour layout and the coupling signs.
     """
-    inst = instance
     uarr = np.atleast_1d(np.asarray(u, dtype=float))
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    kw = _resolve_family(family, indices or {}, r, s, inst.p)
-    kern = _LimitKernels(inst, settings or LimitSettings())
-    factors, sign = _airy_factors(family, kw, kern.trip, inst.p)
+    kern = _LimitKernels(instance, settings or LimitSettings())
+    kern._chain(family, kw)  # the same index errors as the contour form
+    factors, sign = _airy_factors(family, kw, kern.trip, kern.p)
     cap = _chain_lam_max(factors, uarr, varr)
     lam, lw = composite_gl(0.0, cap, _LAM_NODES, panel_size=12)
     grids = [uarr] + [lam] * (len(factors) - 1) + [varr]

@@ -45,7 +45,7 @@ from .exact import multipoint_prob_exact
 from .growth import mc_multipoint
 from .integrands import circle, composite_gl
 from .linalg import _check_deadline, block_grid, lu_det, nystrom_det
-from .oracle import dp_exact_prob, truncated_sum_prob, verify_sbp
+from .oracle import _dp_peak_states, dp_exact_prob, truncated_sum_prob, verify_sbp
 from .params import (
     KPZParams,
     LimitParams,
@@ -177,12 +177,10 @@ def _cmd_oracle(args) -> int:
     start = time.perf_counter()
     value = dp_exact_prob(params, state_budget=args.state_budget, deadline=_deadline(args))
     ms = 1e3 * (time.perf_counter() - start)
-    cap = params.a[-1]
-    width = min(params.m[-1], params.n[-1])
     payload = _payload(
         value,
         {
-            "states": math.comb(cap - 1 + width, width),
+            "states": _dp_peak_states(params),
             "runtime_ms": ms,
         },
         doc,
@@ -355,8 +353,9 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     )
 
     inst = LimitParams(t=(1.0, 2.0), x=(0.1, -0.2), xi=(0.3, 0.5))
-    c1 = eval_basic_kernel(2, {"k": 1}, 2, -0.7, 0, -0.4, inst)
-    c2 = airy_form_kernel(2, {"k": 1}, 2, -0.7, 0, -0.4, inst)
+    kw = {"k": 1, "rtop": 2, "sbot": 0}
+    c1 = eval_basic_kernel(2, kw, -0.7, -0.4, inst)
+    c2 = airy_form_kernel(2, kw, -0.7, -0.4, inst)
     add("contour vs Airy form (two-line family)", abs(c1 - c2), 1e-6)
 
     p1 = LimitParams(t=(1.0,), x=(0.0,), xi=(0.1,))

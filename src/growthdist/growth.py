@@ -15,8 +15,8 @@ row layout.
 
 Sampling is reproducible and worker-count independent: the sample stream is
 split into fixed-size chunks, chunk ``c`` of master seed ``s`` draws from a
-counter-based Philox generator keyed by ``(s, c)``, and per-chunk statistics
-are combined by a fixed-order pairwise tree.
+counter-based Philox generator keyed by ``(s, c)``, and the per-chunk success
+counts are summed as Python integers, which is exact in any order.
 """
 
 from __future__ import annotations
@@ -118,16 +118,6 @@ def _chunk_successes(
     return int(alive.sum())
 
 
-def _pairwise_sum(values: list[int]) -> int:
-    """Fixed-order pairwise tree reduction."""
-    while len(values) > 1:
-        values = [
-            values[i] + values[i + 1] if i + 1 < len(values) else values[i]
-            for i in range(0, len(values), 2)
-        ]
-    return values[0]
-
-
 def mc_multipoint(
     params: ModelParams,
     nsamples: int,
@@ -164,7 +154,7 @@ def mc_multipoint(
             _chunk_successes(params, sz, seed, c, deadline) for c, sz in enumerate(sizes)
         ]
 
-    successes = _pairwise_sum(counts)
+    successes = sum(counts)
     est = successes / nsamples
     stderr = math.sqrt(max(est * (1.0 - est), 1.0 / nsamples) / nsamples)
     return MCResult(estimate=est, stderr=stderr, nsamples=nsamples, successes=successes)

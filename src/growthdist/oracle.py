@@ -186,6 +186,23 @@ def _dp_step(
     return out, table[cells]
 
 
+def _dp_peak_states(params: ModelParams) -> int:
+    """Most states ``dp_exact_prob`` holds at once (0 when it needs none).
+
+    Halfway through a row, ``j`` columns hold new values and ``N - j`` old
+    ones, each part a nondecreasing vector in ``[0, cap)``, so the state
+    count is ``C(cap - 1 + j, j) * C(cap - 1 + N - j, N - j)``, with
+    ``N = min(m_p, n_p)`` and ``cap = a_p``; the peak is its maximum over
+    ``j``.
+    """
+    if any(ak <= 0 for ak in params.a):
+        return 0
+    N, cap = min(params.m[-1], params.n[-1]), params.a[-1]
+    return max(
+        math.comb(cap - 1 + j, j) * math.comb(cap - 1 + N - j, N - j) for j in range(N + 1)
+    )
+
+
 def dp_exact_prob(
     params: ModelParams, state_budget: int = 10 ** 6, deadline: float | None = None
 ) -> float:
@@ -201,8 +218,8 @@ def dp_exact_prob(
     constraint).  The grid is transposed when that gives the smaller state
     vector.
 
-    Raises ``BudgetError`` when ``C(a_p - 1 + N, N)`` exceeds the budget,
-    before anything is allocated, and when ``deadline`` (a
+    Raises ``BudgetError`` when the peak state count (``_dp_peak_states``)
+    exceeds the budget, before anything is allocated, and when ``deadline`` (a
     ``time.monotonic()`` stamp, checked before every row) has passed.
     """
     if any(ak <= 0 for ak in params.a):
@@ -211,10 +228,9 @@ def dp_exact_prob(
         params = ModelParams(q=params.q, m=params.n, n=params.m, a=params.a)
     N = params.n[-1]
     cap = params.a[-1]
-    if math.comb(cap - 1 + N, N) > state_budget:
-        raise BudgetError(
-            f"state space C({cap - 1 + N}, {N}) exceeds budget {state_budget}"
-        )
+    peak = _dp_peak_states(params)
+    if peak > state_budget:
+        raise BudgetError(f"peak state count {peak} exceeds budget {state_budget}")
     q = params.q
     checkpoints = {m: k for k, m in enumerate(params.m)}
     # geometric increment probabilities; the tail q**cap beyond is dropped

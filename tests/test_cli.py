@@ -183,6 +183,13 @@ def test_out_of_range_arguments_are_schema_errors(tmp_path, capsys, command, con
     assert "must be" in capsys.readouterr().err
 
 
+def test_oracle_on_a_negative_threshold_is_zero(tmp_path):
+    code, doc = _run(tmp_path, "oracle", '{"q": 0.5, "m": [2], "n": [2], "a": [-5]}')
+    assert code == 0
+    assert doc["value"] == 0.0
+    assert doc["diagnostics"]["states"] == 0
+
+
 @pytest.mark.parametrize(
     "command, config, extra",
     [

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+import growthdist.oracle
 from growthdist.errors import BudgetError
 from growthdist.oracle import (
+    _dp_peak_states,
     _row_keys,
     dp_exact_prob,
     nabla_pow,
@@ -138,6 +140,30 @@ def test_dp_state_budget():
     mp = ModelParams(q=0.4, m=(1, 3), n=(1, 2), a=(2, 4))
     with pytest.raises(BudgetError):
         dp_exact_prob(mp, state_budget=1)
+
+
+def test_dp_state_budget_caps_the_peak():
+    # halfway through a row this corner holds C(15, 3)**2 = 207,025 states,
+    # far more than the C(18, 6) = 18,564 of a finished row
+    mp = ModelParams(q=0.4, m=(3, 6, 9), n=(2, 4, 6), a=(5, 9, 13))
+    assert _dp_peak_states(mp) == 207_025
+    with pytest.raises(BudgetError):
+        dp_exact_prob(mp, state_budget=207_024)
+    assert _dp_peak_states(ModelParams(q=0.5, m=(2,), n=(2,), a=(-5,))) == 0
+
+
+def test_dp_peak_states_is_attained(monkeypatch):
+    step, peak = growthdist.oracle._dp_step, [0]
+
+    def counting(*args):
+        states, mass = step(*args)
+        peak[0] = max(peak[0], len(states))
+        return states, mass
+
+    monkeypatch.setattr(growthdist.oracle, "_dp_step", counting)
+    mp = ModelParams(q=0.5, m=(4, 8), n=(3, 5), a=(7, 11))
+    dp_exact_prob(mp)
+    assert peak[0] == _dp_peak_states(mp) == 18_876
 
 
 # ---------------------------------------------------------------------------
