@@ -445,7 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exa = sub.add_parser("exact", parents=[common], help="finite-size contour formula")
     exa.add_argument("--mu", type=float, default=0.0, help="conjugation exponent")
-    exa.add_argument("--base-nodes", type=int, default=64, help="initial contour nodes")
+    exa.add_argument(
+        "--base-nodes", type=int, default=64, help="initial contour nodes per circle (even)"
+    )
     exa.add_argument(
         "--max-levels", type=int, default=7,
         help="node doublings allowed after the first evaluation",

@@ -36,10 +36,13 @@ factors, and column factors on a last circle.  The pieces share most of
 their circles, so a level is assembled from distinct parts: each row,
 column and node factor and each ordered-circle Cauchy matrix is formed once,
 each shared chain prefix is multiplied once, and all chains are walked
-together link by link (``_Assembler.chain_values``).  Memory rule: a Cauchy
-matrix (``nn x nn``, the only large piece) or a column factor lives from its
-first use to its last within the walk, and nothing built for a level
-survives it.
+together link by link (``_Assembler.chain_values``).  Each chain is real
+and invariant under ``w -> conj(w)``, and node ``nn - 1 - k`` of a circle
+is the conjugate of node ``k``, so the walk sums over the upper half of
+every circle and folds in the lower half exactly.  Memory rule: a Cauchy
+matrix (``nn/2 x nn``, the only large piece) or a column factor lives from
+its first use to its last within the walk, and nothing built for a level
+survives it.  Contour node counts must be even.
 
 Numerical design: all circle radii approach the critical point ``w_c``
 (respectively ``sqrt(q)`` for circles around 1) at the natural fluctuation
@@ -121,6 +124,17 @@ class _Chain(NamedTuple):
     links: tuple[_Link, ...]
     cols: tuple
     sign: float
+
+
+def _check_node_count(name: str, nodes: int) -> None:
+    """Reject contour node counts that are not positive and even.
+
+    The mirrored chain walk pairs node ``k`` of a circle with node
+    ``nn - 1 - k``; an odd count also puts a node on the real axis, where the
+    circles around 0 cross the branch cut of ``log w``.
+    """
+    if nodes < 2 or nodes % 2:
+        raise ValueError(f"{name} must be a positive even number, got {nodes}")
 
 
 def _check_controls(mu: float, radius_scale: float,
@@ -291,19 +305,23 @@ class _Assembler:
         return _Chain((_Link("zeta1", k), _Link("zeta2", None)), (k, "zeta2"), self.wc)
 
     def chain_values(self, chains: Sequence[_Chain], nn: int) -> dict[_Chain, np.ndarray]:
-        """``{chain: N x N value}`` at ``nn`` nodes per circle, from shared pieces.
+        """``{chain: real N x N value}`` at ``nn`` (even) nodes per circle.
 
         ``integrands._walk_chains`` forms each ordered-circle Cauchy matrix
         and each column factor once, multiplies each shared prefix once and
         drops every coupling and column factor after its last use; the row
-        and node factors are formed once.
+        and node factors are formed once.  Every circle is centred on the
+        real axis and every factor has real parameters, so the walk runs
+        ``mirrored`` on the first ``nn / 2`` nodes of each circle (the upper
+        half), whose conjugates are the other half.
         """
         contours: dict = {}
         node_factors: dict = {}
 
         def contour(key) -> Contour:
             if key not in contours:
-                contours[key] = self._contour(key, nn)
+                full = self._contour(key, nn)
+                contours[key] = Contour(full.nodes[:nn // 2], full.weights[:nn // 2])
             return contours[key]
 
         def rows(link: _Link) -> np.ndarray:
@@ -327,6 +345,7 @@ class _Assembler:
 
         return _walk_chains(
             chains, nodes=lambda key: contour(key).nodes, rows=rows, scale=scale, cols=cols,
+            mirrored=True,
         )
 
     def build_b_block(self, rstar: int, s: int, nn: int) -> np.ndarray:
@@ -408,7 +427,7 @@ def _terms(asm: _Assembler, nn: int) -> list:
 
     all_cols = slice(0, N)
     for signed, parts in groups:
-        base = np.zeros((N, N), dtype=complex)
+        base = np.zeros((N, N))
         for chain, mask in parts:
             base += values[chain] * mask
         for r in range(1, p + 1):
@@ -486,6 +505,7 @@ def det_theta(
         raise ValueError("det_theta needs p >= 2 (p = 1 has no theta)")
     if len(thetas) != params.p - 1:
         raise ValueError(f"expected {params.p - 1} theta components")
+    _check_node_count("nodes", nodes)
     _check_controls(mu, radius_scale)
     asm = _Assembler(params, mu, radius_scale)
     return _det_at(asm.N, _terms(asm, nodes), thetas)
@@ -513,8 +533,7 @@ def multipoint_prob_exact(
     ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
     """
     start = time.perf_counter()
-    if base_nodes < 1:
-        raise ValueError(f"base_nodes must be at least 1, got {base_nodes}")
+    _check_node_count("base_nodes", base_nodes)
     _check_controls(mu, radius_scale, theta_radius)
     if any(ak <= 0 for ak in params.a):
         return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0)

@@ -10,8 +10,8 @@ of samples at once.  The row state is sample-contiguous, shape
 ``(n_p, S)`` for ``S`` samples: each column step ``n`` is one vector
 ``max`` and one vector add over ``S`` contiguous integers.  A row's
 uniforms are drawn sample-major into one preallocated buffer, turned into
-weights in place by the inverse transform, and transposed once into the
-row layout.
+weights in place by the inverse transform, and transposed into the row
+layout in blocks of ``_COPY_BLOCK`` samples.
 
 Sampling is reproducible and worker-count independent: the sample stream is
 split into fixed-size chunks, chunk ``c`` of master seed ``s`` draws from a
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 13
+_COPY_BLOCK = 512  # samples per block of the row transpose (cache-sized strides)
 
 
 def _generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -107,7 +108,9 @@ def _chunk_successes(
         np.log(u, out=u)
         u /= logq
         np.floor(u, out=u)
-        np.copyto(w, u.T, casting="unsafe")
+        for lo in range(0, nsamples, _COPY_BLOCK):
+            hi = lo + _COPY_BLOCK
+            np.copyto(w[:, lo:hi], u[lo:hi].T, casting="unsafe")
         g[0] += w[0]
         for j in range(1, np_):
             np.maximum(g[j], g[j - 1], out=g[j])

@@ -140,6 +140,8 @@ def _walk_chains(
     rows: Callable[[Hashable], np.ndarray],
     scale: Callable[[Hashable], np.ndarray | None],
     cols: Callable[[Hashable], np.ndarray],
+    *,
+    mirrored: bool = False,
 ) -> dict:
     """``{job: (product @ cols(job.cols)) / job.sign}`` for chains of Cauchy couplings.
 
@@ -159,6 +161,20 @@ def _walk_chains(
     its extensions and its jobs are done, so besides the current depth's
     prefixes only the couplings and column factors still ahead stay alive.
     The walk follows the jobs' order, so reruns compute and sum alike.
+
+    With ``mirrored``, every contour's nodes come in conjugate pairs (an
+    even count, none of them real) and ``rows``, ``scale`` and ``cols``
+    satisfy ``f(conj z) = conj f(z)`` in the node, so every chain is real.
+    ``nodes(key)`` then returns one node of each pair, and the factor
+    callables are evaluated on those.  Each coupling from ``a`` to ``b`` is
+    the ``len(a) x 2 len(b)`` Cauchy matrix onto ``b`` and ``conj(b)``; a
+    product ``P`` with it folds to ``P[:, :h] + conj(P[:, h:])``, the
+    product over the full rule at the kept nodes, and a job's value is the
+    real ``2 Re(product @ cols) / sign``.  This is exact algebra, and it
+    halves every coupling, product and factor.  The limit path still walks
+    its full rule: its ladder bases cancel so heavily that their rounding
+    noise moves with any reordering.  Once ROADMAP item 1 makes them real
+    to rounding, ``mirrored`` becomes the only mode and the flag goes.
     """
     jobs = list(dict.fromkeys(jobs))
     steps: list[dict] = []  # steps[d]: the distinct prefixes of d + 2 links
@@ -185,7 +201,17 @@ def _walk_chains(
     col_factors: dict = {}
 
     def cauchy(pr: tuple) -> np.ndarray:
-        return _cauchy(nodes(pr[0]), nodes(pr[1]))
+        b = nodes(pr[1])
+        return _cauchy(nodes(pr[0]), np.concatenate([b, b.conj()]) if mirrored else b)
+
+    def times(prefix: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        part = prefix @ mat
+        if not mirrored:
+            return part
+        h = part.shape[1] // 2
+        folded = part[:, h:].conj()
+        folded += part[:, :h]
+        return folded
 
     out: dict = {}
 
@@ -193,7 +219,8 @@ def _walk_chains(
         """Take the jobs that end at this depth; keep what the next extends."""
         for prefix, mat in level.items():
             for job in ends.get(prefix, ()):
-                out[job] = (mat @ _take(col_factors, col_uses, job.cols, cols)) / job.sign
+                value = mat @ _take(col_factors, col_uses, job.cols, cols)
+                out[job] = 2.0 * value.real / job.sign if mirrored else value / job.sign
         parents = dict.fromkeys(prefix[:-1] for prefix in step)
         return {prefix: mat for prefix, mat in level.items() if prefix in parents}
 
@@ -211,7 +238,7 @@ def _walk_chains(
         for pr, by_parent in groups.items():
             mat = _take(couplings, uses, pr, cauchy)
             for parent, prefixes in by_parent.items():
-                part = level[parent] @ mat
+                part = times(level[parent], mat)
                 for prefix in prefixes:
                     factors = scale(prefix[-1])
                     nxt[prefix] = part if factors is None else part * factors[None, :]

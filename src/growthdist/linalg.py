@@ -13,8 +13,9 @@ base`` to block ``[rows, cols]`` (every theta-independent diagonal scaling
 folded into ``base``), and how they are built at each refinement level.
 The engine owns the rest: ``_refine`` is the one refinement loop and picks
 the theta rule of each level, ``_theta_integral`` lays out the theta grid,
-and ``_det_sum`` evaluates every coefficient once on the whole flattened
-grid, builds the matrices ``I + sum_j c_j(theta) B_j`` in chunks of about
+and ``_det_sum`` evaluates every coefficient once per node, in slabs of
+the flattened grid whose table stays within ``_DET_BATCH_BYTES``, builds
+the matrices ``I + sum_j c_j(theta) B_j`` in chunks of about
 ``_DET_BATCH_BYTES`` and takes each chunk's determinants in one batched
 ``lu_det`` call; ``_det_at`` is the one-node grid of a single theta point.
 """
@@ -119,25 +120,33 @@ def _det_sum(
     ``thetas[i][k]`` is component ``i`` of node ``k``; the nodes are the
     flattened ``(n_theta,) * len(thetas)`` grid in row-major order (no
     component at all: one node).  Each term's coefficients are tabulated
-    once over all nodes; coefficients below ``1e-300`` count as zero and a
+    once per slab of nodes: a whole number of determinant chunks, as many
+    as keep the slab's table within ``_DET_BATCH_BYTES`` (at least one
+    chunk).  The coefficients are elementwise in the nodes, so the slabs
+    change no value.  Coefficients below ``1e-300`` count as zero and a
     term that is zero over a chunk is skipped.  ``deadline`` is checked
     before every chunk; a non-finite determinant raises ``ConvergenceError``
     naming its node.
     """
     count = len(weights)
-    table = np.zeros((len(terms), count), dtype=complex)
-    for row, (_, _, _, coefs) in zip(table, terms):
-        row[:] = sum(c(thetas) for c in coefs)
-    table[np.abs(table) < 1e-300] = 0.0
     chunk = max(1, _DET_BATCH_BYTES // (16 * size * size))
+    slab = max(1, _DET_BATCH_BYTES // (16 * max(1, len(terms)) * chunk)) * chunk
     eye = np.eye(size, dtype=complex)
     total = 0.0 + 0.0j
     for lo in range(0, count, chunk):
         _check_deadline(deadline, "theta integration")
         hi = min(lo + chunk, count)
+        if lo % slab == 0:
+            top = min(lo + slab, count)
+            nodes = tuple(theta[lo:top] for theta in thetas)
+            table = np.zeros((len(terms), top - lo), dtype=complex)
+            for row, (_, _, _, coefs) in zip(table, terms):
+                row[:] = sum(c(nodes) for c in coefs)
+            table[np.abs(table) < 1e-300] = 0.0
         mats = np.repeat(eye[None], hi - lo, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            for (rows, cols, base, _), coef in zip(terms, table[:, lo:hi]):
+            off = lo % slab
+            for (rows, cols, base, _), coef in zip(terms, table[:, off:off + hi - lo]):
                 if coef.any():
                     mats[:, rows, cols] += coef[:, None, None] * base
             dets = lu_det(mats)
@@ -170,7 +179,7 @@ def _theta_integral(
     has no degree outside ``[-n_theta/2, n_theta/2)``.  At ``p = 1`` there is
     no theta and the integral is the single determinant ``det(I + M)``.  All
     ``n_theta**(p-1)`` nodes go to ``_det_sum`` at once, which tabulates the
-    coefficients on the whole grid and takes the determinants in chunked
+    coefficients slab by slab and takes the determinants in chunked
     batches, checking ``deadline`` before each chunk.
     """
     ring = circle(0.0, radius, n_theta)

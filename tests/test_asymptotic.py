@@ -250,6 +250,41 @@ def test_det_pinned_values(inst, theta, ref):
     assert abs(got - ref) / abs(ref) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ANCHOR,
+        INST2,
+        LimitParams(t=(1.0, 1.5, 2.0), x=(0.0, 0.0, 0.0), xi=(0.3, 4.0, 0.7)),
+        pytest.param(
+            INST3,
+            marks=pytest.mark.xfail(
+                reason="ROADMAP item 1: the INST3 ladder bases cancel heavily and keep "
+                "an imaginary part of several percent of their size",
+            ),
+        ),
+        pytest.param(
+            LimitParams(t=(1.0, 1.5), x=(0.1, -0.2), xi=(0.3, 0.5)),
+            marks=pytest.mark.xfail(
+                reason="ROADMAP item 1: the tilted p=2 config's family-6 base is the "
+                "wrong contour form and not real",
+            ),
+        ),
+    ],
+    ids=["anchor", "inst2", "middle-marginal", "inst3", "tilted"],
+)
+def test_limit_bases_are_real_to_rounding(inst):
+    # every kernel base is real in exact arithmetic; a base whose rounding
+    # noise is this large moves with any reordering of its sums, which is
+    # why the limit path still walks its chains over the full rule
+    settings = LimitSettings()
+    grid = block_grid(inst.p, settings.extent, settings.block_nodes)
+    terms = _limit_terms(_LimitKernels(inst, settings), grid)
+    bases = {id(base): base for _, _, base, _ in terms}.values()
+    for base in bases:
+        assert np.abs(base.imag).max() <= 1e-6 * np.abs(base).max()
+
+
 def test_det_invariant_under_conjugation_rate():
     th = 2.0 * cmath.exp(-0.8j)
     base = fredholm_det_F((th,), INST2, settings=LimitSettings())

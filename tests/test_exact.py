@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from growthdist.cli import main
 from growthdist.errors import BudgetError, ConvergenceError
 from growthdist.exact import (
     _Assembler,
@@ -230,6 +231,55 @@ def test_batched_theta_integral_independent_of_chunk_size(monkeypatch):
     monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 1)  # one matrix per chunk
     single = _theta_integral(asm.N, terms, P3.p, 2.0, 8, None)
     assert abs(single - batched) <= 1e-15
+
+
+@pytest.mark.parametrize("size, slab", [(4, 50), (1, 160)], ids=["slabs", "one-chunk"])
+def test_theta_coefficients_tabulated_in_bounded_slabs(monkeypatch, size, slab):
+    # 2560 bytes hold 10 matrices of side 4 or 160 of side 1; three terms'
+    # coefficients fit 53 nodes, which rounds down to five side-4 chunks,
+    # but never below one chunk
+    rng = np.random.default_rng(7)
+    ring = circle(0.0, 2.0, 32)
+    axes = np.meshgrid(ring.nodes, ring.nodes, indexing="ij")
+    thetas = tuple(axis.ravel() for axis in axes)
+    weights = rng.normal(size=len(thetas[0])) / len(thetas[0])
+    lengths = []
+
+    def coefficient(j, k):
+        def c(th):
+            lengths.append(len(th[0]))
+            return th[0] ** j * th[1] ** k
+        return c
+
+    every = slice(0, size)
+    terms = [
+        (every, every, 0.1 * rng.normal(size=(size, size)), [coefficient(j, k)])
+        for j, k in ((1, 0), (0, -1), (-2, 1))
+    ]
+    monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 2560)
+    got = growthdist.linalg._det_sum(size, terms, thetas, weights, 32, None)
+    assert max(lengths) == slab
+    assert sum(lengths) == 3 * len(weights)
+    mats = np.eye(size) + sum(
+        c(thetas)[:, None, None] * base for _, _, base, (c,) in terms
+    )
+    ref = np.sum(weights * np.linalg.det(mats))
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_odd_node_counts_rejected(tmp_path):
+    # the conjugate-pair walk needs even counts; an odd count would also
+    # put a node on the branch cut of log w
+    with pytest.raises(ValueError, match="even"):
+        det_theta(P2, (1.3 + 0.4j,), nodes=63)
+    with pytest.raises(ValueError, match="even"):
+        multipoint_prob_exact(P2, base_nodes=63)
+    config = tmp_path / "config.json"
+    config.write_text('{"q": 0.4, "m": [1, 3], "n": [1, 2], "a": [2, 4]}', encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["exact", "--config", str(config), "--base-nodes", "63", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
 
 
 def test_theta_coefficients_tabulated_once_per_level(monkeypatch):

@@ -127,6 +127,63 @@ def test_chain_walk_matches_direct_products(monkeypatch):
     assert sorted(made) == [0, 1]
 
 
+def test_mirrored_walk_matches_full_products(monkeypatch):
+    # the job layout of the test above, on rules closed under conjugation:
+    # even-count circles centred on the real axis and one vertical line
+    # (contour 3); rows, scales and columns are polynomials with real
+    # coefficients (the columns in contour 2's nodes, for every job), so
+    # the walk over one node of each conjugate pair must reproduce the full
+    # products, and their values are real
+    rng = np.random.default_rng(5)
+    full = {c: circle(float(c), 0.2 + 0.05 * c, 16).nodes for c in range(3)}
+    full[3] = vline(0.5, 2.0, 16).nodes
+    half = {c: z[:8] for c, z in full.items()}
+    assert all(np.allclose(z[::-1], z.conj()) for z in full.values())
+
+    def poly(coef, z):
+        return np.polynomial.polynomial.polyval(z, coef)
+
+    row_coef = {c: rng.normal(size=(3, 5)) for c in full}
+    scale_coef = {c: rng.normal(size=3) for c in full}
+    col_coef = {k: rng.normal(size=(3, 3)) for k in range(2)}
+    jobs = [
+        _Job(((0, False), (1, True), (2, False)), 0, 1.0),
+        _Job(((0, False), (1, True), (3, True), (2, False)), 1, -2.0),
+        _Job(((0, False), (1, False)), 0, 3.0),
+        _Job(((3, False), (1, True), (2, False)), 1, -4.0),
+        _Job(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
+        _Job(((0, False), (1, True), (2, False)), 1, -6.0),
+    ]
+    formed = []
+    cauchy = growthdist.integrands._cauchy
+
+    def counting(a, b):
+        formed.append((a.tobytes(), b.tobytes()))
+        return cauchy(a, b)
+
+    monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
+    got = _walk_chains(
+        jobs, nodes=lambda key: half[key],
+        rows=lambda link: poly(row_coef[link[0]], half[link[0]]),
+        scale=lambda link: poly(scale_coef[link[0]], half[link[0]]) if link[1] else None,
+        cols=lambda key: poly(col_coef[key], half[2]).T,
+        mirrored=True,
+    )
+    assert set(got) == set(jobs)
+    for job in jobs:
+        assert np.isrealobj(got[job])
+        a = job.links[0][0]
+        ref = poly(row_coef[a], full[a])
+        for (a, _), (b, scaled) in zip(job.links, job.links[1:]):
+            ref = ref @ (1.0 / (full[a][:, None] - full[b][None, :]))
+            if scaled:
+                ref = ref * poly(scale_coef[b], full[b])[None, :]
+        ref = (ref @ poly(col_coef[job.cols], full[2]).T) / job.sign
+        np.testing.assert_allclose(got[job], ref, rtol=1e-13)
+    pairs = {(a[0], b[0]) for job in jobs for a, b in zip(job.links, job.links[1:])}
+    assert len(formed) == len(set(formed)) == len(pairs)
+
+
 # ---------------------------------------------------------------------------
 # discrete integrand factor
 # ---------------------------------------------------------------------------
