@@ -44,7 +44,8 @@ family's lines.  Two independent evaluation paths are cross-checked:
 
 ``multitime_cdf`` integrates the Fredholm determinant over the theta
 circles with the trapezoidal rule (exact for the Laurent polynomial in
-theta) and doubles all resolutions until two successive levels agree;
+theta), certifies each rule from its Laurent tail and grows the Nystrom
+grid until two successive levels agree;
 ``_limit_terms`` hands the Nystrom-weighted kernel bases to the shared
 theta-determinant engine in ``linalg``, which does the summing,
 determinants, integration and refinement.  One ``_LimitKernels`` serves
@@ -74,7 +75,16 @@ from .integrands import (
     log_script_g,
     vline,
 )
-from .linalg import NystromGrid, _check_deadline, _det_at, _refine, block_grid, lu_det
+from .linalg import (
+    _PANEL,
+    NystromGrid,
+    _check_deadline,
+    _det_at,
+    _refine,
+    _refined_count,
+    block_grid,
+    lu_det,
+)
 from .params import (
     LimitParams,
     admissible_eps,
@@ -140,7 +150,7 @@ class LimitSettings:
     theta_radius: float = 2.0
     mu: float | None = None
     tol: float = 2e-6
-    max_levels: int = 2
+    max_levels: int = 4
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -843,6 +853,7 @@ class AsymptoticResult:
     levels: int
     converged: bool
     runtime_ms: float
+    theta_tail: float
 
 
 def multitime_cdf(
@@ -854,36 +865,39 @@ def multitime_cdf(
     """Joint probability that the rescaled interface stays below ``xi``.
 
     Integrates ``det(I + F(theta)) / prod (theta_k - 1)`` over the product
-    of theta circles.  Level ``l`` has ``settings.block_nodes * 2**l``
-    Nystrom nodes per block and the engine's theta rule, ``8 * 2**l`` nodes
-    per circle (exact for Laurent degrees in ``[-4 * 2**l, 4 * 2**l)``);
-    levels double, at most ``settings.max_levels`` times, until two
-    successive levels agree within ``settings.tol``; raises
-    ``ConvergenceError`` otherwise.
+    of theta circles.  Level ``l`` has ``_refined_count(block_nodes, 12,
+    l)`` Nystrom nodes per block: whole 12-node panels, growing by
+    ``sqrt(2)`` per level (4, 6, 8, 11, 16, .. panels from the default 48
+    nodes).  Levels are refined, at most ``settings.max_levels`` times,
+    until two successive levels agree within ``settings.tol``.  Each
+    level's theta rule starts at the previous level's (8 nodes per circle
+    on the first) and doubles until its Laurent tail is at most
+    ``settings.tol``.  Raises ``ConvergenceError`` otherwise.
     """
     start = time.perf_counter()
     inst = instance
     settings = settings or LimitSettings()
     kern = _LimitKernels(inst, settings)
 
-    def grid_at(level: int) -> NystromGrid:
-        return block_grid(inst.p, settings.extent, settings.block_nodes * 2 ** level)
+    def nodes_at(level: int) -> int:
+        return _refined_count(settings.block_nodes, _PANEL, level)
 
     def terms_at(level: int) -> tuple[int, list]:
-        grid = grid_at(level)
+        grid = block_grid(inst.p, settings.extent, nodes_at(level))
         return len(grid), _limit_terms(kern, grid, deadline)
 
-    value, _, level, n_theta = _refine(
+    value, _, level, n_theta, tail = _refine(
         terms_at, inst.p, settings.theta_radius, settings.tol, settings.max_levels, deadline,
     )
     return AsymptoticResult(
         value=float(value.real),
         imag_part=float(value.imag),
         theta_nodes=n_theta,  # per circle; p = 1 has no circle
-        grid_nodes=len(grid_at(level)),
+        grid_nodes=inst.p * nodes_at(level),
         levels=level,
         converged=True,
         runtime_ms=1e3 * (time.perf_counter() - start),
+        theta_tail=tail,
     )
 
 

@@ -210,6 +210,7 @@ def _cmd_exact(args) -> int:
             "delta": res.delta,
             "nodes": res.nodes,
             "grid": res.theta_nodes,
+            "theta_tail": res.theta_tail,
             "levels": res.levels,
             "converged": res.converged,
             "runtime_ms": res.runtime_ms,
@@ -240,6 +241,7 @@ def _cmd_asymptotic(args) -> int:
             "imag_part": res.imag_part,
             "nodes": res.theta_nodes,
             "grid": res.grid_nodes,
+            "theta_tail": res.theta_tail,
             "levels": res.levels,
             "converged": res.converged,
             "runtime_ms": res.runtime_ms,
@@ -365,6 +367,13 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
         1e-6,
     )
 
+    corner = ModelParams(q=0.4, m=(3, 6), n=(2, 4), a=(5, 9))
+    add(
+        "refined two-point exact vs DP",
+        abs(multipoint_prob_exact(corner).value - dp_exact_prob(corner)),
+        1e-9,
+    )
+
     zero_ev = ModelParams(q=0.5, m=(2,), n=(2,), a=(1,))
     add(
         "forced-zero event probability (1-q)^4",
@@ -449,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--base-nodes", type=int, default=64, help="initial contour nodes per circle (even)"
     )
     exa.add_argument(
-        "--max-levels", type=int, default=7,
-        help="node doublings allowed after the first evaluation",
+        "--max-levels", type=int, default=14,
+        help="contour refinements (nodes grown by sqrt 2) allowed after the first evaluation",
     )
     exa.add_argument(
         "--theta-radius", type=float, default=2.0, help="radius of the theta circles"
@@ -473,7 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     asy.add_argument(
         "--max-levels", type=int, default=None,
-        help="grid doublings allowed after the first evaluation (default 2)",
+        help="grid refinements (panels grown by sqrt 2) allowed after the first "
+        "evaluation (default 4)",
     )
     asy.set_defaults(func=_cmd_asymptotic, default_format="json")
 

@@ -27,8 +27,8 @@ with ``nu`` the fluctuation scale (a similarity, so the determinant is
 invariant in exact arithmetic — a useful self-test).  ``_terms`` turns the
 pieces into the weighted bases of the theta-determinant engine in
 ``linalg``, which sums them, takes the determinant, integrates over theta
-with its trapezoidal rule and refines; level ``l`` has ``base_nodes *
-2**l`` contour nodes.
+with its trapezoidal rule and refines; the contour node counts grow by
+``sqrt(2)`` per level (``base_nodes``, then ``90, 128, 182, ..`` from 64).
 
 Per level, every piece but ``B`` is a chain: row factors on a first circle,
 Cauchy couplings ``1/(a - b)`` between successive circles scaled by node
@@ -47,7 +47,7 @@ survives it.  Contour node counts must be even.
 Numerical design: all circle radii approach the critical point ``w_c``
 (respectively ``sqrt(q)`` for circles around 1) at the natural fluctuation
 scale ``c4 / nu`` of the instance, which keeps integrand magnitudes of
-order one near the dominant arc; node counts double until the value is
+order one near the dominant arc; node counts grow until the value is
 stable to the requested tolerance.
 
 The single-point case ``p = 1`` has no theta integral: its two-contour
@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrands import Contour, _walk_chains, circle, log_g
-from .linalg import _det_at, _refine
+from .linalg import _det_at, _refine, _refined_count
 # Unused here since the engine takes every determinant, but kept importable:
 # a tracer that wraps ``lu_det`` in every module namespace holding it
 # (``perfbench/tracing.py``) checks that it restores this name too.
@@ -96,6 +96,7 @@ class ExactResult:
     levels: int
     converged: bool
     runtime_ms: float
+    theta_tail: float
 
 
 class _Link(NamedTuple):
@@ -517,36 +518,40 @@ def multipoint_prob_exact(
     mu: float = 0.0,
     tol: float = 1e-9,
     base_nodes: int = 64,
-    max_levels: int = 7,
+    max_levels: int = 14,
     theta_radius: float = 2.0,
     radius_scale: float = 1.0,
     deadline: float | None = None,
 ) -> ExactResult:
     """Evaluate ``P(G(m_k, n_k) < a_k for all k)`` by contour quadrature.
 
-    Contour node counts start at ``base_nodes`` and theta nodes at 8 (none
-    at ``p = 1``); both double, at most ``max_levels`` times, until two
-    successive evaluations agree within ``tol`` (``ConvergenceError``
-    otherwise).  ``mu`` controls the similarity conjugation (the value is
-    invariant); ``theta_radius`` (> 1) and ``radius_scale`` perturb
-    contours without changing the value.  ``deadline`` is a
+    Contour node counts start at ``base_nodes`` and grow by ``sqrt(2)`` per
+    level (rounded to even, doubling every second level), at most
+    ``max_levels`` times, until two successive evaluations agree within
+    ``tol`` (``ConvergenceError`` otherwise).  Each level's theta rule
+    starts at the previous level's (8 nodes per circle on the first; none
+    at ``p = 1``) and doubles until its Laurent tail is at most ``tol``.
+    ``mu`` controls the similarity conjugation (the value is invariant);
+    ``theta_radius`` (> 1) and ``radius_scale`` perturb contours without
+    changing the value.  ``deadline`` is a
     ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
     """
     start = time.perf_counter()
     _check_node_count("base_nodes", base_nodes)
     _check_controls(mu, radius_scale, theta_radius)
     if any(ak <= 0 for ak in params.a):
-        return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0)
+        return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0, 0.0)
     if params.p == 1:
         terms = _single_point_terms(params, radius_scale)
     else:
         terms = partial(_terms, _Assembler(params, mu, radius_scale))
-    val, delta, level, n_theta = _refine(
-        lambda level: (params.n[-1], terms(base_nodes * 2 ** level)),
+    val, delta, level, n_theta, tail = _refine(
+        lambda level: (params.n[-1], terms(_refined_count(base_nodes, 2, level))),
         params.p, theta_radius, tol, max_levels, deadline,
     )
     return ExactResult(
         value=float(val.real), imag_part=float(val.imag), delta=float(delta),
-        nodes=base_nodes * 2 ** level, theta_nodes=n_theta,
+        nodes=_refined_count(base_nodes, 2, level), theta_nodes=n_theta,
         levels=level, converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
+        theta_tail=tail,
     )

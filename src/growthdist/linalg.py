@@ -11,11 +11,15 @@ private theta-determinant engine.  A route only describes its terms
 ``(rows, cols, base, coefs)``, which add ``sum(c(theta) for c in coefs) *
 base`` to block ``[rows, cols]`` (every theta-independent diagonal scaling
 folded into ``base``), and how they are built at each refinement level.
-The engine owns the rest: ``_refine`` is the one refinement loop and picks
-the theta rule of each level, ``_theta_integral`` lays out the theta grid,
-and ``_det_sum`` evaluates every coefficient once per node, in slabs of
-the flattened grid whose table stays within ``_DET_BATCH_BYTES``, builds
-the matrices ``I + sum_j c_j(theta) B_j`` in chunks of about
+The engine owns the rest.  ``_refine`` is the one refinement loop.  It
+refines two resolutions on their own evidence: the route's (contour or
+Nystrom) nodes grow by ``sqrt(2)`` per level (``_refined_count``) until two
+successive levels agree, and on each level the theta rule doubles on the
+same terms until ``_theta_tail`` certifies it from the determinants it has
+already taken.  ``_theta_integral`` lays out the theta grid, and
+``_det_sum`` evaluates every coefficient once per node, in slabs of the
+flattened grid whose table stays within ``_DET_BATCH_BYTES``, builds the
+matrices ``I + sum_j c_j(theta) B_j`` in chunks of about
 ``_DET_BATCH_BYTES`` and takes each chunk's determinants in one batched
 ``lu_det`` call; ``_det_at`` is the one-node grid of a single theta point.
 """
@@ -70,13 +74,20 @@ class NystromGrid:
         return len(self.nodes)
 
 
+_PANEL = 12  # Gauss-Legendre nodes per panel of a Nystrom block
+
+
 def block_grid(p: int, extent: float = 12.0, n: int = 48) -> NystromGrid:
-    """Gauss-Legendre grid truncating each half-line at ``extent``."""
+    """Gauss-Legendre grid truncating each half-line at ``extent``.
+
+    Each block has ``n`` nodes rounded to whole ``_PANEL``-node panels (at
+    least one).
+    """
     nodes, weights, slices = [], [], []
     start = 0
     for r in range(1, p + 1):
         lo, hi = (0.0, extent) if r == p else (-extent, 0.0)
-        x, w = composite_gl(lo, hi, n, panel_size=12)
+        x, w = composite_gl(lo, hi, n, panel_size=_PANEL)
         nodes.append(x)
         weights.append(w)
         slices.append(slice(start, start + len(x)))
@@ -102,7 +113,9 @@ def nystrom_det(kernel: np.ndarray, grid: NystromGrid) -> complex:
 # theta-determinant engine
 # ---------------------------------------------------------------------------
 
-_THETA_NODES = 8  # per circle at level 0: exact for Laurent degrees in [-4, 4)
+_THETA_NODES = 8  # per circle on the first level: exact for Laurent degrees in [-4, 4)
+_THETA_MAX_NODES = 2 ** 16  # cap on the theta nodes of one rule, over all circles
+_TAIL_NOISE = 16.0  # Laurent coefficients below this many ulps of max |det| are roundoff
 _DET_BATCH_BYTES = 4 * 2 ** 20  # bytes of matrices per batched determinant call
 
 
@@ -111,9 +124,23 @@ def _check_deadline(deadline: float | None, phase: str) -> None:
         raise BudgetError(f"time budget exhausted during {phase}")
 
 
+def _refined_count(base: int, unit: int, level: int) -> int:
+    """Node count of refinement ``level``: ``base`` grown by ``sqrt(2)`` per level.
+
+    Counts are whole multiples of ``unit`` (even contour nodes, or Nystrom
+    panels), ``u0 = max(1, round(base / unit))`` of them at level 0 and
+    ``max(round(u0 * 2**(level/2)), u0 + level)`` at ``level``.  Even
+    levels are exact doublings of level 0; the second term keeps every
+    level strictly finer than the one before, where rounding alone would
+    repeat a small count and make two levels agree trivially.
+    """
+    u0 = max(1, round(base / unit))
+    return unit * max(round(u0 * 2 ** (level / 2)), u0 + level)
+
+
 def _det_sum(
     size: int, terms, thetas: tuple[np.ndarray, ...], weights: np.ndarray,
-    n_theta: int, deadline: float | None,
+    n_theta: int, deadline: float | None, out: np.ndarray | None = None,
 ) -> complex:
     """``sum_k weights[k] * det(I + sum_j c_j(theta_k) B_j)`` over theta nodes ``k``.
 
@@ -126,7 +153,8 @@ def _det_sum(
     change no value.  Coefficients below ``1e-300`` count as zero and a
     term that is zero over a chunk is skipped.  ``deadline`` is checked
     before every chunk; a non-finite determinant raises ``ConvergenceError``
-    naming its node.
+    naming its node.  If ``out`` is given, ``out[k]`` receives node ``k``'s
+    determinant.
     """
     count = len(weights)
     chunk = max(1, _DET_BATCH_BYTES // (16 * size * size))
@@ -157,6 +185,8 @@ def _det_sum(
                 node = np.unravel_index(lo + bad[0], (n_theta,) * len(thetas))
                 where = f" at theta node {tuple(int(j) for j in node)} of n_theta={n_theta}"
             raise ConvergenceError(f"non-finite determinant {complex(dets[bad[0]])}{where}")
+        if out is not None:
+            out[lo:hi] = dets
         total += np.sum(weights[lo:hi] * dets)
     return complex(total)
 
@@ -168,7 +198,8 @@ def _det_at(size: int, terms, thetas) -> complex:
 
 
 def _theta_integral(
-    size: int, terms, p: int, radius: float, n_theta: int, deadline: float | None
+    size: int, terms, p: int, radius: float, n_theta: int, deadline: float | None,
+    dets: np.ndarray | None = None,
 ) -> complex:
     """Trapezoidal ``(p-1)``-fold integral of ``det(I+M(theta))/prod(theta_k - 1)``.
 
@@ -180,7 +211,9 @@ def _theta_integral(
     no theta and the integral is the single determinant ``det(I + M)``.  All
     ``n_theta**(p-1)`` nodes go to ``_det_sum`` at once, which tabulates the
     coefficients slab by slab and takes the determinants in chunked
-    batches, checking ``deadline`` before each chunk.
+    batches, checking ``deadline`` before each chunk.  If ``dets`` is given
+    (shape ``(n_theta,) * (p-1)``), it receives the determinant at every
+    node, ``dets[j_1, .., j_{p-1}]`` at node ``j_i`` of circle ``i``.
     """
     ring = circle(0.0, radius, n_theta)
     weights = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
@@ -189,40 +222,102 @@ def _theta_integral(
     flat = np.ones(1, dtype=complex)
     for _ in range(p - 1):
         flat = np.multiply.outer(flat, weights).ravel()
-    return _det_sum(size, terms, thetas, flat, n_theta, deadline)
+    out = None if dets is None else dets.reshape(-1)
+    return _det_sum(size, terms, thetas, flat, n_theta, deadline, out)
+
+
+def _theta_tail(dets: np.ndarray) -> float:
+    """Band-edge Laurent tail of the determinant sampled on a theta torus.
+
+    ``dets`` holds ``det(I + M(theta))`` at the ``n`` nodes of each circle
+    (as filled by ``_theta_integral``).  Their FFT gives the Laurent
+    coefficients ``c_k radius**k`` of each degree ``k`` modulo ``n``, every
+    degree beyond the band aliased onto one inside it (Trefethen & Weideman,
+    SIAM Rev. 56, 2014).  The rule's error is a sum of such aliased
+    coefficients, which carry weights at most 1, and of the missed
+    coefficients of degree ``>= n/2``, which carry ``radius**-k < 1``.  So
+    once the outer half of the band, every coefficient with some
+    ``|k_i| >= n/4``, has decayed, what lies beyond it is smaller still.
+    Returns the sum of the outer half's magnitudes that stand above
+    roundoff, ``_TAIL_NOISE`` ulps of the largest ``|det|``; 0 means the
+    outer half is at roundoff and no finer rule can resolve more.
+    """
+    n = dets.shape[0]
+    coefs = np.abs(np.fft.fftn(dets)) / dets.size
+    inner = np.abs(np.fft.fftfreq(n, 1.0 / n)) < n // 4
+    in_band = np.ones((), dtype=bool)
+    for _ in range(dets.ndim):
+        in_band = np.logical_and.outer(in_band, inner)
+    noise = _TAIL_NOISE * np.finfo(float).eps * np.abs(dets).max()
+    return float(np.sum(coefs[~in_band & (coefs > noise)]))
+
+
+def _certified_integral(
+    size: int, terms, p: int, radius: float, n_theta: int, tol: float,
+    deadline: float | None,
+) -> tuple[complex, int, float]:
+    """Theta integral at the first of ``n_theta, 2 n_theta, ..`` nodes whose tail is certified.
+
+    Every rule integrates the same ``terms``; it is accepted once its
+    ``_theta_tail`` is at most ``tol``.  ``deadline`` is checked before
+    every doubling.  A rule over ``_THETA_MAX_NODES`` nodes in all is not
+    tried: ``ConvergenceError`` then reports the last tail.  Returns
+    ``(value, n_theta, tail)``; ``p = 1`` has no theta (``n_theta = 0``,
+    tail 0).
+    """
+    if p == 1:
+        return _theta_integral(size, terms, p, radius, 0, deadline), 0, 0.0
+    while True:
+        dets = np.empty((n_theta,) * (p - 1), dtype=complex)
+        value = _theta_integral(size, terms, p, radius, n_theta, deadline, dets)
+        tail = _theta_tail(dets)
+        if tail <= tol:
+            return value, n_theta, tail
+        if (2 * n_theta) ** (p - 1) > _THETA_MAX_NODES:
+            raise ConvergenceError(
+                f"theta rule not certified within {n_theta} nodes per circle "
+                f"(last theta tail {tail:.3g}, tol={tol:g})"
+            )
+        _check_deadline(deadline, "theta refinement")
+        n_theta *= 2
 
 
 def _refine(
     terms_at: Callable[[int], tuple[int, list]], p: int, radius: float, tol: float,
     max_levels: int, deadline: float | None,
-) -> tuple[complex, float, int, int]:
+) -> tuple[complex, float, int, int, float]:
     """Integrate over theta at levels ``0, 1, ..`` until two successive values agree.
 
     ``terms_at(level)`` returns the matrix size and the terms at the
-    route's resolution doubled ``level`` times.  Level ``l`` integrates them
-    with ``n_theta = _THETA_NODES * 2**l`` nodes per theta circle of
-    ``radius`` (``n_theta = 0`` at ``p = 1``, which has no circle).  At most
-    ``max_levels`` doublings follow the first evaluation.  Returns
-    ``(value, delta, level, n_theta)``; raises ``ValueError`` unless
+    route's resolution of ``level``, which the route grows by
+    ``_refined_count``.  Each level integrates them over theta circles of
+    ``radius`` with the first rule ``_certified_integral`` accepts,
+    starting from the previous level's node count (``_THETA_NODES`` on
+    level 0; ``n_theta = 0`` at ``p = 1``, which has no circle).  At most
+    ``max_levels`` refinements follow the first evaluation.  Returns
+    ``(value, delta, level, n_theta, tail)``; raises ``ValueError`` unless
     ``tol > 0`` and ``max_levels >= 0``, ``ConvergenceError`` reporting the
-    last delta, or ``BudgetError`` once ``deadline`` has passed.
+    last delta (or theta tail), or ``BudgetError`` once ``deadline`` has
+    passed.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_levels < 0:
         raise ValueError(f"max_levels must be non-negative, got {max_levels}")
-    prev, delta, level = None, None, 0
+    prev, delta, level, n_theta = None, None, 0, _THETA_NODES
     for level in range(max_levels + 1):
         _check_deadline(deadline, "refinement")
-        n_theta = _THETA_NODES * 2 ** level if p > 1 else 0
-        value = _theta_integral(*terms_at(level), p, radius, n_theta, deadline)
+        size, terms = terms_at(level)
+        value, n_theta, tail = _certified_integral(
+            size, terms, p, radius, n_theta, tol, deadline
+        )
         if prev is not None:
             delta = abs(value - prev)
             if delta <= tol:
-                return value, delta, level, n_theta
+                return value, delta, level, n_theta, tail
         prev = value
     last = "unavailable" if delta is None else f"{delta:.3g}"
     raise ConvergenceError(
-        f"refinement did not stabilize within {max_levels} doublings "
+        f"refinement did not stabilize within {max_levels} refinements "
         f"(last delta {last} at level {level}, tol={tol:g})"
     )

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import HealthCheck, given
+from hypothesis import strategies as st
 
 import growthdist.asymptotic
 import growthdist.integrands
@@ -24,7 +27,7 @@ from growthdist.asymptotic import (
 )
 from growthdist.errors import ConvergenceError, SchemaError
 from growthdist.exact import det_theta
-from growthdist.linalg import block_grid
+from growthdist.linalg import _PANEL, _refined_count, block_grid
 from growthdist.params import (
     KPZParams,
     LimitParams,
@@ -307,7 +310,7 @@ def test_multitime_single_time_route(t, x, xi):
     res = multitime_cdf(LimitParams(t=(t,), x=(x,), xi=(xi,)))
     assert res.converged
     assert res.value == pytest.approx(tracy_widom(xi + x * x, nodes=192), abs=1e-9)
-    assert res.grid_nodes == 48 * 2 ** res.levels
+    assert res.grid_nodes == _refined_count(48, _PANEL, res.levels)
 
 
 def test_multitime_two_time_anchor():
@@ -332,7 +335,7 @@ def test_each_line_coupling_formed_once_per_level(monkeypatch):
     kern = _LimitKernels(ANCHOR, LimitSettings())
     for level in (0, 1):
         pairs.clear()
-        _limit_terms(kern, block_grid(ANCHOR.p, 12.0, 48 * 2 ** level))
+        _limit_terms(kern, block_grid(ANCHOR.p, 12.0, _refined_count(48, _PANEL, level)))
         assert pairs
         assert len(set(pairs)) == len(pairs)
 
@@ -357,6 +360,75 @@ def test_lines_built_once_per_call(monkeypatch):
         counts.append(calls[0])
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("block_nodes", [8, 12])
+def test_every_level_has_more_panels(monkeypatch, block_nodes):
+    # one 12-node panel grown by sqrt(2) rounds back to one panel; such a
+    # level would repeat the last one and agree with it exactly
+    panels = []
+    grid = growthdist.asymptotic.block_grid
+
+    def recording(p, extent, n):
+        g = grid(p, extent, n)
+        panels.append(len(g) // (p * _PANEL))
+        return g
+
+    monkeypatch.setattr(growthdist.asymptotic, "block_grid", recording)
+    settings = LimitSettings(block_nodes=block_nodes, tol=1e-300, max_levels=4)
+    with pytest.raises(ConvergenceError, match="at level 4"):
+        multitime_cdf(ANCHOR, settings)
+    assert panels == [1, 2, 3, 4, 5]
+    assert [_refined_count(48, _PANEL, level) // _PANEL for level in range(7)] == [
+        4, 6, 8, 11, 16, 23, 32
+    ]
+    # the default cap reaches the finest grid of two doublings
+    assert _refined_count(48, _PANEL, LimitSettings().max_levels) == 48 * 2 ** 2
+
+
+def _assert_sandwiched(inst: LimitParams) -> None:
+    # Harris's inequality below (each event is decreasing in the weights)
+    # and Frechet's above, with the one-time marginals F_GUE(xi + x^2)
+    tol = LimitSettings().tol
+    marginals = [tracy_widom(xi + x * x) for x, xi in zip(inst.x, inst.xi)]
+    value = multitime_cdf(inst).value
+    assert math.prod(marginals) - tol <= value <= min(marginals) + tol
+
+
+@st.composite
+def spread_limit_points(draw):
+    """Two-time limit points of the census ranges with ``t2 - t1 >= 0.8``."""
+    t2 = draw(st.floats(1.8, 3.0))
+    x = draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)))
+    xi = draw(st.tuples(st.floats(-1.0, 1.5), st.floats(-1.0, 1.5)))
+    return LimitParams(t=(1.0, t2), x=x, xi=xi)
+
+
+@hypothesis.settings(max_examples=6, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+@given(spread_limit_points())
+def test_two_time_law_is_sandwiched_by_its_marginals(inst):
+    _assert_sandwiched(inst)
+
+
+@pytest.mark.parametrize(
+    "t2, x, xi",
+    [
+        pytest.param(1.4658, (0.104, -0.1787), (1.2536, -0.4571), id="census-7",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                             reason="ROADMAP item 1: above min F_k")),
+        pytest.param(1.2443, (0.2035, -0.0202), (-0.682, 0.8481), id="census-12",
+                     marks=pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                                             reason="ROADMAP item 1: determinant overflows")),
+        pytest.param(1.2637, (-0.0844, -0.2022), (1.497, -0.64), id="census-21",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                             reason="ROADMAP item 1: above min F_k")),
+    ],
+)
+def test_close_times_break_the_sandwich(t2, x, xi):
+    # census instances (default_rng(11), t2 - t1 < 0.8) where the limit law
+    # is wrong; the strict marks fail the suite once item 1 is fixed
+    _assert_sandwiched(LimitParams(t=(1.0, t2), x=x, xi=xi))
 
 
 def test_multitime_invariant_under_time_rescaling():

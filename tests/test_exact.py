@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ import growthdist.integrands
 import growthdist.linalg
 import growthdist.params
 from growthdist.integrands import circle
-from growthdist.linalg import _theta_integral
+from growthdist.linalg import _refined_count, _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
 from growthdist.params import ModelParams
 
@@ -145,6 +147,34 @@ def test_multipoint_invariances():
     assert multipoint_prob_exact(P2, radius_scale=0.9).value == pytest.approx(
         base, abs=1e-9
     )
+
+
+def test_every_level_has_more_contour_nodes(monkeypatch):
+    counts = []
+    terms = growthdist.exact._terms
+
+    def recording(asm, nn):
+        counts.append(nn)
+        return terms(asm, nn)
+
+    monkeypatch.setattr(growthdist.exact, "_terms", recording)
+    with pytest.raises(ConvergenceError, match="at level 6"):
+        multipoint_prob_exact(P2, tol=1e-300, max_levels=6)
+    assert counts == [64, 90, 128, 182, 256, 362, 512]
+    # a tiny base still refines strictly, with even counts
+    assert [_refined_count(2, 2, level) for level in range(6)] == [2, 4, 6, 8, 10, 12]
+    # the default cap reaches the finest count of seven node doublings
+    default = inspect.signature(multipoint_prob_exact).parameters["max_levels"].default
+    assert _refined_count(64, 2, default) == 64 * 2 ** 7
+
+
+def test_uncertified_theta_rule_reports_its_tail(monkeypatch):
+    # this corner's 8-node rule is refused; with no room to double, the run
+    # stops on level 0 and names the tail
+    monkeypatch.setattr(growthdist.linalg, "_THETA_MAX_NODES", 8)
+    corner = ModelParams(q=0.4, m=(2, 4), n=(1, 3), a=(4, 7))
+    with pytest.raises(ConvergenceError, match=r"within 8 nodes per circle \(last theta tail \d"):
+        multipoint_prob_exact(corner)
 
 
 def test_multipoint_control_errors():

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import time
 from itertools import accumulate
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from growthdist.exact import multipoint_prob_exact
+import numpy as np
+
+import growthdist.linalg
+from growthdist.exact import _Assembler, _terms, multipoint_prob_exact
+from growthdist.linalg import _theta_integral, _theta_tail
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
 from growthdist.params import ModelParams
 
@@ -77,3 +82,58 @@ def test_dp_is_symmetric_and_matches_determinantal_sum(params):
     value = dp_exact_prob(params)
     assert abs(dp_exact_prob(swapped) - value) < 1e-14
     assert abs(truncated_sum_prob(params) - value) < 1e-12
+
+
+@st.composite
+def seeded_corners(draw):
+    """Corners from the benchmark's seeded-corner ranges, at p = 2 or 3:
+    distinct corners in [1, 5] x [1, 4] and thresholds near the mean
+    passage time, non-decreasing and at most 8."""
+    p = draw(st.sampled_from([2, 3]))
+    q = draw(st.floats(0.2, 0.6))
+    m = sorted(draw(st.lists(st.integers(1, 5), min_size=p, max_size=p, unique=True)))
+    n = sorted(draw(st.lists(st.integers(1, 4), min_size=p, max_size=p, unique=True)))
+    mean = q / (1.0 - q)
+    a = [
+        max(1, round(mean * (math.sqrt(mk) + math.sqrt(nk)) ** 2)) + draw(st.integers(0, 2))
+        for mk, nk in zip(m, n)
+    ]
+    a = [min(ak, 8) for ak in accumulate(a, max)]
+    return ModelParams(q=q, m=tuple(m), n=tuple(n), a=tuple(a))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seeded_corners())
+def test_certified_theta_rule_matches_dp_and_its_refinement(params):
+    tol = 1e-9
+    res = multipoint_prob_exact(params, tol=tol)
+    assert abs(res.value - dp_exact_prob(params)) < tol
+    assert res.theta_tail <= tol
+    # the last contour level again, under twice the certified theta nodes
+    asm = _Assembler(params, 0.0, 1.0)
+    terms = _terms(asm, res.nodes)
+    doubled = _theta_integral(asm.N, terms, params.p, 2.0, 2 * res.theta_nodes, None)
+    assert abs(doubled - complex(res.value, res.imag_part)) <= tol
+
+
+def test_theta_tail_doubles_the_rule(monkeypatch):
+    # the degree-2 Laurent coefficient of this corner exceeds tol, so the
+    # 8-node rule is refused and the run ends at 16 nodes per circle
+    phases = []
+    check = growthdist.linalg._check_deadline
+
+    def recording(deadline, phase):
+        phases.append(phase)
+        check(deadline, phase)
+
+    monkeypatch.setattr(growthdist.linalg, "_check_deadline", recording)
+    params = ModelParams(q=0.4, m=(2, 4), n=(1, 3), a=(4, 7))
+    res = multipoint_prob_exact(params, deadline=time.monotonic() + 60.0)
+    assert res.theta_nodes == 16
+    assert phases.count("theta refinement") == 1
+    asm = _Assembler(params, 0.0, 1.0)
+    dets = np.empty(8, dtype=complex)
+    _theta_integral(asm.N, _terms(asm, res.nodes), params.p, 2.0, 8, None, dets)
+    assert _theta_tail(dets) > 1e-9
+    assert abs(res.value - dp_exact_prob(params)) < 1e-9
