@@ -886,7 +886,7 @@ def multitime_cdf(
         grid = block_grid(inst.p, settings.extent, nodes_at(level))
         return len(grid), _limit_terms(kern, grid, deadline)
 
-    value, _, level, n_theta, tail = _refine(
+    value, _, level, n_theta, tail, _ = _refine(
         terms_at, inst.p, settings.theta_radius, settings.tol, settings.max_levels, deadline,
     )
     return AsymptoticResult(

@@ -212,6 +212,7 @@ def _cmd_exact(args) -> int:
             "grid": res.theta_nodes,
             "theta_tail": res.theta_tail,
             "levels": res.levels,
+            "first_level": res.first_level,
             "converged": res.converged,
             "runtime_ms": res.runtime_ms,
         },
@@ -455,11 +456,13 @@ def _build_parser() -> argparse.ArgumentParser:
     exa = sub.add_parser("exact", parents=[common], help="finite-size contour formula")
     exa.add_argument("--mu", type=float, default=0.0, help="conjugation exponent")
     exa.add_argument(
-        "--base-nodes", type=int, default=64, help="initial contour nodes per circle (even)"
+        "--base-nodes", type=int, default=64,
+        help="contour nodes per circle of level 0 of the schedule (even); the run starts "
+        "at the level the circle geometry chooses",
     )
     exa.add_argument(
         "--max-levels", type=int, default=14,
-        help="contour refinements (nodes grown by sqrt 2) allowed after the first evaluation",
+        help="index of the finest level allowed (nodes grown by sqrt 2 per level)",
     )
     exa.add_argument(
         "--theta-radius", type=float, default=2.0, help="radius of the theta circles"

@@ -27,8 +27,14 @@ with ``nu`` the fluctuation scale (a similarity, so the determinant is
 invariant in exact arithmetic — a useful self-test).  ``_terms`` turns the
 pieces into the weighted bases of the theta-determinant engine in
 ``linalg``, which sums them, takes the determinant, integrates over theta
-with its trapezoidal rule and refines; the contour node counts grow by
-``sqrt(2)`` per level (``base_nodes``, then ``90, 128, 182, ..`` from 64).
+with its trapezoidal rule and refines.  Level ``l`` has ``base_nodes``
+grown by ``sqrt(2)`` per level (64, 90, 128, 182, .. from 64) contour nodes
+per circle, ``base_nodes`` being the base of this schedule, not the first
+count built: a run starts at the last level whose closest concentric
+circles still alias above ``tol`` (``linalg._first_level``), steps below it
+only when its first comparison agrees but that bound cannot rule out an
+agreement below, and reports the index of the level it returns as
+``levels``.
 
 Per level, every piece but ``B`` is a chain: row factors on a first circle,
 Cauchy couplings ``1/(a - b)`` between successive circles scaled by node
@@ -86,7 +92,12 @@ __all__ = ["ExactResult", "det_theta", "multipoint_prob_exact"]
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Value of a contour-integral evaluation plus convergence diagnostics."""
+    """Value of a contour-integral evaluation plus convergence diagnostics.
+
+    ``levels`` is the index of the returned refinement level and
+    ``first_level`` the lowest level built; the run skipped the levels below
+    it.
+    """
 
     value: float
     imag_part: float
@@ -97,6 +108,7 @@ class ExactResult:
     converged: bool
     runtime_ms: float
     theta_tail: float
+    first_level: int
 
 
 class _Link(NamedTuple):
@@ -189,13 +201,42 @@ class _Assembler:
 
     # -- contours ---------------------------------------------------------
 
+    @staticmethod
+    def _centre(key) -> float:
+        return 0.0 if key in ("zeta1", "zeta2") else 1.0
+
+    def _radius(self, key) -> float:
+        if key == "zeta1":
+            return self.tau1
+        if key == "zeta2":
+            return self.tau2
+        return self.sq - (0.4 + 0.7 * key) * self.d_one
+
     def _contour(self, key, nn: int) -> Contour:
         """``"zeta1"``, ``"zeta2"`` or the circle around 1 of offset rank ``key``."""
-        if key == "zeta1":
-            return circle(0.0, self.tau1, nn)
-        if key == "zeta2":
-            return circle(0.0, self.tau2, nn)
-        return circle(1.0, self.sq - (0.4 + 0.7 * key) * self.d_one, nn)
+        return circle(self._centre(key), self._radius(key), nn)
+
+    def coupling_ratio(self, chains: Sequence[_Chain]) -> float:
+        """Largest ``r_in / r_out`` over the concentric circles a chain couples.
+
+        Successive links of a chain are coupled directly.  Concentric pairs
+        are adjacent offset ranks around 1, the largest ratio being ranks 0
+        and 1, and ``zeta_1, zeta_2``, which only ``L_k`` (``p >= 4``)
+        couples.  0 when no chain couples two concentric circles.
+
+        The trapezoid rule of ``nn`` nodes on the Cauchy coupling of such a
+        pair aliases at order ``ratio**nn`` (Trefethen & Weideman, SIAM Rev.
+        56, 2014), and on generated instances a level's error is close to a
+        fixed multiple of it: about 0.9 down to 1e-5, the small multiples
+        where a threshold ``a_k`` is near 1.
+        """
+        ratio = 0.0
+        for chain in chains:
+            for a, b in zip(chain.links, chain.links[1:]):
+                if self._centre(a.circle) == self._centre(b.circle):
+                    inner, outer = sorted((self._radius(a.circle), self._radius(b.circle)))
+                    ratio = max(ratio, inner / outer)
+        return ratio
 
     @staticmethod
     def _ladder(window: tuple[int, ...]) -> list[int]:
@@ -391,20 +432,15 @@ def _a2_groups(p: int):
                 yield k1, k2, window, terms
 
 
-def _terms(asm: _Assembler, nn: int) -> list:
-    """Engine terms ``(rows, cols, base, coefs)`` at contour node count ``nn``.
+def _pieces(asm: _Assembler):
+    """The chain pieces of every level, described node-count free.
 
-    Every chain piece (``L^eps``, ``J^eps``, ``L_p``, ``L_k``) of the level
-    is evaluated in one ``chain_values`` walk over shared couplings, then
-    masked and split into row blocks, each carrying its theta coefficients;
-    the similarity conjugation is folded into the bases.
+    Returns ``(groups, lks, chains)``: ``groups`` holds ``(signed, parts)``
+    per ``_a2_groups`` window, each part a ``(chain, mask)`` of ``L^eps``,
+    ``J^eps`` or ``L_p``; ``lks`` holds ``(k, chain, col_ok)`` per ``L_k``;
+    ``chains`` lists every chain of both.
     """
-    p, N = asm.p, asm.N
-    terms = []
-
-    def add(rows: slice, cols: slice, block: np.ndarray, coefs: list) -> None:
-        terms.append((rows, cols, block * asm.conj[rows, cols], coefs))
-
+    p = asm.p
     groups = []
     for k1, k2, window, signed in _a2_groups(p):
         parts = []
@@ -423,8 +459,26 @@ def _terms(asm: _Assembler, nn: int) -> list:
         groups.append((signed, parts))
     lks = [(k, asm.lk_chain(k), np.array([s < k for s in asm.row_block]))
            for k in range(2, p - 1)]
-    values = asm.chain_values(
-        [chain for _, parts in groups for chain, _ in parts] + [c for _, c, _ in lks], nn)
+    chains = [chain for _, parts in groups for chain, _ in parts] + [c for _, c, _ in lks]
+    return groups, lks, chains
+
+
+def _terms(asm: _Assembler, nn: int) -> list:
+    """Engine terms ``(rows, cols, base, coefs)`` at contour node count ``nn``.
+
+    Every chain piece (``L^eps``, ``J^eps``, ``L_p``, ``L_k``) of the level
+    is evaluated in one ``chain_values`` walk over shared couplings, then
+    masked and split into row blocks, each carrying its theta coefficients;
+    the similarity conjugation is folded into the bases.
+    """
+    p, N = asm.p, asm.N
+    terms = []
+
+    def add(rows: slice, cols: slice, block: np.ndarray, coefs: list) -> None:
+        terms.append((rows, cols, block * asm.conj[rows, cols], coefs))
+
+    groups, lks, chains = _pieces(asm)
+    values = asm.chain_values(chains, nn)
 
     all_cols = slice(0, N)
     for signed, parts in groups:
@@ -525,12 +579,18 @@ def multipoint_prob_exact(
 ) -> ExactResult:
     """Evaluate ``P(G(m_k, n_k) < a_k for all k)`` by contour quadrature.
 
-    Contour node counts start at ``base_nodes`` and grow by ``sqrt(2)`` per
-    level (rounded to even, doubling every second level), at most
-    ``max_levels`` times, until two successive evaluations agree within
-    ``tol`` (``ConvergenceError`` otherwise).  Each level's theta rule
-    starts at the previous level's (8 nodes per circle on the first; none
-    at ``p = 1``) and doubles until its Laurent tail is at most ``tol``.
+    Level ``l`` has ``_refined_count(base_nodes, 2, l)`` contour nodes per
+    circle: ``base_nodes`` grown by ``sqrt(2)`` per level (rounded to even,
+    doubling every second level).  The run returns the level at which two
+    successive evaluations first agree within ``tol``, as ``levels``
+    (``ConvergenceError`` if none up to index ``max_levels`` does).  It
+    builds levels upward from the last one whose coupling bound
+    ``coupling_ratio**nodes`` exceeds ``tol``, and below it only when the
+    first comparison agrees although the bound predicts the level below
+    disagrees by little (``linalg._refine``); ``first_level`` is the lowest
+    level built.  Each level's theta rule starts at the adjacent level's (8
+    nodes per circle on the first; none at ``p = 1``) and doubles until its
+    Laurent tail is at most ``tol``.
     ``mu`` controls the similarity conjugation (the value is invariant);
     ``theta_radius`` (> 1) and ``radius_scale`` perturb contours without
     changing the value.  ``deadline`` is a
@@ -540,18 +600,21 @@ def multipoint_prob_exact(
     _check_node_count("base_nodes", base_nodes)
     _check_controls(mu, radius_scale, theta_radius)
     if any(ak <= 0 for ak in params.a):
-        return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0, 0.0)
+        return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0, 0.0, 0)
     if params.p == 1:
-        terms = _single_point_terms(params, radius_scale)
+        terms, bound = _single_point_terms(params, radius_scale), None
     else:
-        terms = partial(_terms, _Assembler(params, mu, radius_scale))
-    val, delta, level, n_theta, tail = _refine(
+        asm = _Assembler(params, mu, radius_scale)
+        terms = partial(_terms, asm)
+        ratio = asm.coupling_ratio(_pieces(asm)[2])
+        bound = lambda level: ratio ** _refined_count(base_nodes, 2, level)
+    val, delta, level, n_theta, tail, lowest = _refine(
         lambda level: (params.n[-1], terms(_refined_count(base_nodes, 2, level))),
-        params.p, theta_radius, tol, max_levels, deadline,
+        params.p, theta_radius, tol, max_levels, deadline, bound,
     )
     return ExactResult(
         value=float(val.real), imag_part=float(val.imag), delta=float(delta),
         nodes=_refined_count(base_nodes, 2, level), theta_nodes=n_theta,
         levels=level, converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
-        theta_tail=tail,
+        theta_tail=tail, first_level=lowest,
     )

@@ -13,15 +13,17 @@ base`` to block ``[rows, cols]`` (every theta-independent diagonal scaling
 folded into ``base``), and how they are built at each refinement level.
 The engine owns the rest.  ``_refine`` is the one refinement loop.  It
 refines two resolutions on their own evidence: the route's (contour or
-Nystrom) nodes grow by ``sqrt(2)`` per level (``_refined_count``) until two
-successive levels agree, and on each level the theta rule doubles on the
-same terms until ``_theta_tail`` certifies it from the determinants it has
-already taken.  ``_theta_integral`` lays out the theta grid, and
-``_det_sum`` evaluates every coefficient once per node, in slabs of the
-flattened grid whose table stays within ``_DET_BATCH_BYTES``, builds the
-matrices ``I + sum_j c_j(theta) B_j`` in chunks of about
-``_DET_BATCH_BYTES`` and takes each chunk's determinants in one batched
-``lu_det`` call; ``_det_at`` is the one-node grid of a single theta point.
+Nystrom) nodes grow by ``sqrt(2)`` per level (``_refined_count``) until
+two successive levels agree, from the first level the route's a-priori
+error bound leaves unresolved (``_first_level``), and on each level the
+theta rule doubles on the same terms until ``_theta_tail`` certifies it
+from the determinants it has already taken.
+``_theta_integral`` lays out the theta grid, and ``_det_sum`` evaluates
+every coefficient once per node, in slabs of the flattened grid whose
+table stays within ``_DET_BATCH_BYTES``, builds the matrices ``I + sum_j
+c_j(theta) B_j`` in chunks of about ``_DET_BATCH_BYTES`` and takes each
+chunk's determinants in one batched ``lu_det`` call; ``_det_at`` is the
+one-node grid of a single theta point.
 """
 
 from __future__ import annotations
@@ -117,6 +119,10 @@ _THETA_NODES = 8  # per circle on the first level: exact for Laurent degrees in 
 _THETA_MAX_NODES = 2 ** 16  # cap on the theta nodes of one rule, over all circles
 _TAIL_NOISE = 16.0  # Laurent coefficients below this many ulps of max |det| are roundoff
 _DET_BATCH_BYTES = 4 * 2 ** 20  # bytes of matrices per batched determinant call
+# An agreeing first comparison skips the levels below the first level when
+# the error bound predicts the level below disagreed by more than this many
+# tol; on generated instances the prediction was within a factor 2.
+_STEP_DOWN_MARGIN = 10.0
 
 
 def _check_deadline(deadline: float | None, phase: str) -> None:
@@ -282,42 +288,89 @@ def _certified_integral(
         n_theta *= 2
 
 
+def _first_level(bound: Callable[[int], float], tol: float, max_levels: int) -> int:
+    """First refinement level to build: the last whose error bound exceeds ``tol``.
+
+    ``bound(level)`` is the route's a-priori error scale of ``level``,
+    decreasing in ``level``.  Up to the last level whose bound still exceeds
+    ``tol``, the levels are not resolved, so the two-level test is not
+    expected to pass before the level after it.  The level is at most
+    ``max_levels - 1``, so that two levels are compared.
+    """
+    level = 0
+    while level + 1 < max_levels and bound(level + 1) > tol:
+        level += 1
+    return level
+
+
 def _refine(
     terms_at: Callable[[int], tuple[int, list]], p: int, radius: float, tol: float,
-    max_levels: int, deadline: float | None,
-) -> tuple[complex, float, int, int, float]:
-    """Integrate over theta at levels ``0, 1, ..`` until two successive values agree.
+    max_levels: int, deadline: float | None, bound: Callable[[int], float] | None = None,
+) -> tuple[complex, float, int, int, float, int]:
+    """Integrate over theta from a first level upward until two successive values agree.
 
     ``terms_at(level)`` returns the matrix size and the terms at the
     route's resolution of ``level``, which the route grows by
     ``_refined_count``.  Each level integrates them over theta circles of
-    ``radius`` with the first rule ``_certified_integral`` accepts,
-    starting from the previous level's node count (``_THETA_NODES`` on
-    level 0; ``n_theta = 0`` at ``p = 1``, which has no circle).  At most
-    ``max_levels`` refinements follow the first evaluation.  Returns
-    ``(value, delta, level, n_theta, tail)``; raises ``ValueError`` unless
-    ``tol > 0`` and ``max_levels >= 0``, ``ConvergenceError`` reporting the
-    last delta (or theta tail), or ``BudgetError`` once ``deadline`` has
-    passed.
+    ``radius`` with the first rule ``_certified_integral`` accepts, starting
+    from the adjacent level's node count (``_THETA_NODES`` on the first;
+    ``n_theta = 0`` at ``p = 1``, which has no circle).  ``max_levels`` is
+    the last level index tried.
+
+    The run returns the level the schedule from level 0 stops at: the first
+    whose value agrees with the level below, provided the deltas shrink
+    from level to level.  Without ``bound`` it starts at level 0.  With
+    ``bound``, the route's a-priori error scale of each level, it starts at
+    ``_first_level`` and builds no level below it, unless its first
+    comparison already agrees.  Then no level was seen to disagree, and a
+    level below the start may agree too.  If the first delta, scaled by the
+    bound's ratio between the start and the level below it, exceeds
+    ``_STEP_DOWN_MARGIN * tol``, the level below is taken to disagree.
+    Otherwise the run steps down, each lower level's theta rule starting
+    from the count of the level above, until a comparison disagrees or
+    level 0 is reached, and returns the lowest level that agrees with the
+    one below.
+
+    Returns ``(value, delta, level, n_theta, tail, lowest)``: ``level`` is
+    the index of the returned level and ``lowest`` the lowest level built.
+    Raises ``ValueError`` unless ``tol > 0`` and ``max_levels >= 0``,
+    ``ConvergenceError`` reporting the last delta (or theta tail), or
+    ``BudgetError`` once ``deadline`` has passed.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_levels < 0:
         raise ValueError(f"max_levels must be non-negative, got {max_levels}")
-    prev, delta, level, n_theta = None, None, 0, _THETA_NODES
-    for level in range(max_levels + 1):
+    start = 0 if bound is None else _first_level(bound, tol, max_levels)
+
+    def evaluate(level: int, n_theta: int) -> tuple[complex, int, float]:
         _check_deadline(deadline, "refinement")
         size, terms = terms_at(level)
-        value, n_theta, tail = _certified_integral(
-            size, terms, p, radius, n_theta, tol, deadline
-        )
+        return _certified_integral(size, terms, p, radius, n_theta, tol, deadline)
+
+    prev, delta, n_theta = None, None, _THETA_NODES
+    for level in range(start, max_levels + 1):
+        current = evaluate(level, n_theta)
+        n_theta = current[1]
         if prev is not None:
-            delta = abs(value - prev)
+            delta = abs(current[0] - prev[0])
             if delta <= tol:
-                return value, delta, level, n_theta, tail
-        prev = value
-    last = "unavailable" if delta is None else f"{delta:.3g}"
-    raise ConvergenceError(
-        f"refinement did not stabilize within {max_levels} refinements "
-        f"(last delta {last} at level {level}, tol={tol:g})"
-    )
+                break
+        prev = current
+    else:
+        last = "unavailable" if delta is None else f"{delta:.3g}"
+        raise ConvergenceError(
+            f"refinement did not stabilize by level {max_levels} "
+            f"(last delta {last} at level {level}, tol={tol:g})"
+        )
+    lowest = start
+    if (level == start + 1 and start > 0
+            and delta * bound(start - 1) <= _STEP_DOWN_MARGIN * tol * bound(start)):
+        for lowest in range(start - 1, -1, -1):
+            below = evaluate(lowest, prev[1])
+            step = abs(prev[0] - below[0])
+            if step > tol:
+                break
+            current, delta, level, prev = prev, step, lowest + 1, below
+    value, n_theta, tail = current
+    return value, delta, level, n_theta, tail, lowest

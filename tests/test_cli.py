@@ -38,6 +38,13 @@ def test_asymptotic_converges_with_one_doubling(tmp_path):
     assert doc["value"] == pytest.approx(0.9720743806856159, abs=5e-6)
 
 
+def test_exact_reports_the_levels_it_skipped(tmp_path):
+    code, doc = _run(tmp_path, "exact", TINY)
+    assert code == 0
+    diag = doc["diagnostics"]
+    assert (diag["first_level"], diag["levels"], diag["nodes"]) == (2, 4, 256)
+
+
 def test_validate_passes(tmp_path, capsys):
     code, doc = _run(tmp_path, "validate", None)
     assert code == 0

@@ -11,6 +11,7 @@ from growthdist.cli import main
 from growthdist.errors import BudgetError, ConvergenceError
 from growthdist.exact import (
     _Assembler,
+    _pieces,
     _terms,
     det_theta,
     multipoint_prob_exact,
@@ -20,7 +21,7 @@ import growthdist.integrands
 import growthdist.linalg
 import growthdist.params
 from growthdist.integrands import circle
-from growthdist.linalg import _refined_count, _theta_integral
+from growthdist.linalg import _first_level, _refined_count, _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
 from growthdist.params import ModelParams
 
@@ -160,6 +161,13 @@ def test_every_level_has_more_contour_nodes(monkeypatch):
     monkeypatch.setattr(growthdist.exact, "_terms", recording)
     with pytest.raises(ConvergenceError, match="at level 6"):
         multipoint_prob_exact(P2, tol=1e-300, max_levels=6)
+    # no level resolves 1e-300, so the run starts at the cap's last pair
+    assert counts == [_refined_count(64, 2, level) for level in (5, 6)]
+    # from level 0, every count of the schedule is built
+    counts.clear()
+    monkeypatch.setattr(growthdist.linalg, "_first_level", lambda *args: 0)
+    with pytest.raises(ConvergenceError, match="at level 6"):
+        multipoint_prob_exact(P2, tol=1e-300, max_levels=6)
     assert counts == [64, 90, 128, 182, 256, 362, 512]
     # a tiny base still refines strictly, with even counts
     assert [_refined_count(2, 2, level) for level in range(6)] == [2, 4, 6, 8, 10, 12]
@@ -168,9 +176,43 @@ def test_every_level_has_more_contour_nodes(monkeypatch):
     assert _refined_count(64, 2, default) == 64 * 2 ** 7
 
 
+@pytest.mark.parametrize(
+    "corner, start, built, lowest, level",
+    [
+        (ModelParams(q=0.0625, m=(1, 2), n=(2, 4), a=(1, 5)), 1, [90, 128, 64], 0, 1),
+        (ModelParams(q=0.3564, m=(3, 5), n=(1, 2), a=(5, 8)), 2, [128, 182], 2, 3),
+    ],
+    ids=["steps-down", "bound-rules-out"],
+)
+def test_first_comparison_that_agrees(monkeypatch, corner, start, built, lowest, level):
+    # Both runs agree on their first comparison.  With a threshold of 1 at
+    # small q the coupling error is far below its bound and levels 0 and 1
+    # already agree, so the run steps down; on the other corner the bound,
+    # scaled by the first delta, puts the delta below the start at about
+    # 270 tol, so it builds nothing below its start.  Both end where the
+    # schedule from level 0 ends.
+    counts = []
+    terms = growthdist.exact._terms
+
+    def recording(asm, nn):
+        counts.append(nn)
+        return terms(asm, nn)
+
+    asm = _Assembler(corner, 0.0, 1.0)
+    ratio = asm.coupling_ratio(_pieces(asm)[2])
+    assert _first_level(lambda lv: ratio ** _refined_count(64, 2, lv), 1e-9, 14) == start
+    monkeypatch.setattr(growthdist.exact, "_terms", recording)
+    res = multipoint_prob_exact(corner)
+    assert counts == built
+    assert (res.first_level, res.levels) == (lowest, level)
+    assert res.value == pytest.approx(dp_exact_prob(corner), abs=1e-9)
+    monkeypatch.setattr(growthdist.linalg, "_first_level", lambda *args: 0)
+    assert multipoint_prob_exact(corner).levels == level
+
+
 def test_uncertified_theta_rule_reports_its_tail(monkeypatch):
     # this corner's 8-node rule is refused; with no room to double, the run
-    # stops on level 0 and names the tail
+    # stops on the first level it builds and names the tail
     monkeypatch.setattr(growthdist.linalg, "_THETA_MAX_NODES", 8)
     corner = ModelParams(q=0.4, m=(2, 4), n=(1, 3), a=(4, 7))
     with pytest.raises(ConvergenceError, match=r"within 8 nodes per circle \(last theta tail \d"):

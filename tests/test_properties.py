@@ -6,16 +6,17 @@ import math
 import time
 from itertools import accumulate
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import pytest
 
 import growthdist.linalg
 from growthdist.exact import _Assembler, _terms, multipoint_prob_exact
 from growthdist.linalg import _theta_integral, _theta_tail
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
-from growthdist.params import ModelParams
+from growthdist.params import KPZParams, ModelParams, discretize
 
 MAX_STATES = 150  # transfer-matrix states C(a_p - 1 + N, N), N = min(m_p, n_p)
 
@@ -137,3 +138,42 @@ def test_theta_tail_doubles_the_rule(monkeypatch):
     _theta_integral(asm.N, _terms(asm, res.nodes), params.p, 2.0, 8, None, dets)
     assert _theta_tail(dets) > 1e-9
     assert abs(res.value - dp_exact_prob(params)) < 1e-9
+
+
+@st.composite
+def refinement_cases(draw):
+    """Corners at p = 2..4 with ``q`` in [0.05, 0.8], or scaled p = 2
+    configs near the benchmark's (``T <= 40``)."""
+    if draw(st.booleans()):
+        return discretize(KPZParams(
+            q=draw(st.floats(0.2, 0.4)), T=draw(st.floats(5.0, 40.0)),
+            t=(1.0, draw(st.floats(1.5, 2.5))),
+            x=tuple(draw(st.lists(st.floats(-0.1, 0.1), min_size=2, max_size=2))),
+            xi=tuple(draw(st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2))),
+        ))
+    p = draw(st.sampled_from([2, 3, 4]))
+    q = draw(st.floats(0.05, 0.8))
+    steps = st.lists(st.integers(1, 2), min_size=p, max_size=p)
+    m = tuple(accumulate(draw(steps)))
+    n = tuple(accumulate(draw(steps)))
+    a = tuple(sorted(draw(st.lists(st.integers(1, 8), min_size=p, max_size=p))))
+    return ModelParams(q=q, m=m, n=n, a=a)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(refinement_cases())
+# levels 0 and 1 already agree here, below the level the geometry starts at
+@example(ModelParams(q=0.06876340206379784, m=(1, 2, 3), n=(2, 3, 4), a=(2, 7, 8)))
+def test_skipped_levels_leave_the_full_schedule_result(params):
+    # starting at the level the circle geometry chooses, and stepping down
+    # where an agreeing first comparison leaves it open, must end where the
+    # full schedule from level 0 ends, with the same value to tol
+    tol = 1e-9
+    res = multipoint_prob_exact(params, tol=tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(growthdist.linalg, "_first_level", lambda *args: 0)
+        full = multipoint_prob_exact(params, tol=tol)
+    assert (res.levels, res.nodes) == (full.levels, full.nodes)
+    assert abs(res.value - full.value) <= tol
+    assert res.first_level < res.levels
