@@ -375,6 +375,14 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
         1e-9,
     )
 
+    scaled = discretize(KPZParams(q=0.25, T=40.0, t=(1.0, 2.0), x=(0.0, 0.0), xi=(0.2, 0.4)))
+    add(
+        "exact invariant under contour layout",
+        abs(multipoint_prob_exact(scaled).value - multipoint_prob_exact(
+            scaled, radius_scale=1.3, theta_radius=3.0, mu=0.5).value),
+        1e-9,
+    )
+
     zero_ev = ModelParams(q=0.5, m=(2,), n=(2,), a=(1,))
     add(
         "forced-zero event probability (1-q)^4",
@@ -469,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exa.add_argument(
         "--radius-scale", type=float, default=1.0,
-        help="admissible rescaling of the descent contour radii",
+        help="multiplier of the contour offsets from the critical point; 1 is the "
+        "default layout of two fluctuation units (the value does not depend on it)",
     )
     exa.set_defaults(func=_cmd_exact, default_format="json")
 

@@ -50,11 +50,16 @@ matrix (``nn/2 x nn``, the only large piece) or a column factor lives from
 its first use to its last within the walk, and nothing built for a level
 survives it.  Contour node counts must be even.
 
-Numerical design: all circle radii approach the critical point ``w_c``
-(respectively ``sqrt(q)`` for circles around 1) at the natural fluctuation
-scale ``c4 / nu`` of the instance, which keeps integrand magnitudes of
-order one near the dominant arc; node counts grow until the value is
-stable to the requested tolerance.
+Numerical design: all circle radii sit at offsets from the critical point
+``w_c`` (respectively ``sqrt(q)`` for circles around 1) in units of two
+fluctuation scales ``c4 / nu`` of the instance, capped so that every
+circle stays in its admissible window.  The paper's steepest-descent limit
+needs circles at the fluctuation scale itself, but the quadrature does
+not: the trapezoid rule on a coupling of two concentric circles aliases
+like ``(r_in / r_out)**nn`` (Trefethen & Weideman, SIAM Rev. 56, 2014),
+so circles two units out need about half the nodes of circles one unit
+out, while the integrands stay of order one near the dominant arc.  Node
+counts grow until the value is stable to the requested tolerance.
 
 The single-point case ``p = 1`` has no theta integral: its two-contour
 kernel (``_single_point_terms``) is one engine term, and the engine
@@ -88,6 +93,11 @@ from .params import (
 )
 
 __all__ = ["ExactResult", "det_theta", "multipoint_prob_exact"]
+
+# Contour offsets are measured in units of this many fluctuation scales
+# ``c4 / nu``.  Two keep the integrands of order one near the dominant arc
+# while halving the nodes the closest concentric circles need against one.
+_OFFSET_UNITS = 2.0
 
 
 @dataclass(frozen=True)
@@ -185,9 +195,9 @@ class _Assembler:
         self.prof = {r: params.blocked(r) for r in range(1, self.p + 1)}
         idx = np.arange(1, self.N + 1)
         self.row_block = np.searchsorted(params.n, idx, side="left") + 1
-        # contour offsets at the fluctuation scale of the instance
+        # contour offsets in units of two fluctuation scales of the instance
         nu_eff = consts.c0 * self.N ** (1.0 / 3.0)
-        dz = consts.c4 / nu_eff * radius_scale
+        dz = _OFFSET_UNITS * consts.c4 / nu_eff * radius_scale
         self.d_zeta = min(dz, self.wc / 8.0)
         self.d_one = min(dz, (self.sq - self.q) / (0.8 + 0.7 * self.p))
         self.tau1 = self.wc - 0.8 * self.d_zeta
@@ -463,13 +473,14 @@ def _pieces(asm: _Assembler):
     return groups, lks, chains
 
 
-def _terms(asm: _Assembler, nn: int) -> list:
+def _terms(asm: _Assembler, nn: int, pieces=None) -> list:
     """Engine terms ``(rows, cols, base, coefs)`` at contour node count ``nn``.
 
     Every chain piece (``L^eps``, ``J^eps``, ``L_p``, ``L_k``) of the level
     is evaluated in one ``chain_values`` walk over shared couplings, then
     masked and split into row blocks, each carrying its theta coefficients;
-    the similarity conjugation is folded into the bases.
+    the similarity conjugation is folded into the bases.  ``pieces`` is
+    ``_pieces(asm)``, built here when not given.
     """
     p, N = asm.p, asm.N
     terms = []
@@ -477,7 +488,7 @@ def _terms(asm: _Assembler, nn: int) -> list:
     def add(rows: slice, cols: slice, block: np.ndarray, coefs: list) -> None:
         terms.append((rows, cols, block * asm.conj[rows, cols], coefs))
 
-    groups, lks, chains = _pieces(asm)
+    groups, lks, chains = pieces or _pieces(asm)
     values = asm.chain_values(chains, nn)
 
     all_cols = slice(0, N)
@@ -515,7 +526,8 @@ def _single_point_terms(params: ModelParams, radius_scale: float):
     """Engine terms of the p = 1 two-contour kernel, as ``nn -> terms``.
 
     ``K = rows @ couplings @ columns / w_c`` runs from a circle around 1
-    into a circle around 0, both at the fluctuation scale of the instance;
+    into a circle around 0, both offset from the critical point in the
+    units of ``_Assembler``;
     ``P(G(m, n) < a) = det(I + K)`` is the one term ``(all, all, K, [1])``.
     """
     m, n, a = params.m[0], params.n[0], params.a[0]
@@ -523,7 +535,7 @@ def _single_point_terms(params: ModelParams, radius_scale: float):
     consts = compute_constants(q)
     wc, sq = consts.w_c, math.sqrt(q)
     nu_eff = consts.c0 * n ** (1.0 / 3.0)
-    dz = consts.c4 / nu_eff * radius_scale
+    dz = _OFFSET_UNITS * consts.c4 / nu_eff * radius_scale
     tau = wc - 0.8 * min(dz, wc / 8.0)
     radius = sq - 0.4 * min(dz, (sq - q) / 2.0)
     ivals = np.arange(1, n + 1)
@@ -551,10 +563,11 @@ def det_theta(
 ) -> complex:
     """``det(I + A(theta) + B(theta))`` at a single ``theta`` point.
 
-    ``mu`` sets the similarity conjugation and ``radius_scale`` perturbs
-    the contour radii within their admissible windows; the determinant is
-    invariant under both in exact arithmetic, which makes this the natural
-    entry point for invariance certificates.
+    ``mu`` sets the similarity conjugation and ``radius_scale`` multiplies
+    the contour offsets of the default layout (1, two fluctuation units from
+    the critical point), each kept within its admissible window; the
+    determinant is invariant under both in exact arithmetic, which makes
+    this the natural entry point for invariance certificates.
     """
     if params.p < 2:
         raise ValueError("det_theta needs p >= 2 (p = 1 has no theta)")
@@ -592,8 +605,10 @@ def multipoint_prob_exact(
     nodes per circle on the first; none at ``p = 1``) and doubles until its
     Laurent tail is at most ``tol``.
     ``mu`` controls the similarity conjugation (the value is invariant);
-    ``theta_radius`` (> 1) and ``radius_scale`` perturb contours without
-    changing the value.  ``deadline`` is a
+    ``theta_radius`` (> 1) and ``radius_scale`` move contours without
+    changing the value, ``radius_scale`` multiplying the contour offsets of
+    the default layout (1, two fluctuation units from the critical point)
+    within their admissible windows.  ``deadline`` is a
     ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
     """
     start = time.perf_counter()
@@ -605,8 +620,9 @@ def multipoint_prob_exact(
         terms, bound = _single_point_terms(params, radius_scale), None
     else:
         asm = _Assembler(params, mu, radius_scale)
-        terms = partial(_terms, asm)
-        ratio = asm.coupling_ratio(_pieces(asm)[2])
+        pieces = _pieces(asm)
+        terms = partial(_terms, asm, pieces=pieces)
+        ratio = asm.coupling_ratio(pieces[2])
         bound = lambda level: ratio ** _refined_count(base_nodes, 2, level)
     val, delta, level, n_theta, tail, lowest = _refine(
         lambda level: (params.n[-1], terms(_refined_count(base_nodes, 2, level))),

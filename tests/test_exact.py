@@ -23,7 +23,7 @@ import growthdist.params
 from growthdist.integrands import circle
 from growthdist.linalg import _first_level, _refined_count, _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
-from growthdist.params import ModelParams
+from growthdist.params import ModelParams, discretize, parse_instance
 
 P2 = ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))
 P3 = ModelParams(q=0.4, m=(3, 6, 9), n=(2, 4, 6), a=(5, 9, 13))
@@ -150,13 +150,44 @@ def test_multipoint_invariances():
     )
 
 
+# Tilted scaled p = 2 configs.  Each reference comes from TIGHT_ROUTE: the
+# same formula with contour offsets 1.6 times the default, whose finest
+# levels agree to about 1e-11.
+TIGHT_ROUTE = "multipoint_prob_exact(radius_scale=1.6, tol=1e-11)"
+
+
+@pytest.mark.parametrize(
+    "config, ref",
+    [
+        ({"q": 0.4331, "T": 17.52, "t": [1, 2.871], "x": [0.26, -0.283], "xi": [0.04, 0.509]},
+         0.9635884750612387),
+        pytest.param(
+            {"q": 0.4634, "T": 27.69, "t": [1, 1.959], "x": [0.167, -0.236],
+             "xi": [-0.229, 0.235]},
+            0.9401857554282298,
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason="converges, but 1.4e-9 off: past 362 nodes successive levels "
+                "scatter by about 1e-9 in roundoff on these circles (ROADMAP item 4)",
+            ),
+        ),
+        ({"q": 0.25, "T": 80, "t": [1, 1.5], "x": [0.1, -0.2], "xi": [0.3, 0.5]},
+         0.9704781768551898),
+    ],
+    ids=["T17.5", "T27.7", "T80"],
+)
+def test_tilted_scaled_configs_match_a_tighter_route(config, ref):
+    res = multipoint_prob_exact(discretize(parse_instance(config)))
+    assert abs(res.value - ref) < 1e-9, TIGHT_ROUTE
+
+
 def test_every_level_has_more_contour_nodes(monkeypatch):
     counts = []
     terms = growthdist.exact._terms
 
-    def recording(asm, nn):
+    def recording(asm, nn, **kwargs):
         counts.append(nn)
-        return terms(asm, nn)
+        return terms(asm, nn, **kwargs)
 
     monkeypatch.setattr(growthdist.exact, "_terms", recording)
     with pytest.raises(ConvergenceError, match="at level 6"):
@@ -179,24 +210,24 @@ def test_every_level_has_more_contour_nodes(monkeypatch):
 @pytest.mark.parametrize(
     "corner, start, built, lowest, level",
     [
-        (ModelParams(q=0.0625, m=(1, 2), n=(2, 4), a=(1, 5)), 1, [90, 128, 64], 0, 1),
+        (ModelParams(q=0.7261, m=(2, 5), n=(4, 5), a=(1, 3)), 5, [362, 512, 256, 182], 3, 5),
         (ModelParams(q=0.3564, m=(3, 5), n=(1, 2), a=(5, 8)), 2, [128, 182], 2, 3),
     ],
     ids=["steps-down", "bound-rules-out"],
 )
 def test_first_comparison_that_agrees(monkeypatch, corner, start, built, lowest, level):
-    # Both runs agree on their first comparison.  With a threshold of 1 at
-    # small q the coupling error is far below its bound and levels 0 and 1
-    # already agree, so the run steps down; on the other corner the bound,
-    # scaled by the first delta, puts the delta below the start at about
-    # 270 tol, so it builds nothing below its start.  Both end where the
-    # schedule from level 0 ends.
+    # Both runs agree on their first comparison.  With a threshold of 1 the
+    # coupling error is far below its bound and levels 4 and 5 already
+    # agree, so the run steps down until levels 3 and 4 disagree; on the
+    # other corner the bound, scaled by the first delta, puts the delta
+    # below the start at about 270 tol, so it builds nothing below its
+    # start.  Both end where the schedule from level 0 ends.
     counts = []
     terms = growthdist.exact._terms
 
-    def recording(asm, nn):
+    def recording(asm, nn, **kwargs):
         counts.append(nn)
-        return terms(asm, nn)
+        return terms(asm, nn, **kwargs)
 
     asm = _Assembler(corner, 0.0, 1.0)
     ratio = asm.coupling_ratio(_pieces(asm)[2])
