@@ -86,6 +86,7 @@ from .linalg import (
     lu_det,
 )
 from .params import (
+    Laurent,
     LimitParams,
     admissible_eps,
     big_theta,
@@ -581,7 +582,7 @@ def _airy_factors(
 def _chain_lam_max(factors: list[_AiryFac], u: np.ndarray, v: np.ndarray) -> float:
     """Largest lambda cutoff keeping every Airy argument certified.
 
-    The chain integrand decays superexponentially in each lambda through
+    The chain integrand decays superexponentially in each lambda, through
     whichever factor grows with it, so shrinking the cutoff to protect the
     oscillatory factors costs only ``Ai(cutoff)``-sized truncation error.
     """
@@ -650,14 +651,8 @@ def airy_form_kernel(
 # assembly of F(theta)
 # ---------------------------------------------------------------------------
 
-class _Term(NamedTuple):
-    family: int
-    kw: dict
-    coef: Callable[[tuple[complex, ...]], complex]
-
-
-def _block_terms(p: int, r: int, s: int) -> list[_Term]:
-    """All weighted kernel terms contributing to block ``(r, s)``.
+def _block_terms(p: int, r: int, s: int) -> list[tuple[int, dict, Laurent]]:
+    """All weighted kernel terms ``(family, kw, poly)`` contributing to block ``(r, s)``.
 
     Implements the five sums entering ``F = -F0 + F1 + F2 - F3 - F4``:
     the two-decaying-line family with merged coefficient
@@ -666,122 +661,61 @@ def _block_terms(p: int, r: int, s: int) -> list[_Term]:
     (from ``-F3``), and for every admissible ``(k1, k2, eps)`` the signed
     ``theta(r|eps)`` ladder terms of ``F2`` plus the bracketed corrections
     of ``-F4`` (a free ``k3``, with boundary replacements when ``k2 = p``
-    or ``k3 = p``).
+    or ``k3 = p``).  Each coefficient is a ``Laurent`` polynomial, built
+    once from the exponents of ``theta_profile`` and ``big_theta``.
     """
     rtop, sbot = min(r, p - 1), min(s, p - 1)
-    out: list[_Term] = []
+    out = []
 
-    for k in range(0, p + 1):
-        if s < k < rtop:
-            def coef(th, r=r, s=s, k=k):
-                tr = big_theta(r, k, th, p)
-                ts = big_theta(k, s, th, p)
-                return tr - (1.0 + tr) * (1.0 + ts)
+    def add(family: int, poly: Laurent, **kw) -> None:
+        out.append((family, kw, poly))
 
-            out.append(_Term(2, {"k": k, "rtop": rtop, "sbot": s}, coef))
+    for k in range(s + 1, rtop):
+        tr, ts = big_theta(r, k, p), big_theta(k, s, p)
+        add(2, tr - (1 + tr) * (1 + ts), k=k, rtop=rtop, sbot=s)
 
-    for k1 in range(0, p + 1):
-        for k2 in range(0, p + 1):
-            if k1 < rtop and s < k2 < k1:
-                def coef(th, r=r, s=s, k1=k1, k2=k2):
-                    return -big_theta(r, k1, th, p) * (
-                        1.0 + big_theta(k2, s, th, p)
-                    )
-
-                out.append(
-                    _Term(4, {"k1": k1, "rtop": rtop, "k2": k2, "sbot": s}, coef)
-                )
+    for k1 in range(rtop):
+        for k2 in range(s + 1, k1):
+            add(4, -big_theta(r, k1, p) * (1 + big_theta(k2, s, p)),
+                k1=k1, rtop=rtop, k2=k2, sbot=s)
 
     for k1 in range(0, p + 1):
         for k2 in range(k1 + 1, p + 1):
             for eps in admissible_eps(k1, k2, p):
-                sgn = (-1.0) ** (
-                    eps_sign_exponent(eps, k1, k2, p) + (1 if k2 == p else 0)
-                )
-                epsw = tuple(eps[k - 1] for k in range(k1 + 1, k2))
-
-                def base(th, r=r, eps=eps, sgn=sgn):
-                    return sgn * theta_profile(r, eps, th)
-
+                sgn = (-1.0) ** (eps_sign_exponent(eps, k1, k2, p) + (1 if k2 == p else 0))
+                base = Laurent.monomial(theta_profile(r, eps), sgn)
+                ladder = {"k1": k1, "k2": k2, "epsw": tuple(eps[k1:k2 - 1]), "rtop": rtop}
                 if k1 < rtop and s == k2 < p:
-                    out.append(
-                        _Term(5, {"k1": k1, "k2": k2, "epsw": epsw, "rtop": rtop}, base)
-                    )
+                    add(5, base, **ladder)
                 if k1 < rtop and sbot < k2:
-                    out.append(
-                        _Term(
-                            6,
-                            {"k1": k1, "k2": k2, "epsw": epsw, "rtop": rtop,
-                             "sbot": sbot},
-                            base,
-                        )
-                    )
+                    add(6, base, **ladder, sbot=sbot)
                 if k1 == p - 1 and k2 == p and r == p:
-                    out.append(_Term(1, {"sbot": sbot}, base))
+                    add(1, base, sbot=sbot)
 
                 for k3 in range(0, p + 1):
                     if k1 < rtop and s < k3 < k2:
-                        def coef(th, s=s, k3=k3, base=base):
-                            return -base(th) * (1.0 + big_theta(k3, s, th, p))
-
-                        out.append(
-                            _Term(
-                                7,
-                                {"k1": k1, "k2": k2, "k3": k3, "epsw": epsw,
-                                 "rtop": rtop, "sbot": s},
-                                coef,
-                            )
-                        )
+                        add(7, -base * (1 + big_theta(k3, s, p)), **ladder, k3=k3, sbot=s)
                     if k2 == p and k3 == p - 1 and k1 < rtop and s < p - 1:
-                        def coef(th, s=s, base=base):
-                            return base(th) * (1.0 + big_theta(p, s, th, p))
-
-                        out.append(
-                            _Term(
-                                7,
-                                {"k1": k1, "k2": p, "k3": p - 1, "epsw": epsw,
-                                 "rtop": rtop, "sbot": s},
-                                coef,
-                            )
-                        )
+                        add(7, base * (1 + big_theta(p, s, p)), **ladder, k3=k3, sbot=s)
                     if k2 < p and k3 == p and k1 < rtop and sbot < k2:
-                        def coef(th, s=s, k2=k2, base=base):
-                            return -base(th) * (1.0 + big_theta(k2, s, th, p))
-
-                        out.append(
-                            _Term(
-                                6,
-                                {"k1": k1, "k2": k2, "epsw": epsw, "rtop": rtop,
-                                 "sbot": sbot},
-                                coef,
-                            )
-                        )
+                        add(6, -base * (1 + big_theta(k2, s, p)), **ladder, sbot=sbot)
                     if k1 == p - 1 and k2 == p and r == p and s < k3 < p:
-                        def coef(th, s=s, k3=k3, base=base):
-                            return -base(th) * (1.0 + big_theta(k3, s, th, p))
-
-                        out.append(_Term(3, {"k": k3, "sbot": s}, coef))
-                    if (
-                        k1 == p - 1 and k2 == p and k3 == p - 1 and r == p
-                        and s < p - 1
-                    ):
-                        def coef(th, s=s, base=base):
-                            return base(th) * (1.0 + big_theta(p, s, th, p))
-
-                        out.append(_Term(3, {"k": p - 1, "sbot": s}, coef))
+                        add(3, -base * (1 + big_theta(k3, s, p)), k=k3, sbot=s)
+                    if k1 == p - 1 and k2 == p and k3 == p - 1 and r == p and s < p - 1:
+                        add(3, base * (1 + big_theta(p, s, p)), k=k3, sbot=s)
     return out
 
 
 def _limit_terms(
     kern: _LimitKernels, grid: NystromGrid, deadline: float | None = None,
 ) -> list:
-    """Engine terms ``(rows, cols, base, coefs)`` of ``F(theta)`` on a Nystrom grid.
+    """Engine terms ``(rows, cols, base, poly)`` of ``F(theta)`` on a Nystrom grid.
 
     Each block ``(r, s)`` is a theta-weighted sum of basic-family matrices;
     distinct terms frequently share the same matrix (same family, same
     resolved indices, same coordinate blocks), so each base is evaluated
     once, with the Nystrom weights ``W^(1/2) . W^(1/2)`` folded in, and
-    referenced by groups of coefficient functions.  All bases of the grid
+    carries the sum of its terms' ``Laurent`` coefficients.  All bases of the grid
     come from one ``kern.kernels`` call, which forms each line coupling, row
     and column factor and chain prefix once, drops each coupling after its
     last use, and keeps nothing grid-sized once the bases are built.
@@ -795,14 +729,14 @@ def _limit_terms(
         rows = grid.slices[r - 1]
         for s in range(1, p + 1):
             cols = grid.slices[s - 1]
-            bucket: dict[int, list] = {}
-            for term in _block_terms(p, r, s):
-                key = (term.family, tuple(sorted(term.kw.items())), r == p, s == p)
+            bucket: dict[int, Laurent] = {}
+            for family, kw, poly in _block_terms(p, r, s):
+                key = (family, tuple(sorted(kw.items())), r == p, s == p)
                 if key not in index:
                     index[key] = len(requests)
-                    requests.append((term.family, term.kw, r == p, s == p))
+                    requests.append((family, kw, r == p, s == p))
                     slices.append((rows, cols))
-                bucket.setdefault(index[key], []).append(term.coef)
+                bucket[index[key]] = bucket.get(index[key], 0) + poly
             blocks.append((rows, cols, bucket))
     _check_deadline(deadline, "assembly")
     sw = np.sqrt(grid.weights)
@@ -815,8 +749,8 @@ def _limit_terms(
             raise ValueError("kernel values must be finite")
         bases.append(sw[rows, None] * base * sw[None, cols])
     return [
-        (rows, cols, bases[idx], coefs)
-        for rows, cols, bucket in blocks for idx, coefs in bucket.items()
+        (rows, cols, bases[idx], poly)
+        for rows, cols, bucket in blocks for idx, poly in bucket.items()
     ]
 
 
@@ -827,12 +761,17 @@ def fredholm_det_F(
     *,
     settings: LimitSettings | None = None,
 ) -> complex:
-    """``det(I + F(theta))`` on the direct-sum space via Nystrom quadrature."""
+    """``det(I + F(theta))`` on the direct-sum space via Nystrom quadrature.
+
+    ``theta`` has ``p - 1`` finite, non-zero components (else ``SchemaError``).
+    """
     inst = instance
     settings = settings or LimitSettings()
     theta = np.atleast_1d(theta)
     if len(theta) != inst.p - 1:
         raise SchemaError(f"theta must have length {inst.p - 1}")
+    if not (np.all(np.isfinite(theta)) and np.all(theta != 0)):
+        raise SchemaError(f"theta components must be finite and non-zero, got {theta}")
     if grid is None:
         grid = block_grid(inst.p, settings.extent, settings.block_nodes)
     return _det_at(len(grid), _limit_terms(_LimitKernels(inst, settings), grid), theta)

@@ -84,6 +84,7 @@ from .linalg import _det_at, _refine, _refined_count
 # (``perfbench/tracing.py``) checks that it restores this name too.
 from .linalg import lu_det
 from .params import (
+    Laurent,
     ModelParams,
     admissible_eps,
     big_theta,
@@ -474,19 +475,21 @@ def _pieces(asm: _Assembler):
 
 
 def _terms(asm: _Assembler, nn: int, pieces=None) -> list:
-    """Engine terms ``(rows, cols, base, coefs)`` at contour node count ``nn``.
+    """Engine terms ``(rows, cols, base, poly)`` at contour node count ``nn``.
 
     Every chain piece (``L^eps``, ``J^eps``, ``L_p``, ``L_k``) of the level
     is evaluated in one ``chain_values`` walk over shared couplings, then
-    masked and split into row blocks, each carrying its theta coefficients;
-    the similarity conjugation is folded into the bases.  ``pieces`` is
+    masked and split into row blocks, each carrying its ``Laurent``
+    coefficient: the signed ``theta(r|eps)`` of its ``_a2_groups`` window,
+    ``Theta(r|k)`` for ``L_k`` and ``1 + Theta(r|s)`` for ``B``.  The
+    similarity conjugation is folded into the bases.  ``pieces`` is
     ``_pieces(asm)``, built here when not given.
     """
     p, N = asm.p, asm.N
     terms = []
 
-    def add(rows: slice, cols: slice, block: np.ndarray, coefs: list) -> None:
-        terms.append((rows, cols, block * asm.conj[rows, cols], coefs))
+    def add(rows: slice, cols: slice, block: np.ndarray, poly: Laurent) -> None:
+        terms.append((rows, cols, block * asm.conj[rows, cols], poly))
 
     groups, lks, chains = pieces or _pieces(asm)
     values = asm.chain_values(chains, nn)
@@ -498,17 +501,14 @@ def _terms(asm: _Assembler, nn: int, pieces=None) -> list:
             base += values[chain] * mask
         for r in range(1, p + 1):
             rows = asm.block_rows(r)
-            add(rows, all_cols, base[rows], [
-                lambda th, r=r, sign=sign, eps=eps: sign * theta_profile(r, eps, th)
-                for sign, eps in signed
-            ])
+            add(rows, all_cols, base[rows],
+                sum(Laurent.monomial(theta_profile(r, eps), sign) for sign, eps in signed))
 
     for k, chain, col_ok in lks:
         base = values[chain] * col_ok[None, :]
         for r in range(1, p + 1):
             rows = asm.block_rows(r)
-            add(rows, all_cols, base[rows],
-                [lambda th, r=r, k=k: big_theta(r, k, th, p)])
+            add(rows, all_cols, base[rows], big_theta(r, k, p))
 
     for r in range(1, p + 1):
         for s in range(1, asm.rstar(r)):
@@ -517,8 +517,7 @@ def _terms(asm: _Assembler, nn: int, pieces=None) -> list:
             ivals = np.arange(rows.start + 1, rows.stop + 1)
             jvals = np.arange(cols.start + 1, cols.stop + 1)
             block = vals[(ivals[:, None] - jvals[None, :] + 1) - exps[0]]
-            add(rows, cols, block,
-                [lambda th: 1.0, lambda th, r=r, s=s: big_theta(r, s, th, p)])
+            add(rows, cols, block, 1 + big_theta(r, s, p))
     return terms
 
 
@@ -528,7 +527,7 @@ def _single_point_terms(params: ModelParams, radius_scale: float):
     ``K = rows @ couplings @ columns / w_c`` runs from a circle around 1
     into a circle around 0, both offset from the critical point in the
     units of ``_Assembler``;
-    ``P(G(m, n) < a) = det(I + K)`` is the one term ``(all, all, K, [1])``.
+    ``P(G(m, n) < a) = det(I + K)`` is the one term ``(all, all, K, {(): 1})``.
     """
     m, n, a = params.m[0], params.n[0], params.a[0]
     q = params.q
@@ -548,7 +547,7 @@ def _single_point_terms(params: ModelParams, radius_scale: float):
         rows *= cone.weights[None, :]
         cols = np.exp(-log_g(czero.nodes, n - ivals + 1, m, a - 1, q)).T
         coup = czero.weights[None, :] / (cone.nodes[:, None] - czero.nodes[None, :])
-        return [(every, every, (rows @ coup @ cols) / wc, [lambda th: 1.0])]
+        return [(every, every, (rows @ coup @ cols) / wc, Laurent.monomial(()))]
 
     return terms
 
@@ -567,12 +566,15 @@ def det_theta(
     the contour offsets of the default layout (1, two fluctuation units from
     the critical point), each kept within its admissible window; the
     determinant is invariant under both in exact arithmetic, which makes
-    this the natural entry point for invariance certificates.
+    this the natural entry point for invariance certificates.  Each of the
+    ``p - 1`` theta components must be finite and non-zero.
     """
     if params.p < 2:
         raise ValueError("det_theta needs p >= 2 (p = 1 has no theta)")
     if len(thetas) != params.p - 1:
         raise ValueError(f"expected {params.p - 1} theta components")
+    if not (np.all(np.isfinite(thetas)) and np.all(np.asarray(thetas) != 0)):
+        raise ValueError(f"theta components must be finite and non-zero, got {tuple(thetas)}")
     _check_node_count("nodes", nodes)
     _check_controls(mu, radius_scale)
     asm = _Assembler(params, mu, radius_scale)

@@ -8,9 +8,10 @@ one machine with one BLAS thread count.
 
 The finite-size law (``exact``) and its limit (``asymptotic``) share the
 private theta-determinant engine.  A route only describes its terms
-``(rows, cols, base, coefs)``, which add ``sum(c(theta) for c in coefs) *
-base`` to block ``[rows, cols]`` (every theta-independent diagonal scaling
-folded into ``base``), and how they are built at each refinement level.
+``(rows, cols, base, poly)``, which add ``poly(theta) * base`` to block
+``[rows, cols]`` (every theta-independent diagonal scaling folded into
+``base``; ``poly`` a ``params.Laurent`` polynomial, ``{(): 1}`` when there
+is no theta), and how they are built at each refinement level.
 The engine owns the rest.  ``_refine`` is the one refinement loop.  It
 refines two resolutions on their own evidence: the route's (contour or
 Nystrom) nodes grow by ``sqrt(2)`` per level (``_refined_count``) until
@@ -18,16 +19,17 @@ two successive levels agree, from the first level the route's a-priori
 error bound leaves unresolved (``_first_level``), and on each level the
 theta rule doubles on the same terms until ``_theta_tail`` certifies it
 from the determinants it has already taken.
-``_theta_integral`` lays out the theta grid, and ``_det_sum`` evaluates
-every coefficient once per node, in slabs of the flattened grid whose
-table stays within ``_DET_BATCH_BYTES``, builds the matrices ``I + sum_j
-c_j(theta) B_j`` in chunks of about ``_DET_BATCH_BYTES`` and takes each
-chunk's determinants in one batched ``lu_det`` call; ``_det_at`` is the
-one-node grid of a single theta point.
+``_pack`` sums a level's bases into one matrix per (block, monomial) once,
+before its first theta rule.  ``_theta_integral`` lays out the theta grid,
+and ``_det_sum`` builds ``I + F(theta)`` in chunks of about
+``_DET_BATCH_BYTES``, each block by one product of the chunk's monomial
+values with its packed matrices, and takes each chunk's determinants in
+one batched ``lu_det`` call; ``_det_at`` is the one-node grid of a point.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -144,45 +146,61 @@ def _refined_count(base: int, unit: int, level: int) -> int:
     return unit * max(round(u0 * 2 ** (level / 2)), u0 + level)
 
 
+def _pack(terms) -> tuple[list, list]:
+    """Sum the terms into one complex matrix per (block, theta monomial).
+
+    Returns ``(exponents, blocks)``: ``exponents[a]`` is the exponent tuple
+    of monomial ``a``, and each block is ``(rows, cols, which, packed)``,
+    ``packed[i]`` the flattened ``sum_j c_{j,a} B_j`` over the terms on
+    ``[rows, cols]``, ``a = which[i]``.  Exact-zero coefficients are dropped.
+    """
+    index: dict[tuple, int] = {}
+    sums: dict[tuple, tuple] = {}
+    for rows, cols, base, poly in terms:
+        acc = sums.setdefault((rows.start, rows.stop, cols.start, cols.stop), (rows, cols, {}))[2]
+        for alpha, c in poly.items():
+            if c != 0.0:
+                a = index.setdefault(alpha, len(index))
+                acc[a] = acc.get(a, 0.0) + c * base
+    return list(index), [
+        (rows, cols, list(acc), np.array([m.ravel() for m in acc.values()], dtype=complex))
+        for rows, cols, acc in sums.values() if acc
+    ]
+
+
 def _det_sum(
-    size: int, terms, thetas: tuple[np.ndarray, ...], weights: np.ndarray,
+    size: int, packed, thetas: tuple[np.ndarray, ...], weights: np.ndarray,
     n_theta: int, deadline: float | None, out: np.ndarray | None = None,
 ) -> complex:
-    """``sum_k weights[k] * det(I + sum_j c_j(theta_k) B_j)`` over theta nodes ``k``.
+    """``sum_k weights[k] * det(I + F(theta_k))`` over theta nodes ``k``.
 
-    ``thetas[i][k]`` is component ``i`` of node ``k``; the nodes are the
-    flattened ``(n_theta,) * len(thetas)`` grid in row-major order (no
-    component at all: one node).  Each term's coefficients are tabulated
-    once per slab of nodes: a whole number of determinant chunks, as many
-    as keep the slab's table within ``_DET_BATCH_BYTES`` (at least one
-    chunk).  The coefficients are elementwise in the nodes, so the slabs
-    change no value.  Coefficients below ``1e-300`` count as zero and a
-    term that is zero over a chunk is skipped.  ``deadline`` is checked
-    before every chunk; a non-finite determinant raises ``ConvergenceError``
-    naming its node.  If ``out`` is given, ``out[k]`` receives node ``k``'s
-    determinant.
+    ``packed`` is ``_pack(terms)``; ``thetas[i][k]`` is component ``i`` of
+    node ``k`` of the flattened ``(n_theta,) * len(thetas)`` grid in
+    row-major order (no component: one node).  Per chunk of about
+    ``_DET_BATCH_BYTES`` of matrices, each block adds ``monomials @ packed``
+    in one matrix product, the monomials evaluated at the chunk's nodes, and
+    one batched ``lu_det`` call takes the determinants.  ``deadline`` is
+    checked before every chunk; a non-finite determinant raises
+    ``ConvergenceError`` naming its node.  ``out[k]``, if given, receives
+    node ``k``'s determinant.
     """
+    exponents, blocks = packed
     count = len(weights)
     chunk = max(1, _DET_BATCH_BYTES // (16 * size * size))
-    slab = max(1, _DET_BATCH_BYTES // (16 * max(1, len(terms)) * chunk)) * chunk
     eye = np.eye(size, dtype=complex)
     total = 0.0 + 0.0j
     for lo in range(0, count, chunk):
         _check_deadline(deadline, "theta integration")
         hi = min(lo + chunk, count)
-        if lo % slab == 0:
-            top = min(lo + slab, count)
-            nodes = tuple(theta[lo:top] for theta in thetas)
-            table = np.zeros((len(terms), top - lo), dtype=complex)
-            for row, (_, _, _, coefs) in zip(table, terms):
-                row[:] = sum(c(nodes) for c in coefs)
-            table[np.abs(table) < 1e-300] = 0.0
         mats = np.repeat(eye[None], hi - lo, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            off = lo % slab
-            for (rows, cols, base, _), coef in zip(terms, table[:, off:off + hi - lo]):
-                if coef.any():
-                    mats[:, rows, cols] += coef[:, None, None] * base
+            monomials = np.ones((hi - lo, len(exponents)), dtype=complex)
+            for a, alpha in enumerate(exponents):
+                for theta, power in zip(thetas, alpha):
+                    monomials[:, a] *= theta[lo:hi] ** power
+            for rows, cols, which, mat in blocks:
+                shape = (hi - lo, rows.stop - rows.start, cols.stop - cols.start)
+                mats[:, rows, cols] += (monomials[:, which] @ mat).reshape(shape)
             dets = lu_det(mats)
         bad = np.flatnonzero(~np.isfinite(dets))
         if bad.size:
@@ -198,27 +216,27 @@ def _det_sum(
 
 
 def _det_at(size: int, terms, thetas) -> complex:
-    """``det(I + sum_j c_j(theta) B_j)`` at the single point ``theta``."""
+    """``det(I + F(theta))`` of the terms at the single point ``theta``."""
     node = tuple(np.array([complex(th)]) for th in thetas)
-    return _det_sum(size, terms, node, np.ones(1), 1, None)
+    return _det_sum(size, _pack(terms), node, np.ones(1), 1, None)
 
 
 def _theta_integral(
-    size: int, terms, p: int, radius: float, n_theta: int, deadline: float | None,
+    size: int, packed, p: int, radius: float, n_theta: int, deadline: float | None,
     dets: np.ndarray | None = None,
 ) -> complex:
-    """Trapezoidal ``(p-1)``-fold integral of ``det(I+M(theta))/prod(theta_k - 1)``.
+    """Trapezoidal ``(p-1)``-fold integral of ``det(I+F(theta))/prod(theta_k - 1)``.
 
-    Each theta runs over ``|theta| = radius`` with ``n_theta`` (even) nodes
-    and ``1/(theta - 1) = sum_{j>=1} theta^-j`` is cut after ``n_theta/2``
-    terms, so the rule returns exactly the sum of the determinant's Laurent
-    coefficients with every degree ``>= 0``, at any radius ``> 1``, once it
-    has no degree outside ``[-n_theta/2, n_theta/2)``.  At ``p = 1`` there is
-    no theta and the integral is the single determinant ``det(I + M)``.  All
-    ``n_theta**(p-1)`` nodes go to ``_det_sum`` at once, which tabulates the
-    coefficients slab by slab and takes the determinants in chunked
-    batches, checking ``deadline`` before each chunk.  If ``dets`` is given
-    (shape ``(n_theta,) * (p-1)``), it receives the determinant at every
+    ``packed`` is ``_pack(terms)``.  Each theta runs over ``|theta| =
+    radius`` with ``n_theta`` (even) nodes and ``1/(theta - 1) = sum_{j>=1}
+    theta^-j`` is cut after ``n_theta/2`` terms, so the rule returns exactly
+    the sum of the determinant's Laurent coefficients with every degree
+    ``>= 0``, at any radius ``> 1``, once it has no degree outside
+    ``[-n_theta/2, n_theta/2)``.  At ``p = 1`` there is no theta and the
+    integral is the single determinant ``det(I + F)``.  All
+    ``n_theta**(p-1)`` nodes go to ``_det_sum`` at once, which checks
+    ``deadline`` before each chunk of determinants.  ``dets``, if given
+    (shape ``(n_theta,) * (p-1)``), receives the determinant at every
     node, ``dets[j_1, .., j_{p-1}]`` at node ``j_i`` of circle ``i``.
     """
     ring = circle(0.0, radius, n_theta)
@@ -229,7 +247,7 @@ def _theta_integral(
     for _ in range(p - 1):
         flat = np.multiply.outer(flat, weights).ravel()
     out = None if dets is None else dets.reshape(-1)
-    return _det_sum(size, terms, thetas, flat, n_theta, deadline, out)
+    return _det_sum(size, packed, thetas, flat, n_theta, deadline, out)
 
 
 def _theta_tail(dets: np.ndarray) -> float:
@@ -264,18 +282,20 @@ def _certified_integral(
 ) -> tuple[complex, int, float]:
     """Theta integral at the first of ``n_theta, 2 n_theta, ..`` nodes whose tail is certified.
 
-    Every rule integrates the same ``terms``; it is accepted once its
+    The terms are packed once (``_pack``), and every rule integrates the
+    same packed blocks; a rule is accepted once its
     ``_theta_tail`` is at most ``tol``.  ``deadline`` is checked before
     every doubling.  A rule over ``_THETA_MAX_NODES`` nodes in all is not
     tried: ``ConvergenceError`` then reports the last tail.  Returns
     ``(value, n_theta, tail)``; ``p = 1`` has no theta (``n_theta = 0``,
     tail 0).
     """
+    packed = _pack(terms)
     if p == 1:
-        return _theta_integral(size, terms, p, radius, 0, deadline), 0, 0.0
+        return _theta_integral(size, packed, p, radius, 0, deadline), 0, 0.0
     while True:
         dets = np.empty((n_theta,) * (p - 1), dtype=complex)
-        value = _theta_integral(size, terms, p, radius, n_theta, deadline, dets)
+        value = _theta_integral(size, packed, p, radius, n_theta, deadline, dets)
         tail = _theta_tail(dets)
         if tail <= tol:
             return value, n_theta, tail
@@ -333,12 +353,12 @@ def _refine(
 
     Returns ``(value, delta, level, n_theta, tail, lowest)``: ``level`` is
     the index of the returned level and ``lowest`` the lowest level built.
-    Raises ``ValueError`` unless ``tol > 0`` and ``max_levels >= 0``,
-    ``ConvergenceError`` reporting the last delta (or theta tail), or
-    ``BudgetError`` once ``deadline`` has passed.
+    Raises ``ValueError`` unless ``tol`` is finite and positive and
+    ``max_levels >= 0``, ``ConvergenceError`` reporting the last delta (or
+    theta tail), or ``BudgetError`` once ``deadline`` has passed.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_levels < 0:
         raise ValueError(f"max_levels must be non-negative, got {max_levels}")
     start = 0 if bound is None else _first_level(bound, tol, max_levels)

@@ -29,6 +29,9 @@ block-profile powers of auxiliary variables ``theta_k``,
 
 with ``eps^k = (2,...,2,1,...,1)`` (k-1 twos), and the enumeration of
 admissible sign vectors ``eps`` attached to an index pair ``k1 < k2``.
+The profiles are symbolic: ``theta_profile`` gives the exponents of
+``theta(r|eps)`` and ``big_theta`` the ``Laurent`` polynomial ``Theta(r|k)``,
+evaluated only by ``linalg``; ``theta_eps_power`` is the numeric reference.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
+from itertools import product as _iproduct, zip_longest
 from typing import Iterator, Sequence
 
 from .errors import SchemaError
@@ -311,12 +314,49 @@ def theta_eps_power(
     return out
 
 
-def theta_profile(r: int, eps: Sequence[int], thetas: Sequence[complex]) -> complex:
-    """``theta(r|eps) = prod_{k<r} theta_k^(2-eps_k) prod_{k>=r} theta_k^(1-eps_k)``."""
-    out = complex(1.0)
-    for k, (ek, th) in enumerate(zip(eps, thetas), start=1):
-        out *= th ** ((2 - ek) if k < r else (1 - ek))
-    return out
+class Laurent(dict):
+    """Sparse Laurent polynomial ``{exponent tuple: real coefficient}`` in ``theta``.
+
+    Entry ``i`` of a key is the power of ``theta_(i+1)``.  Keys carry no
+    trailing zeros, so the constant monomial is ``()`` whatever the number
+    of variables, and no coefficient is an exact zero.  Numbers act as
+    constants, so a coefficient formula reads as its scalar form, e.g.
+    ``tr - (1 + tr) * (1 + ts)``.
+    """
+
+    @classmethod
+    def monomial(cls, exponents: Sequence[int], coef: float = 1.0) -> Laurent:
+        key = tuple(exponents)
+        while key and key[-1] == 0:
+            key = key[:-1]
+        return cls({key: float(coef)} if coef else {})
+
+    def __add__(self, other) -> Laurent:
+        out = dict(self)
+        for key, c in _laurent(other).items():
+            out[key] = out.get(key, 0.0) + c
+        return Laurent({key: c for key, c in out.items() if c != 0.0})
+
+    def __mul__(self, other) -> Laurent:
+        return sum((Laurent.monomial([i + j for i, j in zip_longest(a, b, fillvalue=0)], c * d)
+                    for a, c in self.items() for b, d in _laurent(other).items()), Laurent())
+
+    def __neg__(self) -> Laurent:
+        return self * -1.0
+
+    def __sub__(self, other) -> Laurent:
+        return self + -_laurent(other)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _laurent(value) -> Laurent:
+    return value if isinstance(value, Laurent) else Laurent.monomial((), value)
+
+
+def theta_profile(r: int, eps: Sequence[int]) -> tuple[int, ...]:
+    """Exponent vector of ``theta(r|eps)``, one entry per entry of ``eps``."""
+    return tuple((2 - ek) if k < r else (1 - ek) for k, ek in enumerate(eps, start=1))
 
 
 def eps_canonical(k: int, p: int) -> tuple[int, ...]:
@@ -326,13 +366,12 @@ def eps_canonical(k: int, p: int) -> tuple[int, ...]:
     return tuple(2 if j < k - 1 else 1 for j in range(p - 1))
 
 
-def big_theta(r: int, k: int, thetas: Sequence[complex], p: int) -> complex:
-    """``Theta(r|k)`` for ``1 <= k < min(r, p-1)``; zero otherwise."""
+def big_theta(r: int, k: int, p: int) -> Laurent:
+    """``Theta(r|k)`` for ``1 <= k < min(r, p-1)``; the empty polynomial otherwise."""
     if not (1 <= k < min(r, p - 1)):
-        return complex(0.0)
-    out = theta_profile(r, eps_canonical(k, p), thetas)
-    out -= theta_profile(r, eps_canonical(k + 1, p), thetas)
-    return out
+        return Laurent()
+    return (Laurent.monomial(theta_profile(r, eps_canonical(k, p)))
+            - Laurent.monomial(theta_profile(r, eps_canonical(k + 1, p))))
 
 
 # ---------------------------------------------------------------------------

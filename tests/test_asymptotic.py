@@ -12,7 +12,10 @@ from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
 import growthdist.asymptotic
+import growthdist.exact
 import growthdist.integrands
+import growthdist.linalg
+import growthdist.params
 from growthdist.asymptotic import (
     LimitSettings,
     _limit_terms,
@@ -27,7 +30,7 @@ from growthdist.asymptotic import (
 )
 from growthdist.errors import ConvergenceError, SchemaError
 from growthdist.exact import det_theta
-from growthdist.linalg import _PANEL, _refined_count, block_grid
+from growthdist.linalg import _PANEL, _pack, _refined_count, _theta_integral, block_grid
 from growthdist.params import (
     KPZParams,
     LimitParams,
@@ -232,6 +235,35 @@ def test_det_conjugate_symmetry():
     d = fredholm_det_F((th,), INST2)
     dbar = fredholm_det_F((np.conj(th),), INST2)
     assert abs(dbar - np.conj(d)) / abs(d) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, complex(math.nan, 1.0)])
+def test_det_rejects_zero_or_non_finite_theta(bad):
+    with pytest.raises(SchemaError, match="finite and non-zero"):
+        fredholm_det_F((2.0, bad), INST3)
+
+
+def test_level_packs_terms_once_per_monomial(monkeypatch):
+    # a level's 87 INST3 terms share 15 theta monomials and pack into 51
+    # (block, monomial) matrices; every theta rule then reuses the packing
+    # and evaluates no coefficient in params
+    settings = LimitSettings()
+    grid = block_grid(INST3.p, settings.extent, 12)
+    terms = _limit_terms(_LimitKernels(INST3, settings), grid)
+    exponents, blocks = _pack(terms)
+    assert len(terms) == 87
+    assert len(exponents) == 15
+    assert sum(len(which) for _, _, which, _ in blocks) == 51
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("params called during a theta rule")
+
+    for mod in (growthdist.params, growthdist.linalg, growthdist.exact, growthdist.asymptotic):
+        for name, obj in list(vars(mod).items()):
+            if getattr(obj, "__module__", None) == "growthdist.params" and callable(obj):
+                monkeypatch.setattr(mod, name, forbidden)
+    for n_theta in (8, 16, 32):
+        _theta_integral(len(grid), (exponents, blocks), INST3.p, 2.0, n_theta, None)
 
 
 @pytest.mark.parametrize(

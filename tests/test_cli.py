@@ -157,6 +157,7 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("asymptotic", ANCHOR, ("--max-levels", "-1")),
         ("exact", TINY, ("--tol", "-1")),
         ("asymptotic", ANCHOR, ("--tol", "-1")),
+        ("exact", TINY, ("--tol", "inf")),
         ("tw", None, ("--s", "0", "--nodes", "0")),
         ("tw", None, ("--s", "0", "--nodes", "-12")),
         ("asymptotic", ANCHOR, ("--block-nodes", "0")),
@@ -177,7 +178,8 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         "negative-seed", "seed-overflow", "no-workers", "one-point-sweep",
         "comma-only-s", "empty-s", "nan-budget", "negative-budget", "no-base-nodes",
         "exact-negative-levels", "asymptotic-negative-levels", "exact-negative-tol",
-        "asymptotic-negative-tol", "tw-no-nodes", "tw-negative-nodes", "no-block-nodes",
+        "asymptotic-negative-tol", "exact-inf-tol", "tw-no-nodes", "tw-negative-nodes",
+        "no-block-nodes",
         "exact-nan-theta-radius", "exact-inf-theta-radius", "zero-radius-scale",
         "nan-radius-scale", "negative-radius-scale", "nan-mu", "inf-mu",
         "asymptotic-nan-theta-radius", "asymptotic-inf-theta-radius",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from growthdist.exact import (
 import growthdist.exact
 import growthdist.integrands
 import growthdist.linalg
-import growthdist.params
 from growthdist.integrands import circle
-from growthdist.linalg import _first_level, _refined_count, _theta_integral
+from growthdist.linalg import _first_level, _pack, _refined_count, _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
 from growthdist.params import ModelParams, discretize, parse_instance
 
@@ -62,10 +62,18 @@ def test_single_point_square_matches_transfer_matrix():
 # ---------------------------------------------------------------------------
 
 def test_det_theta_conjugate_symmetry():
-    th = (1.3 + 0.8j,)
-    d = det_theta(P2, th)
-    dbar = det_theta(P2, (np.conj(th[0]),))
-    assert abs(dbar - np.conj(d)) < 1e-13
+    # the Laurent coefficients and the bases are real, so det(I + F(conj theta))
+    # is the conjugate of det(I + F(theta)); p = 3 and 4 bring in Theta(r|k)
+    # and the L_k pieces
+    p4 = ModelParams(q=0.5, m=(1, 2, 3, 4), n=(1, 2, 3, 4), a=(2, 3, 5, 6))
+    for mp, th in [
+        (P2, (1.3 + 0.8j,)),
+        (P3, (1.7 + 0.6j, 1.4 - 0.9j)),
+        (p4, (1.3 + 0.4j, 1.6 - 0.5j, 1.2 + 0.9j)),
+    ]:
+        d = det_theta(mp, th)
+        dbar = det_theta(mp, tuple(np.conj(th)))
+        assert abs(dbar - np.conj(d)) < 1e-13
 
 
 def test_det_theta_similarity_invariance():
@@ -100,6 +108,9 @@ def test_det_theta_validates_inputs():
         det_theta(ModelParams(q=0.4, m=(1,), n=(1,), a=(1,)), (2.0,))
     with pytest.raises(ValueError):
         det_theta(P2, (2.0, 2.0))
+    for bad in (0.0, math.nan, math.inf, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and non-zero"):
+            det_theta(P3, (1.5, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +266,8 @@ def test_multipoint_control_errors():
         multipoint_prob_exact(P2, theta_radius=0.9)
     with pytest.raises(ValueError, match="tol must be positive"):
         multipoint_prob_exact(P2, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        multipoint_prob_exact(P2, tol=math.inf)
     with pytest.raises(ConvergenceError, match="last delta unavailable"):
         multipoint_prob_exact(P2, max_levels=0)
     with pytest.raises(ConvergenceError, match=r"last delta \d"):
@@ -281,10 +294,10 @@ def test_boundary_blocks_are_nilpotent(mp):
     asm = _Assembler(mp, 0.0, 1.0)
     th = tuple(1.2 + 0.4j * k for k in range(1, p))
     b = np.zeros((n_last, n_last), dtype=complex)
-    for rows, cols, base, coefs in _terms(asm, 64):
+    for rows, cols, base, poly in _terms(asm, 64):
         # the boundary pieces are the only terms confined to one block column
         if cols != slice(0, n_last):
-            b[rows, cols] += sum(c(th) for c in coefs) * base
+            b[rows, cols] += _laurent_value(poly, th) * base
     assert np.abs(b).max() > 0.0
     assert np.abs(np.linalg.matrix_power(b, p - 1)).max() < 1e-12
 
@@ -297,9 +310,9 @@ def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
     # bandwidth; every (n_theta, radius) pair is within 5e-13 of one
     # reference, hence within 1e-12 of every other pair
     asm = _Assembler(P2, 0.0, 1.0)
-    terms = _terms(asm, 256)
-    value = _theta_integral(asm.N, terms, P2.p, radius, n_theta, None)
-    ref = _theta_integral(asm.N, terms, P2.p, 2.0, 96, None)
+    packed = _pack(_terms(asm, 256))
+    value = _theta_integral(asm.N, packed, P2.p, radius, n_theta, None)
+    ref = _theta_integral(asm.N, packed, P2.p, 2.0, 96, None)
     assert abs(value - ref) < 5e-13
     assert value.real == pytest.approx(dp_exact_prob(P2), abs=1e-9)
 
@@ -308,17 +321,22 @@ def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
 # batched theta engine
 # ---------------------------------------------------------------------------
 
+def _laurent_value(poly, thetas) -> complex:
+    """A Laurent polynomial ``{exponents: coefficient}`` evaluated at one point."""
+    return sum(c * np.prod([th ** e for th, e in zip(thetas, alpha)]) for alpha, c in poly.items())
+
+
 def _p3_level0():
     asm = _Assembler(P3, 0.0, 1.0)
-    return asm, _terms(asm, 64)
+    return asm, _pack(_terms(asm, 64))
 
 
 def test_batched_theta_integral_matches_per_node_sum():
-    # the engine tabulates coefficients on the whole grid and batches the
-    # determinants; the loop version sums weight * det_theta node by node
-    asm, terms = _p3_level0()
+    # the engine assembles the packed blocks on the whole grid and batches
+    # the determinants; the loop version sums weight * det_theta node by node
+    asm, packed = _p3_level0()
     n_theta, radius = 8, 2.0
-    value = _theta_integral(asm.N, terms, P3.p, radius, n_theta, None)
+    value = _theta_integral(asm.N, packed, P3.p, radius, n_theta, None)
     ring = circle(0.0, radius, n_theta)
     w = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
     ref = sum(
@@ -329,42 +347,32 @@ def test_batched_theta_integral_matches_per_node_sum():
 
 
 def test_batched_theta_integral_independent_of_chunk_size(monkeypatch):
-    asm, terms = _p3_level0()
-    batched = _theta_integral(asm.N, terms, P3.p, 2.0, 8, None)
+    asm, packed = _p3_level0()
+    batched = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
     monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 1)  # one matrix per chunk
-    single = _theta_integral(asm.N, terms, P3.p, 2.0, 8, None)
+    single = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
     assert abs(single - batched) <= 1e-15
 
 
-@pytest.mark.parametrize("size, slab", [(4, 50), (1, 160)], ids=["slabs", "one-chunk"])
-def test_theta_coefficients_tabulated_in_bounded_slabs(monkeypatch, size, slab):
-    # 2560 bytes hold 10 matrices of side 4 or 160 of side 1; three terms'
-    # coefficients fit 53 nodes, which rounds down to five side-4 chunks,
-    # but never below one chunk
+@pytest.mark.parametrize("size", [4, 1], ids=["side4", "side1"])
+def test_packed_assembly_matches_direct_sum(monkeypatch, size):
+    # 2560 bytes hold 10 matrices of side 4 or 160 of side 1, so the 1024
+    # nodes take many chunks; the reference sums every term at every node
     rng = np.random.default_rng(7)
     ring = circle(0.0, 2.0, 32)
     axes = np.meshgrid(ring.nodes, ring.nodes, indexing="ij")
     thetas = tuple(axis.ravel() for axis in axes)
     weights = rng.normal(size=len(thetas[0])) / len(thetas[0])
-    lengths = []
-
-    def coefficient(j, k):
-        def c(th):
-            lengths.append(len(th[0]))
-            return th[0] ** j * th[1] ** k
-        return c
-
     every = slice(0, size)
     terms = [
-        (every, every, 0.1 * rng.normal(size=(size, size)), [coefficient(j, k)])
+        (every, every, 0.1 * rng.normal(size=(size, size)), {(j, k): 1.0})
         for j, k in ((1, 0), (0, -1), (-2, 1))
     ]
     monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 2560)
-    got = growthdist.linalg._det_sum(size, terms, thetas, weights, 32, None)
-    assert max(lengths) == slab
-    assert sum(lengths) == 3 * len(weights)
+    got = growthdist.linalg._det_sum(size, _pack(terms), thetas, weights, 32, None)
     mats = np.eye(size) + sum(
-        c(thetas)[:, None, None] * base for _, _, base, (c,) in terms
+        (thetas[0] ** j * thetas[1] ** k)[:, None, None] * base
+        for _, _, base, poly in terms for (j, k) in poly
     )
     ref = np.sum(weights * np.linalg.det(mats))
     assert abs(got - ref) <= 1e-13 * abs(ref)
@@ -383,27 +391,6 @@ def test_odd_node_counts_rejected(tmp_path):
     argv = ["exact", "--config", str(config), "--base-nodes", "63", "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()
-
-
-def test_theta_coefficients_tabulated_once_per_level(monkeypatch):
-    # one level's coefficient work must not scale with the theta node count
-    calls = [0]
-    profile = growthdist.params.theta_profile
-
-    def counting(*args):
-        calls[0] += 1
-        return profile(*args)
-
-    monkeypatch.setattr(growthdist.params, "theta_profile", counting)
-    monkeypatch.setattr(growthdist.exact, "theta_profile", counting)
-    asm, terms = _p3_level0()
-    counts = []
-    for n_theta in (8, 16, 32):
-        calls[0] = 0
-        _theta_integral(asm.N, terms, P3.p, 2.0, n_theta, None)
-        counts.append(calls[0])
-    assert counts[0] > 0
-    assert counts == [counts[0]] * 3
 
 
 @pytest.mark.parametrize("mp", [P2, P3], ids=["p2", "p3"])

@@ -10,6 +10,7 @@ import pytest
 from growthdist.errors import SchemaError
 from growthdist.params import (
     KPZParams,
+    Laurent,
     LimitParams,
     ModelParams,
     admissible_eps,
@@ -187,6 +188,14 @@ def test_delta_x_requires_positive_time_increment():
 THETAS3 = (1.7 + 0.4j, 0.6 - 1.1j)
 
 
+def _monomial(exponents, thetas) -> complex:
+    return complex(math.prod(th ** e for th, e in zip(thetas, exponents)))
+
+
+def _laurent(poly, thetas) -> complex:
+    return sum(c * _monomial(alpha, thetas) for alpha, c in poly.items())
+
+
 def test_theta_eps_power_is_blockwise_constant():
     n = (2, 4, 6)
     for r in (1, 2, 3):
@@ -194,21 +203,21 @@ def test_theta_eps_power_is_blockwise_constant():
         lo = 1 if r == 1 else n[r - 2] + 1
         vals = {theta_eps_power(i, n, eps, THETAS3) for i in range(lo, n[r - 1] + 1)}
         assert len(vals) == 1
-        assert vals.pop() == pytest.approx(theta_profile(r, eps, THETAS3))
+        assert vals.pop() == pytest.approx(_monomial(theta_profile(r, eps), THETAS3))
 
 
 def test_theta_canonical_eps_is_unit_on_own_block():
     for p in (2, 3, 4):
         th = tuple(complex(1.3 + 0.2 * j, -0.5 + 0.3 * j) for j in range(p - 1))
         for r in range(1, p + 1):
-            assert theta_profile(r, eps_canonical(r, p), th) == pytest.approx(1.0)
+            assert _monomial(theta_profile(r, eps_canonical(r, p)), th) == pytest.approx(1.0)
 
 
 def test_theta_profile_all_ones_is_prefix_product():
     # eps = (1, ..., 1) leaves one factor theta_j per component below the block
     for r in (1, 2, 3):
         want = math.prod(THETAS3[: r - 1]) if r > 1 else 1.0
-        assert theta_profile(r, (1, 1), THETAS3) == pytest.approx(want)
+        assert _monomial(theta_profile(r, (1, 1)), THETAS3) == pytest.approx(want)
 
 
 def test_eps_canonical_structure():
@@ -226,20 +235,34 @@ def test_big_theta_difference_of_profiles():
     th = (1.2 + 0.3j, 0.8 - 0.6j, 1.5 + 0.1j)
     for r in range(1, p + 1):
         for k in range(1, min(r, p - 1)):
-            want = theta_profile(r, eps_canonical(k, p), th) - theta_profile(
-                r, eps_canonical(k + 1, p), th
+            want = _monomial(theta_profile(r, eps_canonical(k, p)), th) - _monomial(
+                theta_profile(r, eps_canonical(k + 1, p)), th
             )
-            assert big_theta(r, k, th, p) == pytest.approx(want)
+            assert _laurent(big_theta(r, k, p), th) == pytest.approx(want)
 
 
 def test_big_theta_vanishes_outside_window():
     p = 4
     th = (1.2 + 0.3j, 0.8 - 0.6j, 1.5 + 0.1j)
-    assert big_theta(2, 2, th, p) == 0.0   # k >= min(r, p-1)
-    assert big_theta(4, 3, th, p) == 0.0   # k >= p - 1
-    assert big_theta(3, 0, th, p) == 0.0   # k < 1
+    assert _laurent(big_theta(2, 2, p), th) == 0.0   # k >= min(r, p-1)
+    assert _laurent(big_theta(4, 3, p), th) == 0.0   # k >= p - 1
+    assert _laurent(big_theta(3, 0, p), th) == 0.0   # k < 1
     # the corner block r = p keeps its full window 1..p-2
-    assert big_theta(4, 2, th, p) != 0.0
+    assert _laurent(big_theta(4, 2, p), th) != 0.0
+
+
+def test_laurent_arithmetic_matches_pointwise_values():
+    # the symbolic coefficients of the limit blocks evaluate to their
+    # scalar formulas; keys drop trailing zeros and exact zeros cancel
+    p = 4
+    th = (1.2 + 0.3j, 0.8 - 0.6j, 1.5 + 0.1j)
+    tr, ts = big_theta(4, 1, p), big_theta(3, 2, p)
+    a, b = _laurent(tr, th), _laurent(ts, th)
+    assert _laurent(tr - (1 + tr) * (1 + ts), th) == pytest.approx(a - (1 + a) * (1 + b))
+    assert _laurent(-tr * (1 + ts), th) == pytest.approx(-a * (1 + b))
+    assert Laurent.monomial((0, 0)) == Laurent.monomial(()) == {(): 1.0}
+    assert Laurent.monomial((2, -1, 0)) == {(2, -1): 1.0}
+    assert tr - tr == {} and 0 * tr == {}
 
 
 def test_admissible_eps_windows():
