@@ -21,6 +21,7 @@ finishes, so failures leave no partial files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -111,9 +112,14 @@ def _emit(args, payload: dict | None, rows: list[dict] | None) -> None:
         sys.stdout.write(text)
         return
     tmp = args.out + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, args.out)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise SchemaError(f"cannot write --out {args.out}: {exc}") from exc
 
 
 def _payload(value, diagnostics: dict, doc: dict, seed: int | None) -> dict:

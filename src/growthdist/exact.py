@@ -31,10 +31,9 @@ with its trapezoidal rule and refines.  Level ``l`` has ``base_nodes``
 grown by ``sqrt(2)`` per level (64, 90, 128, 182, .. from 64) contour nodes
 per circle, ``base_nodes`` being the base of this schedule, not the first
 count built: a run starts at the last level whose closest concentric
-circles still alias above ``tol`` (``linalg._first_level``), steps below it
-only when its first comparison agrees but that bound cannot rule out an
-agreement below, and reports the index of the level it returns as
-``levels``.
+circles still alias above ``tol`` (``linalg._first_level``), builds upward
+until two successive levels agree, and reports the index of the finer one
+as ``levels``.
 
 Per level, every piece but ``B`` is a chain: row factors on a first circle,
 Cauchy couplings ``1/(a - b)`` between successive circles scaled by node
@@ -106,7 +105,7 @@ class ExactResult:
     """Value of a contour-integral evaluation plus convergence diagnostics.
 
     ``levels`` is the index of the returned refinement level and
-    ``first_level`` the lowest level built; the run skipped the levels below
+    ``first_level`` the level the run started at; it built no level below
     it.
     """
 
@@ -600,12 +599,10 @@ def multipoint_prob_exact(
     successive evaluations first agree within ``tol``, as ``levels``
     (``ConvergenceError`` if none up to index ``max_levels`` does).  It
     builds levels upward from the last one whose coupling bound
-    ``coupling_ratio**nodes`` exceeds ``tol``, and below it only when the
-    first comparison agrees although the bound predicts the level below
-    disagrees by little (``linalg._refine``); ``first_level`` is the lowest
-    level built.  Each level's theta rule starts at the adjacent level's (8
-    nodes per circle on the first; none at ``p = 1``) and doubles until its
-    Laurent tail is at most ``tol``.
+    ``coupling_ratio**nodes`` exceeds ``tol`` (``linalg._refine``), and
+    reports that start as ``first_level``.  Each level's theta rule starts at
+    the previous level's (8 nodes per circle on the first; none at
+    ``p = 1``) and doubles until its Laurent tail is at most ``tol``.
     ``mu`` controls the similarity conjugation (the value is invariant);
     ``theta_radius`` (> 1) and ``radius_scale`` move contours without
     changing the value, ``radius_scale`` multiplying the contour offsets of
@@ -626,7 +623,7 @@ def multipoint_prob_exact(
         terms = partial(_terms, asm, pieces=pieces)
         ratio = asm.coupling_ratio(pieces[2])
         bound = lambda level: ratio ** _refined_count(base_nodes, 2, level)
-    val, delta, level, n_theta, tail, lowest = _refine(
+    val, delta, level, n_theta, tail, first = _refine(
         lambda level: (params.n[-1], terms(_refined_count(base_nodes, 2, level))),
         params.p, theta_radius, tol, max_levels, deadline, bound,
     )
@@ -634,5 +631,5 @@ def multipoint_prob_exact(
         value=float(val.real), imag_part=float(val.imag), delta=float(delta),
         nodes=_refined_count(base_nodes, 2, level), theta_nodes=n_theta,
         levels=level, converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
-        theta_tail=tail, first_level=lowest,
+        theta_tail=tail, first_level=first,
     )

@@ -121,10 +121,6 @@ _THETA_NODES = 8  # per circle on the first level: exact for Laurent degrees in 
 _THETA_MAX_NODES = 2 ** 16  # cap on the theta nodes of one rule, over all circles
 _TAIL_NOISE = 16.0  # Laurent coefficients below this many ulps of max |det| are roundoff
 _DET_BATCH_BYTES = 4 * 2 ** 20  # bytes of matrices per batched determinant call
-# An agreeing first comparison skips the levels below the first level when
-# the error bound predicts the level below disagreed by more than this many
-# tol; on generated instances the prediction was within a factor 2.
-_STEP_DOWN_MARGIN = 10.0
 
 
 def _check_deadline(deadline: float | None, phase: str) -> None:
@@ -177,9 +173,10 @@ def _det_sum(
     ``packed`` is ``_pack(terms)``; ``thetas[i][k]`` is component ``i`` of
     node ``k`` of the flattened ``(n_theta,) * len(thetas)`` grid in
     row-major order (no component: one node).  Per chunk of about
-    ``_DET_BATCH_BYTES`` of matrices, each block adds ``monomials @ packed``
-    in one matrix product, the monomials evaluated at the chunk's nodes, and
-    one batched ``lu_det`` call takes the determinants.  ``deadline`` is
+    ``_DET_BATCH_BYTES`` of matrices, a zeroed stack gets its unit diagonal,
+    each block adds ``monomials @ packed`` in one matrix product, the
+    monomials evaluated at the chunk's nodes, and one batched ``lu_det``
+    call takes the determinants.  ``deadline`` is
     checked before every chunk; a non-finite determinant raises
     ``ConvergenceError`` naming its node.  ``out[k]``, if given, receives
     node ``k``'s determinant.
@@ -187,12 +184,12 @@ def _det_sum(
     exponents, blocks = packed
     count = len(weights)
     chunk = max(1, _DET_BATCH_BYTES // (16 * size * size))
-    eye = np.eye(size, dtype=complex)
     total = 0.0 + 0.0j
     for lo in range(0, count, chunk):
         _check_deadline(deadline, "theta integration")
         hi = min(lo + chunk, count)
-        mats = np.repeat(eye[None], hi - lo, axis=0)
+        mats = np.zeros((hi - lo, size, size), dtype=complex)
+        mats.reshape(hi - lo, -1)[:, :: size + 1] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             monomials = np.ones((hi - lo, len(exponents)), dtype=complex)
             for a, alpha in enumerate(exponents):
@@ -333,26 +330,15 @@ def _refine(
     route's resolution of ``level``, which the route grows by
     ``_refined_count``.  Each level integrates them over theta circles of
     ``radius`` with the first rule ``_certified_integral`` accepts, starting
-    from the adjacent level's node count (``_THETA_NODES`` on the first;
+    from the previous level's node count (``_THETA_NODES`` on the first;
     ``n_theta = 0`` at ``p = 1``, which has no circle).  ``max_levels`` is
-    the last level index tried.
+    the last level index tried.  The run starts at level 0, or with
+    ``bound``, the route's a-priori error scale of each level, at
+    ``_first_level``; it builds no level below its start and returns the
+    first level whose value agrees with the one before it.
 
-    The run returns the level the schedule from level 0 stops at: the first
-    whose value agrees with the level below, provided the deltas shrink
-    from level to level.  Without ``bound`` it starts at level 0.  With
-    ``bound``, the route's a-priori error scale of each level, it starts at
-    ``_first_level`` and builds no level below it, unless its first
-    comparison already agrees.  Then no level was seen to disagree, and a
-    level below the start may agree too.  If the first delta, scaled by the
-    bound's ratio between the start and the level below it, exceeds
-    ``_STEP_DOWN_MARGIN * tol``, the level below is taken to disagree.
-    Otherwise the run steps down, each lower level's theta rule starting
-    from the count of the level above, until a comparison disagrees or
-    level 0 is reached, and returns the lowest level that agrees with the
-    one below.
-
-    Returns ``(value, delta, level, n_theta, tail, lowest)``: ``level`` is
-    the index of the returned level and ``lowest`` the lowest level built.
+    Returns ``(value, delta, level, n_theta, tail, start)``: ``level`` is
+    the index of the returned level and ``start`` the first level built.
     Raises ``ValueError`` unless ``tol`` is finite and positive and
     ``max_levels >= 0``, ``ConvergenceError`` reporting the last delta (or
     theta tail), or ``BudgetError`` once ``deadline`` has passed.
@@ -362,35 +348,18 @@ def _refine(
     if max_levels < 0:
         raise ValueError(f"max_levels must be non-negative, got {max_levels}")
     start = 0 if bound is None else _first_level(bound, tol, max_levels)
-
-    def evaluate(level: int, n_theta: int) -> tuple[complex, int, float]:
-        _check_deadline(deadline, "refinement")
-        size, terms = terms_at(level)
-        return _certified_integral(size, terms, p, radius, n_theta, tol, deadline)
-
     prev, delta, n_theta = None, None, _THETA_NODES
     for level in range(start, max_levels + 1):
-        current = evaluate(level, n_theta)
-        n_theta = current[1]
+        _check_deadline(deadline, "refinement")
+        size, terms = terms_at(level)
+        value, n_theta, tail = _certified_integral(size, terms, p, radius, n_theta, tol, deadline)
         if prev is not None:
-            delta = abs(current[0] - prev[0])
+            delta = abs(value - prev)
             if delta <= tol:
-                break
-        prev = current
-    else:
-        last = "unavailable" if delta is None else f"{delta:.3g}"
-        raise ConvergenceError(
-            f"refinement did not stabilize by level {max_levels} "
-            f"(last delta {last} at level {level}, tol={tol:g})"
-        )
-    lowest = start
-    if (level == start + 1 and start > 0
-            and delta * bound(start - 1) <= _STEP_DOWN_MARGIN * tol * bound(start)):
-        for lowest in range(start - 1, -1, -1):
-            below = evaluate(lowest, prev[1])
-            step = abs(prev[0] - below[0])
-            if step > tol:
-                break
-            current, delta, level, prev = prev, step, lowest + 1, below
-    value, n_theta, tail = current
-    return value, delta, level, n_theta, tail, lowest
+                return value, delta, level, n_theta, tail, start
+        prev = value
+    last = "unavailable" if delta is None else f"{delta:.3g}"
+    raise ConvergenceError(
+        f"refinement did not stabilize by level {max_levels} "
+        f"(last delta {last} at level {level}, tol={tol:g})"
+    )

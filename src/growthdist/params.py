@@ -259,34 +259,32 @@ def delta(y: Sequence[float], k1: int, k2: int) -> float:
     return _at(y, k2) - _at(y, k1)
 
 
+def _weighted_increment(
+    t: Sequence[float], y: Sequence[float], k1: int, k2: int, power: float
+) -> float:
+    dt = delta(t, k1, k2)
+    if dt <= 0:
+        raise ValueError(f"time increment must be positive, got {dt}")
+    out = 0.0
+    if k2 != 0:
+        out += _at(y, k2) * (_at(t, k2) / dt) ** power
+    if k1 != 0:
+        out -= _at(y, k1) * (_at(t, k1) / dt) ** power
+    return out
+
+
 def delta_x(t: Sequence[float], x: Sequence[float], k1: int, k2: int) -> float:
     """Weighted position increment attached to the pair ``k1 < k2``.
 
     ``Delta_{k1,k2} x = x_{k2} (t_{k2}/Delta t)^(2/3) - x_{k1} (t_{k1}/Delta t)^(2/3)``
     with ``Delta t = t_{k2} - t_{k1}`` and the ``k = 0`` terms equal to zero.
     """
-    dt = delta(t, k1, k2)
-    if dt <= 0:
-        raise ValueError(f"time increment must be positive, got {dt}")
-    out = 0.0
-    if k2 != 0:
-        out += _at(x, k2) * (_at(t, k2) / dt) ** (2.0 / 3.0)
-    if k1 != 0:
-        out -= _at(x, k1) * (_at(t, k1) / dt) ** (2.0 / 3.0)
-    return out
+    return _weighted_increment(t, x, k1, k2, 2.0 / 3.0)
 
 
 def delta_xi(t: Sequence[float], xi: Sequence[float], k1: int, k2: int) -> float:
     """Weighted height increment; as ``delta_x`` but with exponent 1/3."""
-    dt = delta(t, k1, k2)
-    if dt <= 0:
-        raise ValueError(f"time increment must be positive, got {dt}")
-    out = 0.0
-    if k2 != 0:
-        out += _at(xi, k2) * (_at(t, k2) / dt) ** (1.0 / 3.0)
-    if k1 != 0:
-        out -= _at(xi, k1) * (_at(t, k1) / dt) ** (1.0 / 3.0)
-    return out
+    return _weighted_increment(t, xi, k1, k2, 1.0 / 3.0)
 
 
 def delta_txxi(

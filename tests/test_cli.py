@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import warnings
@@ -228,6 +229,60 @@ def test_tw_records_the_node_count_it_used(tmp_path):
     assert docs["13"]["provenance"] == docs["12"]["provenance"]
     assert docs["96"]["provenance"] != docs["12"]["provenance"]
     assert docs["96"]["sweep"][0]["F_GUE"] == pytest.approx(0.969373, abs=1e-6)
+
+
+def _run_csv(tmp_path, command: str, config: str | None, *extra: str) -> list[dict]:
+    argv = [command, *extra, "--out", str(tmp_path / "out.csv")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 0
+    with open(tmp_path / "out.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_tw_csv_is_the_json_sweep(tmp_path):
+    rows = _run_csv(tmp_path, "tw", None, "--points", "3")
+    assert list(rows[0]) == ["s", "F_GUE"]
+    code, doc = _run(tmp_path, "tw", None, "--points", "3", "--format", "json")
+    assert code == 0
+    assert rows == [{key: f"{point[key]:.12g}" for key in ("s", "F_GUE")}
+                    for point in doc["sweep"]]
+
+
+def test_simulate_csv_is_the_json_estimate(tmp_path):
+    extra = ("--samples", "2000", "--seed", "7")
+    (row,) = _run_csv(tmp_path, "simulate", TINY, *extra, "--format", "csv")
+    code, doc = _run(tmp_path, "simulate", TINY, *extra)
+    assert code == 0
+    diag = doc["diagnostics"]
+    assert row == {
+        "estimate": f"{doc['value']:.12g}", "stderr": f"{diag['stderr']:.12g}",
+        "successes": str(diag["successes"]), "nsamples": str(diag["nsamples"]),
+    }
+
+
+def test_exact_refuses_csv(tmp_path, capsys):
+    code, doc = _run(tmp_path, "exact", TINY, "--format", "csv")
+    assert code == 2 and doc is None
+    assert "only available for sweep tables" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, config", [("exact", TINY), ("validate", None)],
+                         ids=["exact", "validate"])
+@pytest.mark.parametrize("out", ["missing/out.json", "."], ids=["no-directory", "a-directory"])
+def test_unwritable_out_is_a_schema_error(tmp_path, capsys, command, config, out):
+    argv = [command, "--out", str(tmp_path / out)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 2
+    assert f"cannot write --out {tmp_path / out}" in capsys.readouterr().err
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == (["config.json"] if config else [])
+    assert not list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp"))
 
 
 def test_impossible_allocation_exits_4(tmp_path, capsys, monkeypatch):

@@ -219,20 +219,21 @@ def test_every_level_has_more_contour_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "corner, start, built, lowest, level",
+    "corner, start, built, level, full_level",
     [
-        (ModelParams(q=0.7261, m=(2, 5), n=(4, 5), a=(1, 3)), 5, [362, 512, 256, 182], 3, 5),
-        (ModelParams(q=0.3564, m=(3, 5), n=(1, 2), a=(5, 8)), 2, [128, 182], 2, 3),
+        (ModelParams(q=0.7261, m=(2, 5), n=(4, 5), a=(1, 3)), 5, [362, 512], 6, 5),
+        (ModelParams(q=0.3564, m=(3, 5), n=(1, 2), a=(5, 8)), 2, [128, 182], 3, 3),
+        (ModelParams(q=0.767, m=(2, 3, 4, 6), n=(1, 2, 4, 6), a=(1, 1, 1, 3)),
+         7, [724, 1024], 8, 6),
     ],
-    ids=["steps-down", "bound-rules-out"],
+    ids=["steps-down", "bound-rules-out", "four-points"],
 )
-def test_first_comparison_that_agrees(monkeypatch, corner, start, built, lowest, level):
-    # Both runs agree on their first comparison.  With a threshold of 1 the
-    # coupling error is far below its bound and levels 4 and 5 already
-    # agree, so the run steps down until levels 3 and 4 disagree; on the
-    # other corner the bound, scaled by the first delta, puts the delta
-    # below the start at about 270 tol, so it builds nothing below its
-    # start.  Both end where the schedule from level 0 ends.
+def test_first_comparison_that_agrees(monkeypatch, corner, start, built, level, full_level):
+    # Each run agrees on its first comparison and builds nothing below its
+    # start.  With a threshold of 1 the coupling error is far below its
+    # bound, so on the first and last corner levels below the start already
+    # agree and the schedule from level 0 stops earlier, at a value within
+    # tol of this run's.
     counts = []
     terms = growthdist.exact._terms
 
@@ -246,10 +247,12 @@ def test_first_comparison_that_agrees(monkeypatch, corner, start, built, lowest,
     monkeypatch.setattr(growthdist.exact, "_terms", recording)
     res = multipoint_prob_exact(corner)
     assert counts == built
-    assert (res.first_level, res.levels) == (lowest, level)
+    assert (res.first_level, res.levels) == (start, level)
     assert res.value == pytest.approx(dp_exact_prob(corner), abs=1e-9)
     monkeypatch.setattr(growthdist.linalg, "_first_level", lambda *args: 0)
-    assert multipoint_prob_exact(corner).levels == level
+    full = multipoint_prob_exact(corner)
+    assert full.levels == full_level
+    assert abs(full.value - res.value) <= 1e-9
 
 
 def test_uncertified_theta_rule_reports_its_tail(monkeypatch):
