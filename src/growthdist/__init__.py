@@ -4,16 +4,16 @@ The package simulates the corner growth model with geometric weights,
 evaluates its exact finite-size multi-point distribution as a contour
 integral of a block Fredholm determinant, and evaluates the limiting
 multi-time law under KPZ scaling, together with independent oracles
-(dynamic programming, Monte Carlo, determinantal sums, Airy-operator
-forms) for every layer.
+(dynamic programming, Monte Carlo, determinantal sums, the Tracy-Widom
+marginal).  The per-family kernel oracles of the limit law (the contour
+and Airy-operator forms) are private to ``asymptotic`` and serve its tests;
+``LimitSettings`` holds the limit law's controls ``extent``,
+``block_nodes``, ``theta_radius``, ``mu``, ``tol`` and ``max_levels``.
 """
 
 from .asymptotic import (
     AsymptoticResult,
     LimitSettings,
-    airy_form_kernel,
-    d_for_eps,
-    eval_basic_kernel,
     fredholm_det_F,
     multitime_cdf,
     tracy_widom,
@@ -47,13 +47,10 @@ __all__ = [
     "ModelParams",
     "ScalingConstants",
     "SchemaError",
-    "airy_form_kernel",
     "compute_constants",
-    "d_for_eps",
     "det_theta",
     "discretize",
     "dp_exact_prob",
-    "eval_basic_kernel",
     "fredholm_det_F",
     "instance_digest",
     "mc_multipoint",

@@ -25,13 +25,14 @@ A family is named by its number and one index dict ``kw`` as
 ``_block_terms`` writes it: ``rtop``/``sbot`` (first and last time index),
 ``k``, ``k1``, ``k2``, ``k3``, and the ladder's interior signs ``epsw``
 (``eps_{k1+1}..eps_{k2-1}``); ``_LimitKernels._chain`` turns it into the
-family's lines.  Two independent evaluation paths are cross-checked:
+family's lines.  Two private test oracles evaluate one family on its own,
+by independent paths that the tests cross-check:
 
-* ``eval_basic_kernel`` computes a family directly as a chain of node
+* ``_eval_basic_kernel`` computes a family directly as a chain of node
   matrices over the line contours (rows: the ``u`` exponential and its
   line weight; couplings: Cauchy factors ``1/(a - b)`` between adjacent
   lines; columns: the ``v`` exponential).
-* ``airy_form_kernel`` expands every Cauchy coupling ``1/(a-b)`` as
+* ``_airy_form_kernel`` expands every Cauchy coupling ``1/(a-b)`` as
   ``sgn(Re(a-b)) * int_0^inf exp(-lambda sgn(Re(a-b)) (a-b)) dlambda`` and
   folds each line integral into a shifted Airy transform
 
@@ -55,19 +56,24 @@ among all bases, and drops it when the level's bases are done.  At
 ``p = 1`` there is no theta circle and the same route returns the single
 determinant ``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates
 that marginal independently, from the closed-form Airy kernel.
+
+``LimitSettings`` holds the controls the ``asymptotic`` subcommand can
+override: ``extent``, ``block_nodes``, ``theta_radius``, ``mu``, ``tol`` and
+``max_levels``.  The line layout is the module constant ``_LAYOUT``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, SchemaError
 from .integrands import (
+    _Chain,
     _walk_chains,
     airy_ai,
     airy_kernel_matrix,
@@ -99,10 +105,6 @@ from .params import (
 __all__ = [
     "LimitSettings",
     "AsymptoticResult",
-    "d_for_eps",
-    "check_d_assignment",
-    "eval_basic_kernel",
-    "airy_form_kernel",
     "fredholm_det_F",
     "multitime_cdf",
     "tracy_widom",
@@ -123,29 +125,43 @@ _LAM_MAX = 40.0           # widest decay-variable window of the Airy-operator fo
 _LAM_NODES = 160          # Gauss-Legendre nodes on that window
 
 
-@dataclass(frozen=True)
-class LimitSettings:
-    """Contour layout and resolution controls for the limit kernels.
+class _Layout(NamedTuple):
+    """Abscissas of the limit kernels' lines.
 
     ``d1, d2, d3`` are the (positive) distances of the decaying lines left
     of the origin, ``d_single`` the abscissa of a lone growing line, and
     ``ladder_lo/ladder_hi`` the interval into which the eps-ordered ladder
-    of growing lines is rescaled.  ``mu`` overrides the conjugation rate
-    (default: the admissibility bound of the instance plus one).
-
-    Entries of a line-contour kernel at coordinate magnitude ``L`` carry
-    roundoff amplified by ``exp(d L)`` relative to fully cancelled true
-    values, so the default abscissas are small enough for determinants
-    over ``|u| <= extent``; analyticity makes every value independent of
-    the layout.
+    of growing lines is rescaled.  The kernels need ``d1 < d2``,
+    ``d3 < d2`` and ``0 < ladder_lo < ladder_hi``; analyticity makes every
+    value independent of the layout otherwise.
     """
 
-    d1: float = 0.35
-    d2: float = 0.70
-    d3: float = 0.35
-    d_single: float = 0.45
-    ladder_lo: float = 0.25
-    ladder_hi: float = 1.05
+    d1: float
+    d2: float
+    d3: float
+    d_single: float
+    ladder_lo: float
+    ladder_hi: float
+
+
+# Entries of a line-contour kernel at coordinate magnitude L carry roundoff
+# amplified by exp(d L) relative to fully cancelled true values, so the
+# abscissas are kept small enough for determinants over |u| <= extent.
+# ``_LimitKernels`` multiplies them all by its instance's ``_anchor_scale``.
+_LAYOUT = _Layout(d1=0.35, d2=0.70, d3=0.35, d_single=0.45, ladder_lo=0.25, ladder_hi=1.05)
+
+
+@dataclass(frozen=True)
+class LimitSettings:
+    """Truncation, resolution and refinement controls of the limit law.
+
+    ``extent`` truncates each half-line, ``block_nodes`` sets the Nystrom
+    nodes per block of level 0, ``theta_radius`` the radius of the theta
+    circles, ``tol`` and ``max_levels`` the refinement, and ``mu``
+    overrides the conjugation rate (default: the instance's ``mu``, else
+    the admissibility bound of the instance plus one).
+    """
+
     extent: float = 12.0
     block_nodes: int = 48
     theta_radius: float = 2.0
@@ -157,12 +173,6 @@ class LimitSettings:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise SchemaError(f"{name} must be finite, got {value}")
-        if min(self.d1, self.d2, self.d3, self.d_single) <= 0:
-            raise SchemaError("contour distances must be positive")
-        if not (self.d1 < self.d2 and self.d3 < self.d2):
-            raise SchemaError("need d1 < d2 and d3 < d2")
-        if not (0 < self.ladder_lo < self.ladder_hi):
-            raise SchemaError("need 0 < ladder_lo < ladder_hi")
         if self.extent <= 0:
             raise SchemaError(f"extent must be positive, got {self.extent}")
         if self.block_nodes < 8:
@@ -185,7 +195,7 @@ def _resolve_mu(inst: LimitParams, settings: LimitSettings) -> float:
 # eps-ordered ladder of growing-line abscissas
 # ---------------------------------------------------------------------------
 
-def check_d_assignment(
+def _check_d_assignment(
     assignment: dict[int, float], eps: Sequence[int], k1: int, k2: int
 ) -> None:
     """Validate a ladder ``{k: D_k for k in k1+1..k2}`` against ``eps``.
@@ -208,7 +218,7 @@ def check_d_assignment(
             )
 
 
-def d_for_eps(
+def _d_for_eps(
     eps: Sequence[int], k1: int, k2: int, lo: float = 0.5, hi: float = 2.5
 ) -> dict[int, float]:
     """Abscissas ``{k: D_k}`` for the growing lines ``k in k1+1..k2``.
@@ -237,7 +247,7 @@ def d_for_eps(
     else:
         vals = [lo + (hi - lo) * (d - lov) / (hiv - lov) for d in window]
     out = {k1 + 1 + i: v for i, v in enumerate(vals)}
-    check_d_assignment(out, eps, k1, k2)
+    _check_d_assignment(out, eps, k1, k2)
     return out
 
 
@@ -249,14 +259,6 @@ def _vmax_bucket(arr: np.ndarray) -> float:
     if arr.size == 0:
         return 1.0
     return float(math.ceil(np.max(np.abs(arr)) + 1.0))
-
-
-class _Job(NamedTuple):
-    """One family chain: its links, its ``(last line, column coordinates)`` key, its sign."""
-
-    links: tuple
-    cols: tuple
-    sign: float
 
 
 class _LimitKernels:
@@ -287,18 +289,8 @@ class _LimitKernels:
         self.inst = inst
         self.p = inst.p
         self.mu = _resolve_mu(inst, settings)
-        scale = self._anchor_scale(settings)
-        if scale > 1.0:
-            settings = replace(
-                settings,
-                d1=settings.d1 * scale,
-                d2=settings.d2 * scale,
-                d3=settings.d3 * scale,
-                d_single=settings.d_single * scale,
-                ladder_lo=settings.ladder_lo * scale,
-                ladder_hi=settings.ladder_hi * scale,
-            )
-        self.s = settings
+        scale = self._anchor_scale()
+        self.layout = _Layout(*(d * scale for d in _LAYOUT))
         # line key -> (nodes, weights times G^(+-1))
         self._lines: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -309,10 +301,10 @@ class _LimitKernels:
             raise ValueError(f"need 0 <= k1 < k2 <= {self.p}, got ({k1}, {k2})")
         return delta_txxi(self.inst.t, self.inst.x, self.inst.xi, k1, k2)
 
-    def _anchor_scale(self, s: LimitSettings) -> float:
+    def _anchor_scale(self) -> float:
         need = 1.0
-        d_min = min(s.d1, s.d2, s.d3)
-        big_d_min = min(s.d_single, s.ladder_lo)
+        d_min = min(_LAYOUT.d1, _LAYOUT.d2, _LAYOUT.d3)
+        big_d_min = min(_LAYOUT.d_single, _LAYOUT.ladder_lo)
         for k1 in range(0, self.p):
             for k2 in range(k1 + 1, self.p + 1):
                 dt, dx, _ = self.trip(k1, k2)
@@ -366,7 +358,7 @@ class _LimitKernels:
         full = [1] * (self.p - 1)
         for j, e in enumerate(epsw):
             full[k1 + j] = e
-        return d_for_eps(full, k1, k2, self.s.ladder_lo, self.s.ladder_hi)
+        return _d_for_eps(full, k1, k2, self.layout.ladder_lo, self.layout.ladder_hi)
 
     # -- families: one description each -----------------------------------
 
@@ -379,7 +371,7 @@ class _LimitKernels:
         ladder ``k1+1..k2``; their first coupling ``1/(z_{k1+1} - zeta_1)`` is
         the negative of the Cauchy matrix from the row line, hence sign -1.
         """
-        s, p = self.s, self.p
+        s, p = self.layout, self.p
         if family == 1:  # single up/down pair
             return 1.0, [(s.d_single, p - 1, p, False), (-s.d1, kw["sbot"], p, True)]
         if family == 2:  # two decaying lines
@@ -426,7 +418,7 @@ class _LimitKernels:
             links = ((lines[0], ukey),) + tuple(
                 (line, i < len(lines) - 2) for i, line in enumerate(lines[1:])
             )
-            jobs.append(_Job(links, (lines[-1], vkey), sign))
+            jobs.append(_Chain(links, (lines[-1], vkey), sign))
 
         def rows(link: tuple) -> np.ndarray:
             nodes, wf = self._lines[link[0]]
@@ -446,16 +438,8 @@ class _LimitKernels:
         return [values[job] for job in jobs]
 
 
-def eval_basic_kernel(
-    family: int,
-    kw: dict,
-    u,
-    v,
-    instance: LimitParams,
-    *,
-    settings: LimitSettings | None = None,
-):
-    """One basic kernel family evaluated by iterated line contours.
+def _eval_basic_kernel(family: int, kw: dict, u, v, instance: LimitParams) -> np.ndarray:
+    """One basic kernel family evaluated by iterated line contours (test oracle).
 
     ``kw`` holds the family's indices in the vocabulary ``_block_terms``
     writes: ``rtop``/``sbot``, the time indices of the first and last
@@ -464,17 +448,15 @@ def eval_basic_kernel(
     They are used verbatim, which exposes every family shape at any ``p``
     for cross-checks.  Raises ``ValueError`` for an unknown family, an
     increment ``(k_from, k_to)`` outside ``0 <= k_from < k_to <= p`` or an
-    ``epsw`` of the wrong length.  ``u``/``v`` may be scalars or 1-d
-    arrays; the block convention places ``u < 0`` for blocks below ``p`` and
-    ``u > 0`` on block ``p``.
+    ``epsw`` of the wrong length.  ``u``/``v`` are 1-d arrays (a scalar is
+    one point) and the result is the ``len(u) x len(v)`` matrix; the block
+    convention places ``u < 0`` for blocks below ``p`` and ``u > 0`` on
+    block ``p``.
     """
     uarr = np.atleast_1d(np.asarray(u, dtype=float))
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    kern = _LimitKernels(instance, settings or LimitSettings())
-    mat = kern.kernels([(family, kw, "u", "v")], {"u": uarr, "v": varr})[0]
-    if np.isscalar(u) and np.isscalar(v):
-        return complex(mat[0, 0])
-    return mat
+    kern = _LimitKernels(instance, LimitSettings())
+    return kern.kernels([(family, kw, "u", "v")], {"u": uarr, "v": varr})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,28 +589,20 @@ def _chain_lam_max(factors: list[_AiryFac], u: np.ndarray, v: np.ndarray) -> flo
     raise ConvergenceError("Airy-form arguments exceed the evaluator's domain")
 
 
-def airy_form_kernel(
-    family: int,
-    kw: dict,
-    u,
-    v,
-    instance: LimitParams,
-    *,
-    settings: LimitSettings | None = None,
-):
-    """Airy-operator form of a basic kernel family (independent oracle).
+def _airy_form_kernel(family: int, kw: dict, u, v, instance: LimitParams) -> np.ndarray:
+    """Airy-operator form of a basic kernel family (independent test oracle).
 
     Expands every Cauchy coupling of the family as a real integral over a
     decay variable and evaluates the resulting chain of shifted Airy
     transforms by Gauss-Legendre quadrature on ``[0, _LAM_MAX]``.  ``kw``
-    means what it means in :func:`eval_basic_kernel` and is checked the same
+    means what it means in :func:`_eval_basic_kernel` and is checked the same
     way (``_LimitKernels._chain`` and ``trip``); the factor signs and
     coefficients come from ``_airy_factors`` alone, so agreement between the
     two paths validates both the contour layout and the coupling signs.
     """
     uarr = np.atleast_1d(np.asarray(u, dtype=float))
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    kern = _LimitKernels(instance, settings or LimitSettings())
+    kern = _LimitKernels(instance, LimitSettings())
     kern._chain(family, kw)  # the same index errors as the contour form
     factors, sign = _airy_factors(family, kw, kern.trip, kern.p)
     cap = _chain_lam_max(factors, uarr, varr)
@@ -641,10 +615,7 @@ def airy_form_kernel(
         if i < len(factors) - 1:
             block = block * lw[None, :]
         mat = block if mat is None else mat @ block
-    mat = sign * mat * np.exp(kern.mu * (varr[None, :] - uarr[:, None]))
-    if np.isscalar(u) and np.isscalar(v):
-        return complex(mat[0, 0])
-    return mat
+    return sign * mat * np.exp(kern.mu * (varr[None, :] - uarr[:, None]))
 
 
 # ---------------------------------------------------------------------------

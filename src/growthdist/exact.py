@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrands import Contour, _walk_chains, circle, log_g
+from .integrands import Contour, _Chain, _walk_chains, circle, log_g
 from .linalg import _det_at, _refine, _refined_count
 # Unused here since the engine takes every determinant, but kept importable:
 # a tracer that wraps ``lu_det`` in every module namespace holding it
@@ -134,19 +134,6 @@ class _Link(NamedTuple):
 
     circle: object
     factors: object
-
-
-class _Chain(NamedTuple):
-    """An iterated contour integral ``rows @ couplings @ columns / sign``.
-
-    ``cols`` is ``(k2, circle)``: the column factors of corner ``k2`` on the
-    last link's circle, ``zeta_2`` or the last circle around 1 when it
-    carries the column index.  ``sign`` is ``+-w_c``.
-    """
-
-    links: tuple[_Link, ...]
-    cols: tuple
-    sign: float
 
 
 def _check_node_count(name: str, nodes: int) -> None:
@@ -330,6 +317,10 @@ class _Assembler:
         return vals
 
     # -- kernel pieces as chains of contour couplings ----------------------
+    # A chain's links are ``_Link``s; its ``cols`` is ``(k2, circle)``, the
+    # column factors of corner ``k2`` on the last link's circle (``zeta_2``,
+    # or the last circle around 1 when it carries the column index); its
+    # ``sign`` is ``+-w_c``.
 
     def leps_chain(self, k1: int, k2: int, window: tuple[int, ...],
                    last_carries_column: bool = False) -> _Chain:

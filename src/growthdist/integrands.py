@@ -38,6 +38,7 @@ import math
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +135,21 @@ def _take(cache: dict, uses: dict, key, make: Callable[[Hashable], np.ndarray]) 
     return mat
 
 
+class _Chain(NamedTuple):
+    """An iterated contour integral ``rows @ couplings @ columns / sign``.
+
+    ``links`` is a tuple of links whose first entry is the key of their
+    contour, ``cols`` the hashable key of the column factors and ``sign``
+    the scalar the product is divided by; see ``_walk_chains``.
+    """
+
+    links: tuple
+    cols: Hashable
+    sign: float
+
+
 def _walk_chains(
-    jobs: Sequence,
+    jobs: Sequence[_Chain],
     nodes: Callable[[Hashable], np.ndarray],
     rows: Callable[[Hashable], np.ndarray],
     scale: Callable[[Hashable], np.ndarray | None],
@@ -145,13 +159,12 @@ def _walk_chains(
 ) -> dict:
     """``{job: (product @ cols(job.cols)) / job.sign}`` for chains of Cauchy couplings.
 
-    Each job is hashable and has a tuple ``links``, a hashable ``cols`` key
-    and a scalar ``sign``; the first entry of every link is the key of its
-    contour.  ``rows(links[0])`` are row factors on the first contour; every
-    further link multiplies by the Cauchy matrix from the previous contour's
-    ``nodes`` to its own, then scales the columns by ``scale(link)``
-    (``None``: no scaling).  A job's value is taken as soon as its product
-    exists.
+    Each job is a ``_Chain``; the first entry of every link is the key of
+    its contour.  ``rows(links[0])`` are row factors on the first contour;
+    every further link multiplies by the Cauchy matrix from the previous
+    contour's ``nodes`` to its own, then scales the columns by
+    ``scale(link)`` (``None``: no scaling).  A job's value is taken as soon
+    as its product exists.
 
     The jobs are walked together, link by link.  At each depth the distinct
     prefixes are grouped by the ordered pair of contours they cross; each

@@ -43,7 +43,6 @@ __all__ = [
     "lu_det",
     "NystromGrid",
     "block_grid",
-    "nystrom_det",
 ]
 
 
@@ -102,15 +101,6 @@ def block_grid(p: int, extent: float = 12.0, n: int = 48) -> NystromGrid:
         weights=np.concatenate(weights),
         slices=tuple(slices),
     )
-
-
-def nystrom_det(kernel: np.ndarray, grid: NystromGrid) -> complex:
-    """``det(I + W^(1/2) K W^(1/2))`` for the kernel matrix at the grid nodes."""
-    if not np.all(np.isfinite(kernel)):
-        raise ValueError("kernel values must be finite")
-    sw = np.sqrt(grid.weights)
-    mat = np.eye(len(grid), dtype=complex) + sw[:, None] * kernel * sw[None, :]
-    return lu_det(mat)
 
 
 # ---------------------------------------------------------------------------

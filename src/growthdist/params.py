@@ -39,6 +39,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product as _iproduct, zip_longest
 from typing import Iterator, Sequence
@@ -106,22 +108,38 @@ def compute_constants(q: float) -> ScalingConstants:
 # parameter containers
 # ---------------------------------------------------------------------------
 
-def _as_int_tuple(name: str, values: Sequence) -> tuple[int, ...]:
+def _number(name: str, value) -> numbers.Real:
+    """``value`` if it is a real number (numpy scalars too), not a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise SchemaError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a number with an integer value."""
+    _number(name, value)
     try:
-        out = tuple(int(v) for v in values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{name} must be a sequence of finite integers") from exc
-    for v, raw in zip(out, values):
-        if float(raw) != float(v):
-            raise SchemaError(f"{name} must contain integers, got {raw!r}")
+        out = int(value)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{name} must be a finite integer, got {value!r}") from exc
+    if out != value:
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
     return out
 
 
-def _as_float_tuple(name: str, values: Sequence) -> tuple[float, ...]:
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name} must be a sequence of numbers") from exc
+def _entries(name: str, values) -> tuple:
+    """The entries of a vector field: an array, not a string or a mapping."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise SchemaError(f"{name} must be an array of numbers, got {values!r}")
+    return tuple(values)
+
+
+def _as_int_tuple(name: str, values) -> tuple[int, ...]:
+    return tuple(_integer(f"{name} entries", v) for v in _entries(name, values))
+
+
+def _as_float_tuple(name: str, values) -> tuple[float, ...]:
+    out = tuple(float(_number(f"{name} entries", v)) for v in _entries(name, values))
     if not all(math.isfinite(v) for v in out):
         raise SchemaError(f"{name} must contain finite numbers")
     return out
@@ -137,7 +155,7 @@ def _validate_points(params: KPZParams | LimitParams) -> None:
         raise SchemaError("t, x, xi must be non-empty and of equal length")
     if t[0] <= 0 or any(t[k] <= t[k - 1] for k in range(1, p)):
         raise SchemaError("t must be positive and strictly increasing")
-    if params.mu is not None and not (0 <= params.mu < math.inf):
+    if params.mu is not None and not (0 <= _number("mu", params.mu) < math.inf):
         raise SchemaError("mu must be finite and non-negative")
 
 
@@ -157,7 +175,7 @@ class ModelParams:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
+        if not (0.0 < _number("q", self.q) < 1.0):
             raise SchemaError(f"q must lie in (0, 1), got {self.q!r}")
         object.__setattr__(self, "m", _as_int_tuple("m", self.m))
         object.__setattr__(self, "n", _as_int_tuple("n", self.n))
@@ -197,9 +215,9 @@ class KPZParams:
     mu: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
+        if not (0.0 < _number("q", self.q) < 1.0):
             raise SchemaError(f"q must lie in (0, 1), got {self.q!r}")
-        if not 0 < self.T < math.inf:
+        if not 0 < _number("T", self.T) < math.inf:
             raise SchemaError("T must be positive and finite")
         _validate_points(self)
 
@@ -441,7 +459,7 @@ def parse_instance(doc: dict) -> ModelParams | KPZParams | LimitParams:
         if extra:
             raise SchemaError(f"unexpected keys for discrete instance: {sorted(extra)}")
         params = ModelParams(q=doc["q"], m=doc["m"], n=doc["n"], a=doc["a"])
-        if "p" in doc and int(doc["p"]) != params.p:
+        if "p" in doc and _integer("p", doc["p"]) != params.p:
             raise SchemaError(f"p={doc['p']} does not match vectors of length {params.p}")
         return params
     if {"t", "x", "xi"} <= keys:

@@ -89,6 +89,33 @@ def test_non_finite_numbers_are_schema_errors(tmp_path, capsys, command, config)
 
 
 @pytest.mark.parametrize(
+    "command, config",
+    [
+        ("exact", '{"q": 0.4, "m": [1, 3], "n": [1, 2], "a": [2, 4], "p": null}'),
+        ("exact", '{"q": "0.4", "m": [1, 3], "n": [1, 2], "a": [2, 4]}'),
+        ("exact", '{"q": null, "m": [1, 3], "n": [1, 2], "a": [2, 4]}'),
+        ("exact", '{"q": 0.25, "T": "40", "t": [1, 2], "x": [0, 0], "xi": [0.2, 0.4]}'),
+        ("asymptotic", '{"t": [1, 2], "x": [0, 0], "xi": [0.2, 0.4], "mu": "a"}'),
+        ("exact", '{"q": 0.4, "m": "36", "n": "24", "a": "59"}'),
+        ("exact", '{"q": 0.4, "m": {"3": 1, "6": 2}, "n": [2, 4], "a": [5, 9]}'),
+        ("asymptotic", '{"t": "12", "x": "00", "xi": "24"}'),
+        ("asymptotic", '{"t": [1, 2], "x": [0, 0], "xi": ["0.2", "0.4"]}'),
+        ("exact", '{"q": 0.5, "m": [1], "n": [1], "a": [3], "p": 1.5}'),
+        ("exact", '{"q": 0.5, "m": [true], "n": [1], "a": [3]}'),
+    ],
+    ids=[
+        "null-p", "string-q", "null-q", "string-T", "string-mu", "string-vectors",
+        "mapping-vector", "string-limit-vectors", "string-entries", "fractional-p",
+        "bool-entry",
+    ],
+)
+def test_mistyped_fields_are_schema_errors(tmp_path, capsys, command, config):
+    code, doc = _run(tmp_path, command, config)
+    assert code == 2 and doc is None
+    assert "must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, config, needle",
     [
         ("exact", TINY, "last delta"),

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-from typing import NamedTuple
-
 import numpy as np
 import pytest
 import scipy.special
@@ -13,6 +11,7 @@ import scipy.special
 import growthdist.integrands
 from growthdist.integrands import (
     _airy,
+    _Chain,
     _walk_chains,
     airy_ai,
     airy_kernel_matrix,
@@ -78,12 +77,6 @@ def test_vline_evaluates_gaussian_integral():
         assert got.real == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-10)
 
 
-class _Job(NamedTuple):
-    links: tuple
-    cols: int
-    sign: float
-
-
 def test_chain_walk_matches_direct_products(monkeypatch):
     # chains that share prefixes, end at different depths, cross the pair
     # (1, 2) at two depths and share column factors; a link is (contour,
@@ -94,12 +87,12 @@ def test_chain_walk_matches_direct_products(monkeypatch):
     scales = {c: rng.normal(size=16) + 1j * rng.normal(size=16) for c in nodes}
     colmats = {k: rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3)) for k in range(2)}
     jobs = [
-        _Job(((0, False), (1, True), (2, False)), 0, 1.0),
-        _Job(((0, False), (1, True), (3, True), (2, False)), 1, -2.0),
-        _Job(((0, False), (1, False)), 0, 3.0),
-        _Job(((3, False), (1, True), (2, False)), 1, -4.0),
-        _Job(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
-        _Job(((0, False), (1, True), (2, False)), 1, -6.0),
+        _Chain(((0, False), (1, True), (2, False)), 0, 1.0),
+        _Chain(((0, False), (1, True), (3, True), (2, False)), 1, -2.0),
+        _Chain(((0, False), (1, False)), 0, 3.0),
+        _Chain(((3, False), (1, True), (2, False)), 1, -4.0),
+        _Chain(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
+        _Chain(((0, False), (1, True), (2, False)), 1, -6.0),
     ]
     formed, made = [], []
     cauchy = growthdist.integrands._cauchy
@@ -147,12 +140,12 @@ def test_mirrored_walk_matches_full_products(monkeypatch):
     scale_coef = {c: rng.normal(size=3) for c in full}
     col_coef = {k: rng.normal(size=(3, 3)) for k in range(2)}
     jobs = [
-        _Job(((0, False), (1, True), (2, False)), 0, 1.0),
-        _Job(((0, False), (1, True), (3, True), (2, False)), 1, -2.0),
-        _Job(((0, False), (1, False)), 0, 3.0),
-        _Job(((3, False), (1, True), (2, False)), 1, -4.0),
-        _Job(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
-        _Job(((0, False), (1, True), (2, False)), 1, -6.0),
+        _Chain(((0, False), (1, True), (2, False)), 0, 1.0),
+        _Chain(((0, False), (1, True), (3, True), (2, False)), 1, -2.0),
+        _Chain(((0, False), (1, False)), 0, 3.0),
+        _Chain(((3, False), (1, True), (2, False)), 1, -4.0),
+        _Chain(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
+        _Chain(((0, False), (1, True), (2, False)), 1, -6.0),
     ]
     formed = []
     cauchy = growthdist.integrands._cauchy

