@@ -192,66 +192,6 @@ def _resolve_mu(inst: LimitParams, settings: LimitSettings) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eps-ordered ladder of growing-line abscissas
-# ---------------------------------------------------------------------------
-
-def _check_d_assignment(
-    assignment: dict[int, float], eps: Sequence[int], k1: int, k2: int
-) -> None:
-    """Validate a ladder ``{k: D_k for k in k1+1..k2}`` against ``eps``.
-
-    Requires distinct positive values with ``D_k < D_{k+1}`` exactly when
-    ``eps_k = 1``; raises ``ValueError`` otherwise.
-    """
-    vals = [assignment[k] for k in range(k1 + 1, k2 + 1)]
-    if any(v <= 0 for v in vals):
-        raise ValueError("ladder values must be positive")
-    if len(set(vals)) != len(vals):
-        raise ValueError("ladder values must be distinct")
-    for k in range(k1 + 1, k2):
-        up = assignment[k] < assignment[k + 1]
-        if up != (eps[k - 1] == 1):
-            raise ValueError(
-                f"ladder ordering violates eps at link {k}: "
-                f"D_{k}={assignment[k]:g}, D_{k + 1}={assignment[k + 1]:g}, "
-                f"eps_{k}={eps[k - 1]}"
-            )
-
-
-def _d_for_eps(
-    eps: Sequence[int], k1: int, k2: int, lo: float = 0.5, hi: float = 2.5
-) -> dict[int, float]:
-    """Abscissas ``{k: D_k}`` for the growing lines ``k in k1+1..k2``.
-
-    Walks the binary-offset rule ``D_1 = 2^p``, ``D_{k+1} = D_k + 2^k`` if
-    ``eps_k = 1`` else ``- 2^k`` (which realizes every ordering exactly
-    once with distinct values), then rescales the window affinely into
-    ``[lo, hi]`` so that ``exp(t D^3/3)`` stays in floating-point range.
-    The affine map preserves the orderings, which is all the integrals
-    depend on.
-    """
-    eps = tuple(int(e) for e in eps)
-    if any(e not in (1, 2) for e in eps):
-        raise ValueError("eps entries must be 1 or 2")
-    p = len(eps) + 1
-    if not 0 <= k1 < k2 <= p:
-        raise ValueError(f"need 0 <= k1 < k2 <= {p}, got ({k1}, {k2})")
-    ladder = [2.0 ** p]
-    for k in range(1, p):
-        step = 2.0 ** k
-        ladder.append(ladder[-1] + (step if eps[k - 1] == 1 else -step))
-    window = ladder[k1:k2]  # raw D_{k1+1} .. D_{k2}
-    lov, hiv = min(window), max(window)
-    if hiv == lov:
-        vals = [0.5 * (lo + hi)]
-    else:
-        vals = [lo + (hi - lo) * (d - lov) / (hiv - lov) for d in window]
-    out = {k1 + 1 + i: v for i, v in enumerate(vals)}
-    _check_d_assignment(out, eps, k1, k2)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # line-contour kernel evaluation
 # ---------------------------------------------------------------------------
 
@@ -346,19 +286,28 @@ class _LimitKernels:
     def _ladder(
         self, k1: int, k2: int, epsw: tuple[int, ...]
     ) -> dict[int, float]:
-        """Growing-line abscissas for the window ``k1+1..k2``.
+        """Growing-line abscissas ``{k: D_k}`` for the window ``k1+1..k2``.
 
-        ``epsw`` holds the interior signs ``eps_{k1+1}..eps_{k2-1}``; the
-        rescaled ladder depends on nothing else, so the remaining entries
-        are padded with ones.
+        ``epsw`` holds the interior signs ``eps_{k1+1}..eps_{k2-1}``.  The
+        binary-offset walk ``D_0 = 0``, ``D_{j+1} = D_j + 2^j`` if the sign
+        is 1 else ``- 2^j``, realizes every ordering exactly once with
+        distinct values; it is mapped affinely onto ``[ladder_lo,
+        ladder_hi]`` so that ``exp(t D^3/3)`` stays in floating-point range.
+        The map preserves the orderings, which is all the integrals depend
+        on.  A lone line sits at the middle of the range.
         """
         if not (0 <= k1 < k2 <= self.p and len(epsw) == k2 - k1 - 1):
             raise ValueError(f"need 0 <= k1 < k2 <= {self.p} and k2 - k1 - 1 signs, "
                              f"got ({k1}, {k2}) and epsw={tuple(epsw)}")
-        full = [1] * (self.p - 1)
+        lo, hi = self.layout.ladder_lo, self.layout.ladder_hi
+        walk = [0.0]
         for j, e in enumerate(epsw):
-            full[k1 + j] = e
-        return _d_for_eps(full, k1, k2, self.layout.ladder_lo, self.layout.ladder_hi)
+            walk.append(walk[-1] + (2.0 ** j if e == 1 else -(2.0 ** j)))
+        lov, hiv = min(walk), max(walk)
+        if hiv == lov:
+            return {k2: 0.5 * (lo + hi)}
+        return {k1 + 1 + i: lo + (hi - lo) * (d - lov) / (hiv - lov)
+                for i, d in enumerate(walk)}
 
     # -- families: one description each -----------------------------------
 
@@ -726,13 +675,10 @@ def _limit_terms(
 
 
 def fredholm_det_F(
-    theta,
-    instance: LimitParams,
-    grid: NystromGrid | None = None,
-    *,
-    settings: LimitSettings | None = None,
+    theta, instance: LimitParams, *, settings: LimitSettings | None = None
 ) -> complex:
-    """``det(I + F(theta))`` on the direct-sum space via Nystrom quadrature.
+    """``det(I + F(theta))`` on the direct-sum space via Nystrom quadrature
+    on the first-level grid of ``settings`` (``extent``, ``block_nodes``).
 
     ``theta`` has ``p - 1`` finite, non-zero components (else ``SchemaError``).
     """
@@ -743,8 +689,7 @@ def fredholm_det_F(
         raise SchemaError(f"theta must have length {inst.p - 1}")
     if not (np.all(np.isfinite(theta)) and np.all(theta != 0)):
         raise SchemaError(f"theta components must be finite and non-zero, got {theta}")
-    if grid is None:
-        grid = block_grid(inst.p, settings.extent, settings.block_nodes)
+    grid = block_grid(inst.p, settings.extent, settings.block_nodes)
     return _det_at(len(grid), _limit_terms(_LimitKernels(inst, settings), grid), theta)
 
 
@@ -815,9 +760,9 @@ def multitime_cdf(
 # Tracy-Widom marginal (independent oracle)
 # ---------------------------------------------------------------------------
 
-def _fgue(s: float, nodes: int = 96, span: float = 40.0) -> float:
-    """``det(I - K_Ai)`` on ``(s, infinity)`` by Nystrom quadrature."""
-    x, w = composite_gl(s, s + span, nodes, panel_size=12)
+def _fgue(s: float, nodes: int = 96) -> float:
+    """``det(I - K_Ai)`` on ``(s, infinity)`` by Nystrom quadrature on ``(s, s + 40)``."""
+    x, w = composite_gl(s, s + 40.0, nodes, panel_size=12)
     kern = airy_kernel_matrix(x, x)
     sw = np.sqrt(w)
     mat = np.eye(len(x)) - sw[:, None] * kern * sw[None, :]

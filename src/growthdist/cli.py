@@ -11,13 +11,20 @@ validate    Route-agreement suite with a pass/fail table: the exact formula,
             its limit and the oracles checked against each other, against
             closed forms and against the Harris sandwich; exit 1 on a failure.
 
+Each subcommand takes exactly the options it reads; any other option is an
+argparse usage error (exit 2).  The four instance subcommands (``simulate``,
+``oracle``, ``exact``, ``asymptotic``) take ``--config``, ``--out``,
+``--seed`` and ``--budget`` and share one path from the config to the written
+document; ``tw`` takes no config, and ``validate`` only ``--out`` and
+``--seed``.
+
 Results are JSON documents ``{value, diagnostics{...}, provenance{config,
-seed}}`` (CSV only for sweep/statistics tables).  Output is byte-identical
-for identical config and seed, except for the runtime field.  Exit codes:
-0 success, 1 failed validation, 2 schema violation, 3 numerical
-non-convergence, 4 budget exceeded (time, or memory numpy refuses to
-allocate).  Output files are written atomically after the computation
-finishes, so failures leave no partial files.
+seed}}`` (CSV only for the ``tw`` sweep and the ``simulate`` row, under
+``--format csv``).  Output is byte-identical for identical config and seed,
+except for the runtime field.  Exit codes: 0 success, 1 failed validation,
+2 schema violation, 3 numerical non-convergence, 4 budget exceeded (time,
+or memory numpy refuses to allocate).  Output files are written atomically
+after the computation finishes, so failures leave no partial files.
 """
 
 from __future__ import annotations
@@ -122,8 +129,10 @@ def _payload(value, diagnostics: dict, doc: dict, seed: int | None) -> dict:
 
 
 def _deadline(args) -> float | None:
-    if getattr(args, "budget", None) is None:
+    if args.budget is None:
         return None
+    if not args.budget >= 0:
+        raise SchemaError(f"--budget must be a non-negative number, got {args.budget}")
     return time.monotonic() + args.budget
 
 
@@ -131,8 +140,25 @@ def _deadline(args) -> float | None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
+def _run_instance(args) -> int:
+    """Load ``--config``, evaluate it and write one result document.
+
+    ``args.compute(args, doc)`` returns the value and its diagnostics;
+    ``simulate`` also returns its CSV row, written instead under
+    ``--format csv``.
+    """
     doc = _load_config(args.config)
+    value, diagnostics, *row = args.compute(args, doc)
+    if row and args.format == "csv":
+        _emit(args, None, row)
+    else:
+        _emit(args, _payload(value, diagnostics, doc, args.seed), None)
+    return 0
+
+
+def _cmd_simulate(args, doc: dict) -> tuple:
+    if args.workers < 1:
+        raise SchemaError(f"--workers must be at least 1, got {args.workers}")
     params = _as_discrete(doc)
     start = time.perf_counter()
     res = mc_multipoint(
@@ -140,58 +166,34 @@ def _cmd_simulate(args) -> int:
         deadline=_deadline(args),
     )
     ms = 1e3 * (time.perf_counter() - start)
-    if args.format == "csv":
-        rows = [
-            {
-                "estimate": f"{res.estimate:.12g}",
-                "stderr": f"{res.stderr:.12g}",
-                "successes": res.successes,
-                "nsamples": res.nsamples,
-            }
-        ]
-        _emit(args, None, rows)
-        return 0
-    payload = _payload(
-        res.estimate,
-        {
-            "stderr": res.stderr,
-            "successes": res.successes,
-            "nsamples": res.nsamples,
-            "runtime_ms": ms,
-        },
-        doc,
-        args.seed,
-    )
-    _emit(args, payload, None)
-    return 0
+    diagnostics = {
+        "stderr": res.stderr,
+        "successes": res.successes,
+        "nsamples": res.nsamples,
+        "runtime_ms": ms,
+    }
+    row = {
+        "estimate": f"{res.estimate:.12g}",
+        "stderr": f"{res.stderr:.12g}",
+        "successes": res.successes,
+        "nsamples": res.nsamples,
+    }
+    return res.estimate, diagnostics, row
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, doc: dict) -> tuple:
     if args.state_budget < 0:
         raise SchemaError(f"--state-budget must be non-negative, got {args.state_budget}")
-    doc = _load_config(args.config)
     params = _as_discrete(doc)
     start = time.perf_counter()
     value = dp_exact_prob(params, state_budget=args.state_budget, deadline=_deadline(args))
     ms = 1e3 * (time.perf_counter() - start)
-    payload = _payload(
-        value,
-        {
-            "states": _dp_peak_states(params),
-            "runtime_ms": ms,
-        },
-        doc,
-        args.seed,
-    )
-    _emit(args, payload, None)
-    return 0
+    return value, {"states": _dp_peak_states(params), "runtime_ms": ms}
 
 
-def _cmd_exact(args) -> int:
-    doc = _load_config(args.config)
-    params = _as_discrete(doc)
+def _cmd_exact(args, doc: dict) -> tuple:
     res = multipoint_prob_exact(
-        params,
+        _as_discrete(doc),
         mu=args.mu,
         tol=args.tol,
         base_nodes=args.base_nodes,
@@ -200,28 +202,20 @@ def _cmd_exact(args) -> int:
         radius_scale=args.radius_scale,
         deadline=_deadline(args),
     )
-    payload = _payload(
-        res.value,
-        {
-            "imag_part": res.imag_part,
-            "delta": res.delta,
-            "nodes": res.nodes,
-            "grid": res.theta_nodes,
-            "theta_tail": res.theta_tail,
-            "levels": res.levels,
-            "first_level": res.first_level,
-            "converged": res.converged,
-            "runtime_ms": res.runtime_ms,
-        },
-        doc,
-        args.seed,
-    )
-    _emit(args, payload, None)
-    return 0
+    return res.value, {
+        "imag_part": res.imag_part,
+        "delta": res.delta,
+        "nodes": res.nodes,
+        "grid": res.theta_nodes,
+        "theta_tail": res.theta_tail,
+        "levels": res.levels,
+        "first_level": res.first_level,
+        "converged": res.converged,
+        "runtime_ms": res.runtime_ms,
+    }
 
 
-def _cmd_asymptotic(args) -> int:
-    doc = _load_config(args.config)
+def _cmd_asymptotic(args, doc: dict) -> tuple:
     inst = _as_limit(doc)
     overrides = {
         "extent": args.extent,
@@ -233,37 +227,24 @@ def _cmd_asymptotic(args) -> int:
     }
     settings = LimitSettings(**{k: v for k, v in overrides.items() if v is not None})
     res = multitime_cdf(inst, settings, deadline=_deadline(args))
-    payload = _payload(
-        res.value,
-        {
-            "imag_part": res.imag_part,
-            "nodes": res.theta_nodes,
-            "grid": res.grid_nodes,
-            "theta_tail": res.theta_tail,
-            "levels": res.levels,
-            "converged": res.converged,
-            "runtime_ms": res.runtime_ms,
-        },
-        doc,
-        args.seed,
-    )
-    _emit(args, payload, None)
-    return 0
+    return res.value, {
+        "imag_part": res.imag_part,
+        "nodes": res.theta_nodes,
+        "grid": res.grid_nodes,
+        "theta_tail": res.theta_tail,
+        "levels": res.levels,
+        "converged": res.converged,
+        "runtime_ms": res.runtime_ms,
+    }
 
 
 def _cmd_tw(args) -> int:
-    if args.s is not None:
-        try:
-            grid = [float(tok) for tok in args.s.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise SchemaError(f"--s must be a comma-separated float list: {exc}")
-        if not grid:
-            raise SchemaError("--s must be a non-empty comma-separated float list")
-    else:
-        if args.points < 2:
-            raise SchemaError("--points must be at least 2")
-        step = (args.s_max - args.s_min) / (args.points - 1)
-        grid = [args.s_min + i * step for i in range(args.points)]
+    try:
+        grid = [float(tok) for tok in args.s.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise SchemaError(f"--s must be a comma-separated float list: {exc}")
+    if not grid:
+        raise SchemaError("--s must be a non-empty comma-separated float list")
     deadline = _deadline(args)
     start = time.perf_counter()
     values = []
@@ -406,38 +387,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Growth-model multi-time distributions: simulation, exact "
         "finite-size evaluation, and the scaling limit.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON instance file")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default=None,
-        help="output format (default json; csv only for sweep tables)",
+    sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--config": dict(help="path to a JSON instance file"),
+        "--out": dict(help="output path (default: stdout)"),
+        "--seed": dict(type=int, default=0, help="RNG seed (uint64)"),
+        "--budget": dict(type=float, default=None, help="time budget in seconds"),
+    }
+
+    def command(name: str, help: str, options: tuple, **defaults):
+        cmd = sub.add_parser(name, help=help)
+        for option in options:
+            cmd.add_argument(option, **shared[option])
+        cmd.set_defaults(**defaults)
+        return cmd
+
+    instance = ("--config", "--out", "--seed", "--budget")
+
+    sim = command("simulate", "Monte Carlo estimate", instance,
+                  func=_run_instance, compute=_cmd_simulate)
+    sim.add_argument(
+        "--format", choices=("json", "csv"), default="json",
+        help="a JSON document or a one-row CSV table",
     )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (uint64)")
-    common.add_argument(
+    sim.add_argument(
         "--workers", type=int, default=1, help="worker count for parallel sampling"
     )
-    common.add_argument(
-        "--tol", type=float, default=None, help="convergence tolerance override"
-    )
-    common.add_argument(
-        "--budget", type=float, default=None, help="time budget in seconds"
-    )
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo estimate")
     sim.add_argument("--samples", type=int, default=10000, help="sample count")
-    sim.set_defaults(func=_cmd_simulate, default_format="json")
 
-    orc = sub.add_parser("oracle", parents=[common], help="exact DP ground truth")
+    orc = command("oracle", "exact DP ground truth", instance,
+                  func=_run_instance, compute=_cmd_oracle)
     orc.add_argument(
         "--state-budget", type=int, default=10 ** 6,
         help="maximum admissible DP state-space size",
     )
-    orc.set_defaults(func=_cmd_oracle, default_format="json")
 
-    exa = sub.add_parser("exact", parents=[common], help="finite-size contour formula")
+    exa = command("exact", "finite-size contour formula", instance,
+                  func=_run_instance, compute=_cmd_exact)
+    exa.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance")
     exa.add_argument("--mu", type=float, default=0.0, help="conjugation exponent")
     exa.add_argument(
         "--base-nodes", type=int, default=64,
@@ -456,9 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multiplier of the contour offsets from the critical point; 1 is the "
         "default layout of two fluctuation units (the value does not depend on it)",
     )
-    exa.set_defaults(func=_cmd_exact, default_format="json")
 
-    asy = sub.add_parser("asymptotic", parents=[common], help="limiting multi-time law")
+    asy = command("asymptotic", "limiting multi-time law", instance,
+                  func=_run_instance, compute=_cmd_asymptotic)
+    asy.add_argument("--tol", type=float, default=2e-6, help="convergence tolerance")
     asy.add_argument("--mu", type=float, default=None, help="conjugation rate override")
     asy.add_argument("--extent", type=float, default=None, help="half-line truncation")
     asy.add_argument(
@@ -473,45 +461,31 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid refinements (panels grown by sqrt 2) allowed after the first "
         "evaluation (default 4)",
     )
-    asy.set_defaults(func=_cmd_asymptotic, default_format="json")
 
-    tw = sub.add_parser("tw", parents=[common], help="Tracy-Widom GUE sweep")
-    tw.add_argument("--s", default=None, help="comma-separated s values")
-    tw.add_argument("--s-min", type=float, default=-4.0, help="sweep start")
-    tw.add_argument("--s-max", type=float, default=2.0, help="sweep end")
-    tw.add_argument("--points", type=int, default=7, help="sweep length")
+    tw = command("tw", "Tracy-Widom GUE sweep", ("--out", "--seed", "--budget"),
+                 func=_cmd_tw)
+    tw.add_argument(
+        "--format", choices=("csv", "json"), default="csv",
+        help="a CSV table or a JSON document",
+    )
+    tw.add_argument(
+        "--s", default="-4,-3,-2,-1,0,1,2",
+        help="comma-separated s values (give negative ones as --s=-4,-1)",
+    )
     tw.add_argument(
         "--nodes", type=int, default=96,
         help="quadrature nodes, rounded to whole 12-node panels",
     )
-    tw.set_defaults(func=_cmd_tw, default_format="csv")
 
-    val = sub.add_parser("validate", parents=[common], help="consistency suite")
-    val.set_defaults(func=_cmd_validate, default_format="json")
+    command("validate", "route-agreement suite", ("--out", "--seed"), func=_cmd_validate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
-    if args.format == "csv" and args.command not in ("tw", "simulate"):
-        print(
-            f"error: csv output is only available for sweep tables, "
-            f"not for '{args.command}'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.tol is None:
-        args.tol = 1e-9 if args.command == "exact" else 2e-6
+    args = _build_parser().parse_args(argv)
     try:
         if not 0 <= args.seed < 2 ** 64:
             raise SchemaError(f"--seed must be in [0, 2**64), got {args.seed}")
-        if args.workers < 1:
-            raise SchemaError(f"--workers must be at least 1, got {args.workers}")
-        if args.budget is not None and not args.budget >= 0:
-            raise SchemaError(f"--budget must be a non-negative number, got {args.budget}")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

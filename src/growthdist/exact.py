@@ -178,10 +178,11 @@ class _Assembler:
         self.n0 = (0,) + params.n
         self.m0 = (0,) + params.m
         self.a0 = (0,) + params.a
-        # per-block profiles (n(i), m(i), a(i)) shared within block r
-        self.prof = {r: params.blocked(r) for r in range(1, self.p + 1)}
         idx = np.arange(1, self.N + 1)
         self.row_block = np.searchsorted(params.n, idx, side="left") + 1
+        # per-index profiles n(i), m(i), a(i), shared within each block
+        n_of_i, self.m_of_i, self.a_of_i = np.array(
+            [params.blocked(r) for r in self.row_block]).T
         # contour offsets in units of two fluctuation scales of the instance
         nu_eff = consts.c0 * self.N ** (1.0 / 3.0)
         dz = _OFFSET_UNITS * consts.c4 / nu_eff * radius_scale
@@ -192,7 +193,6 @@ class _Assembler:
         # conjugation (similarity) weights at the fluctuation scale
         d = np.ones(self.N)
         if mu != 0.0:
-            n_of_i = np.array([self.prof[r][0] for r in self.row_block])
             d = np.exp(mu * (n_of_i - idx) / nu_eff)
         self.conj = np.outer(d, 1.0 / d)
 
@@ -252,17 +252,11 @@ class _Assembler:
 
     def _rows_from_zeta1(self, k1: int, cz: Contour) -> np.ndarray:
         """Row factors ``weights / g(zeta_1 | i - n_{k1}, m(i)-m_{k1}, a(i)-a_{k1})``."""
-        out = np.empty((self.N, len(cz)), dtype=complex)
-        for r in range(1, self.p + 1):
-            lo, hi = self.n0[r - 1], self.n0[r]
-            ivals = np.arange(lo + 1, hi + 1)
-            _, mr, ar = self.prof[r]
-            grid = log_g(
-                cz.nodes, ivals - self.n0[k1],
-                mr - self.m0[k1], ar - self.a0[k1], self.q,
-            )
-            out[lo:hi] = np.exp(-grid)
-        out *= cz.weights[None, :]
+        grid = log_g(
+            cz.nodes, np.arange(1, self.N + 1) - self.n0[k1],
+            self.m_of_i - self.m0[k1], self.a_of_i - self.a0[k1], self.q,
+        )
+        out = np.exp(-grid) * cz.weights[None, :]
         if k1 == 0:
             out *= (1.0 - cz.nodes)[None, :]
         return out
@@ -278,17 +272,11 @@ class _Assembler:
 
     def _cols_to_zeta2(self, k2: int, cz: Contour) -> np.ndarray:
         """Column factors ``weights / g(zeta_2 | n_{k2}-j+1, m_{k2}-m(j), a_{k2}-a(j))``."""
-        out = np.empty((len(cz), self.N), dtype=complex)
-        for s in range(1, self.p + 1):
-            lo, hi = self.n0[s - 1], self.n0[s]
-            jvals = np.arange(lo + 1, hi + 1)
-            _, ms, as_ = self.prof[s]
-            grid = log_g(
-                cz.nodes, self.n0[k2] - jvals + 1,
-                self.m0[k2] - ms, self.a0[k2] - as_, self.q,
-            )
-            out[:, lo:hi] = np.exp(-grid).T
-        return out * cz.weights[:, None]
+        grid = log_g(
+            cz.nodes, self.n0[k2] - np.arange(1, self.N + 1) + 1,
+            self.m0[k2] - self.m_of_i, self.a0[k2] - self.a_of_i, self.q,
+        )
+        return np.exp(-grid).T * cz.weights[:, None]
 
     def _cols_on_one(self, k2: int, cz: Contour) -> np.ndarray:
         """Column factors ``g(z_{k2} | j - 1 - n_{k2-1}, Delta_{k2} m, Delta_{k2} a)``

@@ -25,9 +25,9 @@ exponents are integers, so principal-branch logarithms exponentiate to the
 exact single-valued product.
 
 The module also provides the Airy function ``Ai`` (series for moderate
-arguments, saddle-point contour quadrature outside; a private ``Ai'`` takes
-the same series term by term and the same contours with an extra factor
-``-z``) and the Airy kernel ``K_Ai(a, b) = int_0^inf Ai(a+s) Ai(b+s) ds``
+arguments, saddle-point contour quadrature outside; ``Ai'`` comes from the
+same pass, the series differentiated term by term in the same loop and the
+same contour samples times an extra factor ``-z``) and the Airy kernel ``K_Ai(a, b) = int_0^inf Ai(a+s) Ai(b+s) ds``
 in its closed form ``(Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b)``, with
 ``Ai'(a)^2 - a Ai(a)^2`` where ``a = b`` (Tracy & Widom 1994).
 """
@@ -283,16 +283,17 @@ def gstar_at(w, n: int, m: int, a: int, q: float):
     return np.exp(log_gstar(w, n, m, a, q))
 
 
-def log_g(w, n, m: int, a: int, q: float):
+def log_g(w, n, m, a, q: float):
     """Log of the critically normalized factor ``g = gstar(w)/gstar(w_c)``.
 
-    ``n`` may be an array of integer exponents; the result then has one
-    row per exponent and one column per entry of ``w``.
+    ``n``, ``m`` and ``a`` may be arrays of integer exponents of one
+    length; the result then has one row per exponent and one column per
+    entry of ``w``.
     """
     sq = math.sqrt(q)
     w = np.asarray(w, dtype=complex)
-    const = (a + m) * (np.log(1.0 - w) - math.log(sq)) - m * (
-        np.log(1.0 - w / (1.0 - q)) - math.log(sq / (1.0 + sq))
+    const = np.multiply.outer(a + m, np.log(1.0 - w) - math.log(sq)) - np.multiply.outer(
+        m, np.log(1.0 - w / (1.0 - q)) - math.log(sq / (1.0 + sq))
     )
     return np.multiply.outer(n, np.log(w) - math.log(1.0 - sq)) + const
 
@@ -312,52 +313,45 @@ _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 
-def _airy_series(s: np.ndarray, prime: bool) -> np.ndarray:
-    """Maclaurin series of Ai (or of Ai', term by term), reliable for |s| <= 5.
+def _airy_series(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maclaurin series of ``(Ai, Ai')``, reliable for |s| <= 5.
 
     ``Ai = Ai(0) f + Ai'(0) g`` with ``f = 1 + s^3/6 + ...`` and
     ``g = s + s^4/12 + ...``.  Each step multiplies a term by
     ``s^3 / ((n+3)(n+2))`` (``f``) or ``s^3 / ((n+4)(n+3))`` (``g``); the
     derivative of the new term is the old term times ``s^2 / (n+2)``
-    (``f``) or ``s^2 / (n+3)`` (``g``), which needs no division by ``s``.
+    (``f``) or ``s^2 / (n+3)`` (``g``), which needs no division by ``s``,
+    so ``f'`` and ``g'`` accumulate in the same loop.
     """
     tf = np.ones_like(s)
     tg = s.copy()
+    s2 = s ** 2
     s3 = s ** 3
-    if prime:
-        f = np.zeros_like(s)
-        g = np.ones_like(s)
-        s2 = s ** 2
-        for k in range(40):
-            n = 3 * k
-            f += tf * s2 / (n + 2)
-            g += tg * s2 / (n + 3)
-            tf = tf * s3 / ((n + 3) * (n + 2))
-            tg = tg * s3 / ((n + 4) * (n + 3))
-        return _AI0 * f + _AIP0 * g
-    f = np.ones_like(s)
-    g = s.copy()
+    f, g = np.ones_like(s), s.copy()
+    fp, gp = np.zeros_like(s), np.ones_like(s)
     for k in range(40):
         n = 3 * k
+        fp += tf * s2 / (n + 2)
+        gp += tg * s2 / (n + 3)
         tf = tf * s3 / ((n + 3) * (n + 2))
         tg = tg * s3 / ((n + 4) * (n + 3))
         f += tf
         g += tg
-    return _AI0 * f + _AIP0 * g
+    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
 
 
 _AIRY_CHUNK = 1024
 
 
-def _airy_right(s: np.ndarray, prime: bool) -> np.ndarray:
+def _airy_right(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertical-line quadrature through the saddle ``sqrt(s)``, for s > 5.
 
     ``Ai(s) = (1/2 pi i) int exp(z^3/3 - s z) dz``; ``Ai'`` carries the
-    extra factor ``-z`` inside the integral.  Elements are processed in
-    chunks on a shared normalized grid (scaled per element), so large
-    batches stay vectorized.
+    extra factor ``-z`` inside the integral, applied to the same samples.
+    Elements are processed in chunks on a shared normalized grid (scaled
+    per element), so large batches stay vectorized.
     """
-    out = np.empty_like(s)
+    ai, aip = np.empty_like(s), np.empty_like(s)
     for lo in range(0, len(s), _AIRY_CHUNK):
         sv = s[lo : lo + _AIRY_CHUNK]
         d = np.sqrt(sv)
@@ -368,20 +362,20 @@ def _airy_right(s: np.ndarray, prime: bool) -> np.ndarray:
         z = d[:, None] + 1j * (hw[:, None] * tau[None, :])
         f = z ** 3 / 3.0 - sv[:, None] * z
         vals = np.exp(f)
-        if prime:
-            vals *= -z
-        out[lo : lo + _AIRY_CHUNK] = hw * ((vals.real * w).sum(axis=1)) / math.pi
-    return out
+        ai[lo : lo + _AIRY_CHUNK] = hw * ((vals.real * w).sum(axis=1)) / math.pi
+        vals *= -z
+        aip[lo : lo + _AIRY_CHUNK] = hw * ((vals.real * w).sum(axis=1)) / math.pi
+    return ai, aip
 
 
-def _airy_left(s: np.ndarray, prime: bool) -> np.ndarray:
+def _airy_left(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Saddle-point contour through ``+-i sqrt(|s|)``, for s < -5.
 
     Chunked like :func:`_airy_right`; node counts follow the largest
     oscillation in the chunk.  For ``Ai'`` the factor ``-z`` turns the
     segment's ``cos(phase)`` into ``y sin(phase)`` (the odd part cancels).
     """
-    out = np.empty_like(s)
+    ai, aip = np.empty_like(s), np.empty_like(s)
     for lo in range(0, len(s), _AIRY_CHUNK):
         sv = s[lo : lo + _AIRY_CHUNK]
         r = np.sqrt(-sv)
@@ -391,8 +385,8 @@ def _airy_left(s: np.ndarray, prime: bool) -> np.ndarray:
         tau, wy = composite_gl(0.0, 1.0, nb, panel_size=10)
         y = r[:, None] * tau[None, :]
         phase = -(y ** 3) / 3.0 - sv[:, None] * y
-        along = y * np.sin(phase) if prime else np.cos(phase)
-        seg_b = r * ((along * wy).sum(axis=1))
+        seg_b = r * ((np.cos(phase) * wy).sum(axis=1))
+        seg_bp = r * ((y * np.sin(phase) * wy).sum(axis=1))
         # descent ray from the upper saddle in direction exp(i pi/4)
         hw = 7.0 / np.sqrt(r)
         nc = int(max(80, 14 * float(np.max(r))))
@@ -400,29 +394,28 @@ def _airy_left(s: np.ndarray, prime: bool) -> np.ndarray:
         z = 1j * r[:, None] + (hw[:, None] * tau_c[None, :]) * np.exp(1j * np.pi / 4.0)
         f = z ** 3 / 3.0 - sv[:, None] * z
         vals = np.exp(f)
-        if prime:
-            vals *= -z
         seg_c = np.exp(1j * np.pi / 4.0) * hw * ((vals * wt).sum(axis=1))
-        out[lo : lo + _AIRY_CHUNK] = (seg_b + seg_c.imag) / math.pi
-    return out
+        vals *= -z
+        seg_cp = np.exp(1j * np.pi / 4.0) * hw * ((vals * wt).sum(axis=1))
+        ai[lo : lo + _AIRY_CHUNK] = (seg_b + seg_c.imag) / math.pi
+        aip[lo : lo + _AIRY_CHUNK] = (seg_bp + seg_cp.imag) / math.pi
+    return ai, aip
 
 
-def _airy(s, prime: bool) -> np.ndarray:
-    """``Ai`` (or ``Ai'``) on a real array, flattened: series inside ``|s| <= 5``."""
+def _airy(s) -> tuple[np.ndarray, np.ndarray]:
+    """``(Ai, Ai')`` on a real array, flattened: series inside ``|s| <= 5``."""
     flat = np.atleast_1d(np.asarray(s, dtype=float)).ravel().copy()
     if np.any(flat < -60.0):
         raise ValueError("airy_ai supports arguments >= -60")
-    out = np.empty_like(flat)
-    mid = np.abs(flat) <= 5.0
-    right = flat > 5.0
-    left = flat < -5.0
-    if mid.any():
-        out[mid] = _airy_series(flat[mid], prime)
-    if right.any():
-        out[right] = _airy_right(flat[right], prime)
-    if left.any():
-        out[left] = _airy_left(flat[left], prime)
-    return out
+    ai, aip = np.empty_like(flat), np.empty_like(flat)
+    for part, rule in (
+        (np.abs(flat) <= 5.0, _airy_series),
+        (flat > 5.0, _airy_right),
+        (flat < -5.0, _airy_left),
+    ):
+        if part.any():
+            ai[part], aip[part] = rule(flat[part])
+    return ai, aip
 
 
 def airy_ai(s) -> np.ndarray:
@@ -432,7 +425,7 @@ def airy_ai(s) -> np.ndarray:
     Absolute accuracy ~1e-13 on ``[-60, inf)``; arguments below -60 raise.
     """
     arr = np.asarray(s, dtype=float)
-    res = _airy(arr, prime=False).reshape(np.atleast_1d(arr).shape)
+    res = _airy(arr)[0].reshape(np.atleast_1d(arr).shape)
     return float(res[0]) if arr.ndim == 0 else res
 
 
@@ -444,13 +437,14 @@ def airy_kernel_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         K_Ai(a, b) = (Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b),   a != b,
         K_Ai(a, a) = Ai'(a)^2 - a Ai(a)^2,
 
-    so a matrix costs one ``Ai`` and one ``Ai'`` per point.  Entries with
-    ``a_i == b_j`` take the second form wherever they sit in the matrix.
+    so a matrix costs one evaluation of ``(Ai, Ai')`` per point, and one
+    per point of ``a`` alone when ``b is a``.  Entries with ``a_i == b_j``
+    take the second form wherever they sit in the matrix.
     """
+    ai_a, aip_a = _airy(a)
+    ai_b, aip_b = (ai_a, aip_a) if b is a else _airy(b)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    ai_a, ai_b = airy_ai(a), airy_ai(b)
-    aip_a, aip_b = _airy(a, prime=True), _airy(b, prime=True)
     diff = np.subtract.outer(a, b)
     same = diff == 0.0
     kern = np.outer(ai_a, aip_b) - np.outer(aip_a, ai_b)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,6 @@ import growthdist.params
 from growthdist.asymptotic import (
     LimitSettings,
     _airy_form_kernel,
-    _check_d_assignment,
-    _d_for_eps,
     _eval_basic_kernel,
     _Layout,
     _limit_terms,
@@ -87,31 +86,25 @@ def test_tracy_widom_domain():
 # growing-line ladders
 # ---------------------------------------------------------------------------
 
-def test_d_for_eps_reference_ladder():
-    ladder = _d_for_eps((2, 1), 0, 3)
-    assert ladder[1] == pytest.approx(1.5)
-    assert ladder[2] == pytest.approx(0.5)
-    assert ladder[3] == pytest.approx(2.5)
-
-
-def test_d_for_eps_orderings_follow_eps():
-    for eps in [(1, 1, 2), (2, 2, 1), (1, 2, 1)]:
-        ladder = _d_for_eps(eps, 0, 4, lo=0.3, hi=2.2)
-        for k in range(1, 4):
-            assert (ladder[k] < ladder[k + 1]) == (eps[k - 1] == 1)
-        vals = list(ladder.values())
-        assert min(vals) == pytest.approx(0.3)
-        assert max(vals) == pytest.approx(2.2)
-
-
-def test_check_d_assignment_rejects_violations():
-    with pytest.raises(ValueError):
-        _check_d_assignment({1: 1.0, 2: 2.0}, (2,), 0, 2)   # up step against eps=2
-    with pytest.raises(ValueError):
-        _check_d_assignment({1: 1.0, 2: 1.0}, (1,), 0, 2)   # duplicate values
-    with pytest.raises(ValueError):
-        _check_d_assignment({1: -1.0, 2: 2.0}, (1,), 0, 2)  # nonpositive
-    _check_d_assignment({1: 1.0, 2: 2.0}, (1,), 0, 2)       # valid: no raise
+def test_ladder_orders_every_window_by_its_signs():
+    for p in range(2, 7):
+        inst = LimitParams(t=tuple(range(1, p + 1)), x=(0.0,) * p, xi=(0.1,) * p)
+        kern = _LimitKernels(inst, LimitSettings())
+        lo, hi = kern.layout.ladder_lo, kern.layout.ladder_hi
+        for k1 in range(p):
+            for k2 in range(k1 + 1, p + 1):
+                for epsw in itertools.product((1, 2), repeat=k2 - k1 - 1):
+                    ladder = kern._ladder(k1, k2, epsw)
+                    assert list(ladder) == list(range(k1 + 1, k2 + 1))
+                    for k in range(k1 + 1, k2):
+                        assert (ladder[k] < ladder[k + 1]) == (epsw[k - k1 - 1] == 1)
+                    vals = list(ladder.values())
+                    assert len(set(vals)) == len(vals)
+                    if len(vals) == 1:
+                        assert vals == [0.5 * (lo + hi)]
+                    else:
+                        assert min(vals) == pytest.approx(lo)
+                        assert max(vals) == pytest.approx(hi)
 
 
 def test_limit_settings_validation():

@@ -175,7 +175,6 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("simulate", TINY, ("--seed", "-1")),
         ("simulate", TINY, ("--seed", str(2 ** 64))),
         ("simulate", TINY, ("--workers", "0")),
-        ("tw", None, ("--points", "1")),
         ("tw", None, ("--s", ",")),
         ("tw", None, ("--s", "")),
         ("exact", TINY, ("--budget", "nan")),
@@ -203,8 +202,7 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
         ("oracle", TINY, ("--state-budget", "-1")),
     ],
     ids=[
-        "negative-seed", "seed-overflow", "no-workers", "one-point-sweep",
-        "comma-only-s", "empty-s", "nan-budget", "negative-budget", "no-base-nodes",
+        "negative-seed", "seed-overflow", "no-workers", "comma-only-s", "empty-s", "nan-budget", "negative-budget", "no-base-nodes",
         "exact-negative-levels", "asymptotic-negative-levels", "exact-negative-tol",
         "asymptotic-negative-tol", "exact-inf-tol", "tw-no-nodes", "tw-negative-nodes",
         "no-block-nodes",
@@ -232,7 +230,7 @@ def test_oracle_on_a_negative_threshold_is_zero(tmp_path):
     [
         ("simulate", TINY, ("--samples", "2000", "--seed", "7", "--workers", "2")),
         ("oracle", TINY, ()),
-        ("tw", None, ("--points", "3", "--format", "json")),
+        ("tw", None, ("--s=-4,-1,2", "--format", "json")),
     ],
     ids=["simulate", "oracle", "tw"],
 )
@@ -270,9 +268,9 @@ def _run_csv(tmp_path, command: str, config: str | None, *extra: str) -> list[di
 
 
 def test_tw_csv_is_the_json_sweep(tmp_path):
-    rows = _run_csv(tmp_path, "tw", None, "--points", "3")
+    rows = _run_csv(tmp_path, "tw", None, "--s=-4,-1,2")
     assert list(rows[0]) == ["s", "F_GUE"]
-    code, doc = _run(tmp_path, "tw", None, "--points", "3", "--format", "json")
+    code, doc = _run(tmp_path, "tw", None, "--s=-4,-1,2", "--format", "json")
     assert code == 0
     assert rows == [{key: f"{point[key]:.12g}" for key in ("s", "F_GUE")}
                     for point in doc["sweep"]]
@@ -291,10 +289,44 @@ def test_simulate_csv_is_the_json_estimate(tmp_path):
 
 
 def test_exact_refuses_csv(tmp_path, capsys):
-    code, doc = _run(tmp_path, "exact", TINY, "--format", "csv")
-    assert code == 2 and doc is None
-    assert "only available for sweep tables" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "exact", TINY, "--format", "csv")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# every option that some subcommand reads, paired with each subcommand that
+# does not read it, and a value it would accept
+UNREAD = {
+    "simulate": ("--tol",),
+    "oracle": ("--format", "--workers", "--tol"),
+    "exact": ("--format", "--workers"),
+    "asymptotic": ("--format", "--workers"),
+    "tw": ("--config", "--workers", "--tol", "--s-min", "--s-max", "--points"),
+    "validate": ("--config", "--format", "--workers", "--tol", "--budget"),
+}
+VALUES = {"--format": "json", "--workers": "2", "--tol": "1e-3", "--s-min": "-4",
+          "--s-max": "2", "--points": "7", "--budget": "0"}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, options in UNREAD.items() for option in options],
+    ids=lambda v: v.lstrip("-"),
+)
+def test_options_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, command,
+                                                          option):
+    if option == "--config":
+        config, extra = TINY, ()
+    else:
+        config = {"asymptotic": ANCHOR, "tw": None, "validate": None}.get(command, TINY)
+        extra = (f"{option}={VALUES[option]}",)
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, command, config, *extra)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command, config", [("exact", TINY), ("validate", None)],
