@@ -86,10 +86,23 @@ def test_tracy_widom_domain():
 # growing-line ladders
 # ---------------------------------------------------------------------------
 
-def test_ladder_orders_every_window_by_its_signs():
+def _kernels(p: int) -> _LimitKernels:
+    inst = LimitParams(t=tuple(range(1, p + 1)), x=(0.0,) * p, xi=(0.1,) * p)
+    return _LimitKernels(inst, LimitSettings())
+
+
+def test_d_for_eps_reference_ladder():
+    kern = _kernels(3)
+    lo, hi = kern.layout.ladder_lo, kern.layout.ladder_hi
+    ladder = kern._ladder(0, 3, (2, 1))  # walk 0, -1, +1
+    assert ladder[1] == pytest.approx(0.5 * (lo + hi))
+    assert ladder[2] == pytest.approx(lo)
+    assert ladder[3] == pytest.approx(hi)
+
+
+def test_d_for_eps_orderings_follow_eps():
     for p in range(2, 7):
-        inst = LimitParams(t=tuple(range(1, p + 1)), x=(0.0,) * p, xi=(0.1,) * p)
-        kern = _LimitKernels(inst, LimitSettings())
+        kern = _kernels(p)
         lo, hi = kern.layout.ladder_lo, kern.layout.ladder_hi
         for k1 in range(p):
             for k2 in range(k1 + 1, p + 1):
@@ -105,6 +118,19 @@ def test_ladder_orders_every_window_by_its_signs():
                     else:
                         assert min(vals) == pytest.approx(lo)
                         assert max(vals) == pytest.approx(hi)
+
+
+def test_check_d_assignment_rejects_violations():
+    kern = _kernels(3)
+    with pytest.raises(ValueError):
+        kern._ladder(0, 3, (1,))      # one sign short of the window
+    with pytest.raises(ValueError):
+        kern._ladder(0, 2, (1, 2))    # one sign too many
+    with pytest.raises(ValueError):
+        kern._ladder(2, 2, ())        # empty window
+    with pytest.raises(ValueError):
+        kern._ladder(1, 4, (1, 1))    # window past p
+    assert min(kern._ladder(0, 3, (2, 2)).values()) > 0.0
 
 
 def test_limit_settings_validation():
