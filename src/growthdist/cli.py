@@ -411,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="a JSON document or a one-row CSV table",
     )
     sim.add_argument(
-        "--workers", type=int, default=1, help="worker count for parallel sampling"
+        "--workers", type=int, default=1,
+        help="worker threads for the sample chunks; the result does not depend on it",
     )
     sim.add_argument("--samples", type=int, default=10000, help="sample count")
 

@@ -9,9 +9,17 @@ The last-passage recursion over independent geometric(q) weights
 of samples at once.  The row state is sample-contiguous, shape
 ``(n_p, S)`` for ``S`` samples: each column step ``n`` is one vector
 ``max`` and one vector add over ``S`` contiguous integers.  A row's
-uniforms are drawn sample-major into one preallocated buffer, turned into
-weights in place by the inverse transform, and transposed into the row
-layout in blocks of ``_COPY_BLOCK`` samples.
+uniforms are drawn sample-major in blocks of ``_COPY_BLOCK`` samples; each
+block stays in cache while the inverse transform ``ln(1 - u) / ln q``
+turns it into weights in place and a truncating cast, which is the floor
+of a non-negative number, transposes it into the row layout.
+
+Weights and heights use the narrowest signed integer type that holds the
+largest height the stream can produce, ``(m_p + n_p - 1)(wmax + 1)``,
+where ``wmax`` is the weight of the smallest ``1 - u``, 2**-53.  That is
+int16 for the q = 0.25, T = 40 scaled instance.  An instance whose bound
+exceeds int64 is refused with ``SchemaError`` before anything is sampled,
+since its heights would wrap around.
 
 Sampling is reproducible and worker-count independent: the sample stream is
 split into fixed-size chunks, chunk ``c`` of master seed ``s`` draws from a
@@ -38,7 +46,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 13
-_COPY_BLOCK = 512  # samples per block of the row transpose (cache-sized strides)
+_COPY_BLOCK = 512  # samples per cache-resident block of a row's draws, weights and transpose
 
 
 def _generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -46,6 +54,18 @@ def _generator(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(stream & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _inverse_transform(u: np.ndarray, logq: float) -> np.ndarray:
+    """Turn uniforms ``u`` on [0, 1) in place into ``ln(1 - u) / ln q``.
+
+    The result is >= 0, so a truncating cast to an integer type takes
+    its floor: the geometric weight ``floor(ln(U) / ln q)``, ``U = 1 - u``.
+    """
+    np.subtract(1.0, u, out=u)  # uniform on (0, 1]
+    np.log(u, out=u)
+    u /= logq
+    return u
 
 
 def sample_weights(q: float, shape, seed: int, stream: int = 0) -> np.ndarray:
@@ -65,9 +85,8 @@ def sample_weights(q: float, shape, seed: int, stream: int = 0) -> np.ndarray:
     """
     if not (0.0 < q < 1.0):
         raise SchemaError(f"q must lie in (0, 1), got {q!r}")
-    gen = _generator(seed, stream)
-    u = 1.0 - gen.random(size=shape)  # uniform on (0, 1]
-    return np.floor(np.log(u) / math.log(q)).astype(np.int64)
+    u = _generator(seed, stream).random(size=shape)
+    return _inverse_transform(u, math.log(q)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -84,33 +103,57 @@ class MCResult:
     successes: int
 
 
+def _height_type(params: ModelParams) -> type:
+    """The narrowest signed integer type that holds every height of ``params``.
+
+    The largest weight the stream can give, ``wmax``, is the transform of
+    its smallest ``1 - u``, which is 2**-53; a height sums at most
+    ``m_p + n_p - 1`` weights, so it is below ``(m_p + n_p - 1)(wmax + 1)``.
+    Raises ``SchemaError`` when not even int64 holds that bound.
+    """
+    wmax = int(_inverse_transform(np.array([1.0 - 2.0**-53]), math.log(params.q))[0])
+    bound = (params.m[-1] + params.n[-1] - 1) * (wmax + 1)
+    for height in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(height).max:
+            return height
+    raise SchemaError(
+        f"Monte Carlo heights can reach {bound} = (m_p + n_p - 1) * (wmax + 1) with "
+        f"wmax = {wmax} at q = {params.q!r}, more than int64 holds"
+    )
+
+
 def _chunk_successes(
-    params: ModelParams, nsamples: int, seed: int, chunk: int, deadline: float | None
+    params: ModelParams,
+    nsamples: int,
+    seed: int,
+    chunk: int,
+    deadline: float | None,
+    height: type,
 ) -> int:
     """Count event successes in one sample chunk (vectorized over samples).
 
     Each row draws the chunk stream's next ``nsamples * n_p`` uniforms
-    sample-major, as ``gen.random(size=(nsamples, n_p))`` would, and uses
-    the inverse transform of :func:`sample_weights`.
+    sample-major, as ``gen.random(size=(nsamples, n_p))`` would, in blocks
+    of ``_COPY_BLOCK`` samples: each block is drawn, turned into weights by
+    :func:`_inverse_transform` and cast into its columns of the
+    ``(n_p, nsamples)`` weight row while it is in cache.  Weights and
+    heights have the integer type ``height`` of :func:`_height_type`.
     """
     _check_deadline(deadline, "Monte Carlo sampling")
     gen = _generator(seed, chunk)
     logq = math.log(params.q)
     mp, np_ = params.m[-1], params.n[-1]
     checkpoints = {m: k for k, m in enumerate(params.m)}
-    u = np.empty((nsamples, np_))
-    w = np.empty((np_, nsamples), dtype=np.int64)
-    g = np.zeros((np_, nsamples), dtype=np.int64)
+    u = np.empty((min(_COPY_BLOCK, nsamples), np_))
+    w = np.empty((np_, nsamples), dtype=height)
+    g = np.zeros((np_, nsamples), dtype=height)
     alive = np.ones(nsamples, dtype=bool)
     for m in range(1, mp + 1):
-        gen.random(out=u)
-        np.subtract(1.0, u, out=u)  # uniform on (0, 1]
-        np.log(u, out=u)
-        u /= logq
-        np.floor(u, out=u)
         for lo in range(0, nsamples, _COPY_BLOCK):
-            hi = lo + _COPY_BLOCK
-            np.copyto(w[:, lo:hi], u[lo:hi].T, casting="unsafe")
+            block = u[: min(_COPY_BLOCK, nsamples - lo)]
+            gen.random(out=block)
+            np.copyto(w[:, lo:lo + len(block)], _inverse_transform(block, logq).T,
+                      casting="unsafe")
         g[0] += w[0]
         for j in range(1, np_):
             np.maximum(g[j], g[j - 1], out=g[j])
@@ -133,29 +176,24 @@ def mc_multipoint(
     The result is bit-identical for any ``workers`` value: chunk boundaries
     and per-chunk generator streams depend only on ``(seed, nsamples)``.
     ``deadline`` is a ``time.monotonic()`` stamp checked before every chunk;
-    past it, ``BudgetError`` is raised.
+    past it, ``BudgetError`` is raised.  ``SchemaError`` is raised before
+    any sampling when no integer type up to int64 holds the heights (see
+    :func:`_height_type`).
     """
     if nsamples <= 0:
         raise ValueError("nsamples must be positive")
-    sizes = []
-    left = nsamples
-    while left > 0:
-        take = min(_CHUNK, left)
-        sizes.append(take)
-        left -= take
+    height = _height_type(params)
+    starts = range(0, nsamples, _CHUNK)
+
+    def count(chunk: int) -> int:
+        size = min(_CHUNK, nsamples - starts[chunk])
+        return _chunk_successes(params, size, seed, chunk, deadline, height)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    lambda ic: _chunk_successes(params, ic[1], seed, ic[0], deadline),
-                    enumerate(sizes),
-                )
-            )
+            counts = list(pool.map(count, range(len(starts))))
     else:
-        counts = [
-            _chunk_successes(params, sz, seed, c, deadline) for c, sz in enumerate(sizes)
-        ]
+        counts = [count(c) for c in range(len(starts))]
 
     successes = sum(counts)
     est = successes / nsamples

@@ -288,6 +288,14 @@ def test_simulate_csv_is_the_json_estimate(tmp_path):
     }
 
 
+def test_simulate_refuses_heights_past_int64(tmp_path, capsys):
+    # one weight can reach 3.3e17 at this q, and a height sums 399 of them
+    config = '{"q": 0.9999999999999999, "m": [200], "n": [200], "a": [4611686018427387904]}'
+    code, doc = _run(tmp_path, "simulate", config, "--samples", "100")
+    assert code == 2 and doc is None
+    assert "132027377402392849167 = (m_p + n_p - 1) * (wmax + 1)" in capsys.readouterr().err
+
+
 def test_exact_refuses_csv(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         _run(tmp_path, "exact", TINY, "--format", "csv")

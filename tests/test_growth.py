@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from growthdist.growth import mc_multipoint, sample_weights
+from growthdist.growth import _CHUNK, _generator, _height_type, mc_multipoint, sample_weights
 from growthdist.errors import SchemaError
 from growthdist.oracle import dp_exact_prob
 from growthdist.params import ModelParams, discretize, parse_instance
@@ -111,3 +114,79 @@ def test_mc_success_counts_are_pinned(config, nsamples, seed, successes, workers
         params = discretize(params)
     res = mc_multipoint(params, nsamples, seed=seed, workers=workers)
     assert res.successes == successes
+
+
+# A plain reference for the stream contract: each chunk's rows drawn whole as
+# ``gen.random(size=(S, n_p))``, floored, and summed into int64 heights.
+def _reference_heights(params: ModelParams, nsamples: int, seed: int) -> np.ndarray:
+    """Heights ``G(m_k, n_k)`` of every sample, shape ``(nsamples, p)``."""
+    logq = math.log(params.q)
+    out = []
+    for chunk, lo in enumerate(range(0, nsamples, _CHUNK)):
+        size = min(_CHUNK, nsamples - lo)
+        gen = _generator(seed, chunk)
+        g = np.zeros((size, params.n[-1] + 1), dtype=np.int64)
+        at = np.zeros((size, params.p), dtype=np.int64)
+        for m in range(1, params.m[-1] + 1):
+            u = gen.random(size=(size, params.n[-1]))
+            w = np.floor(np.log(1.0 - u) / logq).astype(np.int64)
+            for n in range(1, params.n[-1] + 1):
+                g[:, n] = np.maximum(g[:, n], g[:, n - 1]) + w[:, n - 1]
+            for k, mk in enumerate(params.m):
+                if mk == m:
+                    at[:, k] = g[:, params.n[k]]
+        out.append(at)
+    return np.concatenate(out)
+
+
+@st.composite
+def mc_cases(draw):
+    """Weight parameter, corners and the quantiles the thresholds sit at."""
+    p = draw(st.integers(1, 3))
+    steps = st.lists(st.integers(1, 3), min_size=p, max_size=p)
+    return (
+        draw(st.floats(0.05, 0.95)),
+        tuple(accumulate(draw(steps))),
+        tuple(accumulate(draw(steps))),
+        tuple(draw(st.lists(st.floats(0.1, 0.9), min_size=p, max_size=p))),
+    )
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(case=mc_cases())
+@example(case=(1 - 1e-9, (2, 4, 6), (1, 3, 5), (0.3, 0.5, 0.8)))  # int64 heights
+@example(case=(0.5, (3,), (2,), (0.5,)))
+@pytest.mark.parametrize("nsamples", [1, 511, 513, _CHUNK + 37])
+def test_mc_matches_the_reference_recursion(case, nsamples):
+    q, m, n, quantiles = case
+    seed = 3
+    heights = _reference_heights(ModelParams(q=q, m=m, n=n, a=(0,) * len(m)), nsamples, seed)
+    a = tuple(int(np.quantile(heights[:, k], f)) + 1 for k, f in enumerate(quantiles))
+    expected = int(np.all(heights < np.array(a), axis=1).sum())
+    params = ModelParams(q=q, m=m, n=n, a=a)
+    for workers in (1, 2):
+        assert mc_multipoint(params, nsamples, seed=seed, workers=workers).successes == expected
+
+
+@pytest.mark.parametrize(
+    "q, corner, height",
+    [
+        (0.1, 3, np.int8),  # wmax = 15, bound 5 * 16
+        (0.25, 80, np.int16),  # the T = 40 scaled instance: wmax = 26
+        (0.95, 80, np.int32),
+        (1 - 1e-9, 6, np.int64),
+        (0.9999999999999999, 13, np.int64),
+    ],
+)
+def test_heights_take_the_narrowest_type_that_holds_them(q, corner, height):
+    params = ModelParams(q=q, m=(corner,), n=(corner,), a=(1,))
+    assert _height_type(params) is height
+
+
+@pytest.mark.parametrize("corner", [200, 300])
+def test_heights_past_int64_are_refused(corner):
+    # at this q one weight can reach 3.3e17; unchecked, int64 heights wrap
+    # and the estimate reads 0.0 at 200 but 1.0 at 300
+    params = ModelParams(q=0.9999999999999999, m=(corner,), n=(corner,), a=(2**62,))
+    with pytest.raises(SchemaError, match=r"\(m_p \+ n_p - 1\) \* \(wmax \+ 1\).*int64"):
+        mc_multipoint(params, 100, seed=0)
