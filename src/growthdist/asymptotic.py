@@ -51,11 +51,12 @@ grid until two successive levels agree;
 theta-determinant engine in ``linalg``, which does the summing,
 determinants, integration and refinement.  One ``_LimitKernels`` serves
 every level of a call: it builds each line once, and per level it forms
-each line coupling, row and column factor and chain prefix once, shares it
-among all bases, and drops it when the level's bases are done.  At
-``p = 1`` there is no theta circle and the same route returns the single
-determinant ``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates
-that marginal independently, from the closed-form Airy kernel.
+each line coupling, row and column factor and chain prefix once, on one
+node of each conjugate pair, shares it among all bases, and drops it when
+the level's bases are done.  Every base is real.  At ``p = 1`` there is
+no theta circle and the same route returns the single determinant
+``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates that marginal
+independently, from the closed-form Airy kernel.
 
 ``LimitSettings`` holds the controls the ``asymptotic`` subcommand can
 override: ``extent``, ``block_nodes``, ``theta_radius``, ``mu``, ``tol`` and
@@ -147,7 +148,8 @@ class _Layout(NamedTuple):
 # Entries of a line-contour kernel at coordinate magnitude L carry roundoff
 # amplified by exp(d L) relative to fully cancelled true values, so the
 # abscissas are kept small enough for determinants over |u| <= extent.
-# ``_LimitKernels`` multiplies them all by its instance's ``_anchor_scale``.
+# ``_LimitKernels`` translates them, never scales, so they stay near the
+# origin, where the cubic weights are small and the bases real to rounding.
 _LAYOUT = _Layout(d1=0.35, d2=0.70, d3=0.35, d_single=0.45, ladder_lo=0.25, ladder_hi=1.05)
 
 
@@ -213,24 +215,31 @@ class _LimitKernels:
     cubic phase plus the ``exp(i y u)`` rotation; they do not depend on the
     Nystrom grid, so one instance builds each line once and keeps it.  If an
     instance's tilt ``Dx`` would push some line's decay rate below
-    ``_QC_FLOOR``, every abscissa is scaled up by a common factor, which
-    preserves all the pairwise orderings the kernels depend on.
+    ``_QC_FLOOR``, the decaying lines shift left, or the growing lines
+    right, by the least common amount that restores it; a shift keeps every
+    ordering and gap the kernels depend on.
 
-    ``_chain(family, kw)`` lists a family's lines.  ``kernels`` gives the
-    first line the oscillation budget of ``u``, the last that of ``v`` and
-    the others ``_INTERIOR_VMAX``, and walks many chains together
-    (``integrands._walk_chains``), so each line coupling, row and column
-    factor and chain prefix is formed once and shared, a coupling or column
-    factor is dropped after its last use, and nothing grid-sized outlives
-    the call.
+    A line is whole 12-node panels symmetric about its anchor, and keeps one
+    node of each conjugate pair.  ``_chain(family, kw)`` lists a family's
+    lines.  ``kernels`` gives the first line the oscillation budget of
+    ``u``, the last that of ``v`` and the others ``_INTERIOR_VMAX``, and
+    walks many chains together on the kept nodes (``_walk_chains``), so
+    each line coupling, row and column factor and chain prefix is formed
+    once and shared, a coupling or column factor is dropped after its last
+    use, and nothing grid-sized outlives the call.  Every result is real.
     """
 
     def __init__(self, inst: LimitParams, settings: LimitSettings):
         self.inst = inst
         self.p = inst.p
         self.mu = _resolve_mu(inst, settings)
-        scale = self._anchor_scale()
-        self.layout = _Layout(*(d * scale for d in _LAYOUT))
+        # a line for G^(+-1) of a trip decays at _QC_FLOOR from |a| = _QC_FLOOR/dt +- dx/dt^(1/3)
+        need = [(_QC_FLOOR / dt, dx / dt ** (1.0 / 3.0)) for dt, dx, _ in
+                (self.trip(k1, k2) for k2 in range(1, self.p + 1) for k1 in range(k2))]
+        d1, d2, d3, d_single, lo, hi = _LAYOUT
+        down = max(0.0, max(f + s for f, s in need) - min(d1, d2, d3))
+        up = max(0.0, max(f - s for f, s in need) - min(d_single, lo))
+        self.layout = _Layout(d1 + down, d2 + down, d3 + down, d_single + up, lo + up, hi + up)
         # line key -> (nodes, weights times G^(+-1))
         self._lines: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -240,21 +249,6 @@ class _LimitKernels:
         if not 0 <= k1 < k2 <= self.p:
             raise ValueError(f"need 0 <= k1 < k2 <= {self.p}, got ({k1}, {k2})")
         return delta_txxi(self.inst.t, self.inst.x, self.inst.xi, k1, k2)
-
-    def _anchor_scale(self) -> float:
-        need = 1.0
-        d_min = min(_LAYOUT.d1, _LAYOUT.d2, _LAYOUT.d3)
-        big_d_min = min(_LAYOUT.d_single, _LAYOUT.ladder_lo)
-        for k1 in range(0, self.p):
-            for k2 in range(k1 + 1, self.p + 1):
-                dt, dx, _ = self.trip(k1, k2)
-                shift = dx * dt ** (2.0 / 3.0)
-                need = max(
-                    need,
-                    (_QC_FLOOR + shift) / (dt * d_min),
-                    (_QC_FLOOR - shift) / (dt * big_d_min),
-                )
-        return need
 
     def _line(
         self, anchor: float, trip: tuple[float, float, float], vmax: float, inverse: bool
@@ -278,9 +272,11 @@ class _LimitKernels:
         )
         n = int(max(96, min(_MAX_LINE_NODES, _NODES_PER_RADIAN * phase + 24)))
         line = vline(anchor, hw, n, panel_size=12)
-        lg = log_script_g(line.nodes, dt, dx, dxi)
-        wf = line.weights * np.exp(-lg if inverse else lg)
-        self._lines[key] = (line.nodes, wf)
+        half = len(line) // 2  # the other half are the conjugates
+        with np.errstate(over="ignore", invalid="ignore"):
+            lg = log_script_g(line.nodes[:half], dt, dx, dxi)
+            wf = line.weights[:half] * np.exp(-lg if inverse else lg)
+        self._lines[key] = (line.nodes[:half], wf)
         return key
 
     def _ladder(
@@ -348,9 +344,9 @@ class _LimitKernels:
         """Family matrices for ``requests`` of ``(family, kw, ukey, vkey)``.
 
         ``coords[ukey]`` and ``coords[vkey]`` are the row and column
-        coordinates; every matrix is conjugated by ``exp(mu (v - u))`` once
-        the walk is done, each in turn, so a conjugated and an unconjugated
-        copy of all of them never coexist.
+        coordinates; every matrix is real, and is conjugated by
+        ``exp(mu (v - u))`` once the walk is done, each in turn, so a
+        conjugated and an unconjugated copy of all of them never coexist.
         """
         jobs = []
         for family, kw, ukey, vkey in requests:
@@ -666,7 +662,7 @@ def _limit_terms(
     for rows, cols in slices:
         base = mats.pop()  # each kernel matrix is dropped once weighted
         if not np.all(np.isfinite(base)):
-            raise ValueError("kernel values must be finite")
+            raise ConvergenceError("kernel values overflow: a line's weights exceed range")
         bases.append(sw[rows, None] * base * sw[None, cols])
     return [
         (rows, cols, bases[idx], poly)
@@ -727,7 +723,8 @@ def multitime_cdf(
     until two successive levels agree within ``settings.tol``.  Each
     level's theta rule starts at the previous level's (8 nodes per circle
     on the first) and doubles until its Laurent tail is at most
-    ``settings.tol``.  Raises ``ConvergenceError`` otherwise.
+    ``settings.tol``.  Raises ``ConvergenceError`` otherwise, or when the
+    value lies outside ``[0, 1]`` by more than ``settings.tol``.
     """
     start = time.perf_counter()
     inst = instance
@@ -744,6 +741,8 @@ def multitime_cdf(
     value, _, level, n_theta, tail, _ = _refine(
         terms_at, inst.p, settings.theta_radius, settings.tol, settings.max_levels, deadline,
     )
+    if not -settings.tol <= value.real <= 1.0 + settings.tol:
+        raise ConvergenceError(f"value {value.real:.6g} at level {level} is not a probability")
     return AsymptoticResult(
         value=float(value.real),
         imag_part=float(value.imag),

@@ -9,7 +9,7 @@ asymptotic  Limiting multi-time law.
 tw          Tracy-Widom GUE distribution over an s-grid (CSV sweep).
 validate    Route-agreement suite with a pass/fail table: the exact formula,
             its limit and the oracles checked against each other, against
-            closed forms and against the Harris sandwich; exit 1 on a failure.
+            closed forms, the Harris sandwich and reflection; exit 1 on a failure.
 
 Each subcommand takes exactly the options it reads; any other option is an
 argparse usage error (exit 2).  The four instance subcommands (``simulate``,
@@ -323,6 +323,14 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
         "two-time limit law at xi_2 = 5 is F_GUE(xi_1)",
         abs(multitime_cdf(dropped).value - tracy_widom(anchor.xi[0])),
         1e-6,
+    )
+
+    tilted = LimitParams(t=(1.0, 1.5), x=(0.1, -0.2), xi=(0.3, 0.5))
+    mirror = LimitParams(t=tilted.t, x=tuple(-x for x in tilted.x), xi=tilted.xi)
+    add(
+        "tilted limit law invariant under x -> -x",
+        abs(multitime_cdf(tilted).value - multitime_cdf(mirror).value),
+        LimitSettings().tol,
     )
 
     corner = ModelParams(q=0.4, m=(3, 6), n=(2, 4), a=(5, 9))

@@ -139,7 +139,7 @@ class _Link(NamedTuple):
 def _check_node_count(name: str, nodes: int) -> None:
     """Reject contour node counts that are not positive and even.
 
-    The mirrored chain walk pairs node ``k`` of a circle with node
+    The chain walk pairs node ``k`` of a circle with node
     ``nn - 1 - k``; an odd count also puts a node on the real axis, where the
     circles around 0 cross the branch cut of ``log w``.
     """
@@ -342,9 +342,9 @@ class _Assembler:
         and each column factor once, multiplies each shared prefix once and
         drops every coupling and column factor after its last use; the row
         and node factors are formed once.  Every circle is centred on the
-        real axis and every factor has real parameters, so the walk runs
-        ``mirrored`` on the first ``nn / 2`` nodes of each circle (the upper
-        half), whose conjugates are the other half.
+        real axis and every factor has real parameters, so the walk runs on
+        the first ``nn / 2`` nodes of each circle (the upper half), whose
+        conjugates are the other half.
         """
         contours: dict = {}
         node_factors: dict = {}
@@ -376,7 +376,6 @@ class _Assembler:
 
         return _walk_chains(
             chains, nodes=lambda key: contour(key).nodes, rows=rows, scale=scale, cols=cols,
-            mirrored=True,
         )
 
     def build_b_block(self, rstar: int, s: int, nn: int) -> np.ndarray:

@@ -154,17 +154,21 @@ def _walk_chains(
     rows: Callable[[Hashable], np.ndarray],
     scale: Callable[[Hashable], np.ndarray | None],
     cols: Callable[[Hashable], np.ndarray],
-    *,
-    mirrored: bool = False,
 ) -> dict:
-    """``{job: (product @ cols(job.cols)) / job.sign}`` for chains of Cauchy couplings.
+    """``{job: 2 Re(product @ cols(job.cols)) / job.sign}`` for real chains of Cauchy couplings.
 
     Each job is a ``_Chain``; the first entry of every link is the key of
-    its contour.  ``rows(links[0])`` are row factors on the first contour;
-    every further link multiplies by the Cauchy matrix from the previous
-    contour's ``nodes`` to its own, then scales the columns by
-    ``scale(link)`` (``None``: no scaling).  A job's value is taken as soon
-    as its product exists.
+    its contour.  Every contour's nodes come in conjugate pairs (an even
+    count, none real), and ``nodes(key)`` gives one node of each pair.
+    ``rows(links[0])`` are row factors on the first contour; every further
+    link multiplies by the Cauchy matrix from the previous contour to its
+    own, then scales the columns by ``scale(link)`` (``None``: no scaling).
+    ``rows``, ``scale`` and ``cols`` satisfy ``f(conj z) = conj f(z)``, so
+    every chain is real.  A coupling from ``a`` to ``b`` is the ``len(a) x
+    2 len(b)`` Cauchy matrix onto ``b`` and ``conj(b)``; a product ``P``
+    with it folds to ``P[:, :h] + conj(P[:, h:])``, the product over the
+    full rule at the kept nodes.  This exact algebra halves every coupling,
+    product and factor.  A job's value is taken once its product exists.
 
     The jobs are walked together, link by link.  At each depth the distinct
     prefixes are grouped by the ordered pair of contours they cross; each
@@ -174,20 +178,6 @@ def _walk_chains(
     its extensions and its jobs are done, so besides the current depth's
     prefixes only the couplings and column factors still ahead stay alive.
     The walk follows the jobs' order, so reruns compute and sum alike.
-
-    With ``mirrored``, every contour's nodes come in conjugate pairs (an
-    even count, none of them real) and ``rows``, ``scale`` and ``cols``
-    satisfy ``f(conj z) = conj f(z)`` in the node, so every chain is real.
-    ``nodes(key)`` then returns one node of each pair, and the factor
-    callables are evaluated on those.  Each coupling from ``a`` to ``b`` is
-    the ``len(a) x 2 len(b)`` Cauchy matrix onto ``b`` and ``conj(b)``; a
-    product ``P`` with it folds to ``P[:, :h] + conj(P[:, h:])``, the
-    product over the full rule at the kept nodes, and a job's value is the
-    real ``2 Re(product @ cols) / sign``.  This is exact algebra, and it
-    halves every coupling, product and factor.  The limit path still walks
-    its full rule: its ladder bases cancel so heavily that their rounding
-    noise moves with any reordering.  Once ROADMAP item 1 makes them real
-    to rounding, ``mirrored`` becomes the only mode and the flag goes.
     """
     jobs = list(dict.fromkeys(jobs))
     steps: list[dict] = []  # steps[d]: the distinct prefixes of d + 2 links
@@ -215,12 +205,10 @@ def _walk_chains(
 
     def cauchy(pr: tuple) -> np.ndarray:
         b = nodes(pr[1])
-        return _cauchy(nodes(pr[0]), np.concatenate([b, b.conj()]) if mirrored else b)
+        return _cauchy(nodes(pr[0]), np.concatenate([b, b.conj()]))
 
     def times(prefix: np.ndarray, mat: np.ndarray) -> np.ndarray:
         part = prefix @ mat
-        if not mirrored:
-            return part
         h = part.shape[1] // 2
         folded = part[:, h:].conj()
         folded += part[:, :h]
@@ -233,7 +221,7 @@ def _walk_chains(
         for prefix, mat in level.items():
             for job in ends.get(prefix, ()):
                 value = mat @ _take(col_factors, col_uses, job.cols, cols)
-                out[job] = 2.0 * value.real / job.sign if mirrored else value / job.sign
+                out[job] = 2.0 * value.real / job.sign
         parents = dict.fromkeys(prefix[:-1] for prefix in step)
         return {prefix: mat for prefix, mat in level.items() if prefix in parents}
 

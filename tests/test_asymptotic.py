@@ -173,19 +173,13 @@ LADDER_DOWN = {"k1": 0, "k2": 2, "epsw": (2,), "rtop": 1, "sbot": 1}
     [
         ANCHOR,
         LimitParams(t=(1.0, 1.5), x=(-0.1, 0.2), xi=(0.3, 0.5)),
-        pytest.param(
-            LimitParams(t=(1.0, 1.5), x=(0.1, -0.2), xi=(0.3, 0.5)),
-            marks=pytest.mark.xfail(
-                reason="tilted-limit defect: the contour form of this family-6 base "
-                "disagrees with its Airy form on the tilted p=2 config",
-            ),
-        ),
+        LimitParams(t=(1.0, 1.5), x=(0.1, -0.2), xi=(0.3, 0.5)),
     ],
     ids=["anchor", "mirror", "tilted"],
 )
 def test_ladder_down_step_matches_airy_form(inst):
-    # the one base of the tilted p=2 config whose two forms disagree;
-    # the anchor and the mirror config agree to about 1e-13
+    # the base of the tilted p=2 config whose two forms disagreed by 8e-3
+    # while the layout was scaled up to a top ladder line at 4.3
     u = np.array([-0.8, -0.3])
     v = np.array([-0.6, -0.1])
     a = _eval_basic_kernel(6, LADDER_DOWN, u, v, inst)
@@ -276,14 +270,16 @@ def test_level_packs_terms_once_per_monomial(monkeypatch):
         (
             INST3,
             (2.0 * cmath.exp(0.7j), 2.0 * cmath.exp(-0.4j)),
-            0.9971809107002068 + 0.000830559439842102j,
+            0.9883699345494761 + 0.0043790905656961865j,
         ),
     ],
     ids=["two-time", "three-time"],
 )
 def test_det_pinned_values(inst, theta, ref):
-    # recorded from the pure-Python LU evaluation that preceded the LAPACK
-    # engine, on the default determinant grid
+    # on the default determinant grid; the two-time value was recorded from
+    # the pure-Python LU evaluation that preceded the LAPACK engine, the
+    # three-time value once the shifted layout made its ladder bases real to
+    # rounding (it holds to 1e-10 at 2x and 4x the line density)
     got = fredholm_det_F(theta, inst)
     assert abs(got - ref) / abs(ref) < 1e-10
 
@@ -294,33 +290,47 @@ def test_det_pinned_values(inst, theta, ref):
         ANCHOR,
         INST2,
         LimitParams(t=(1.0, 1.5, 2.0), x=(0.0, 0.0, 0.0), xi=(0.3, 4.0, 0.7)),
-        pytest.param(
-            INST3,
-            marks=pytest.mark.xfail(
-                reason="ROADMAP item 1: the INST3 ladder bases cancel heavily and keep "
-                "an imaginary part of several percent of their size",
-            ),
-        ),
-        pytest.param(
-            LimitParams(t=(1.0, 1.5), x=(0.1, -0.2), xi=(0.3, 0.5)),
-            marks=pytest.mark.xfail(
-                reason="ROADMAP item 1: the tilted p=2 config's family-6 base is the "
-                "wrong contour form and not real",
-            ),
-        ),
+        INST3,
+        LimitParams(t=(1.0, 1.5), x=(0.1, -0.2), xi=(0.3, 0.5)),
     ],
     ids=["anchor", "inst2", "middle-marginal", "inst3", "tilted"],
 )
-def test_limit_bases_are_real_to_rounding(inst):
-    # every kernel base is real in exact arithmetic; a base whose rounding
-    # noise is this large moves with any reordering of its sums, which is
-    # why the limit path still walks its chains over the full rule
+def test_limit_bases_are_real_to_rounding(monkeypatch, inst):
+    # every kernel base is real in exact arithmetic, and the walk over one
+    # node of each conjugate pair returns its real part; the complex product
+    # over each line's full rule must match it, imaginary part included,
+    # or the base's rounding noise moves with any reordering of its sums
+    walked = {}
+    walk = growthdist.asymptotic._walk_chains
+
+    def recording(jobs, **kwargs):
+        out = walk(jobs, **kwargs)
+        walked.update(out)
+        return out
+
+    monkeypatch.setattr(growthdist.asymptotic, "_walk_chains", recording)
     settings = LimitSettings()
+    kern = _LimitKernels(inst, settings)
     grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    terms = _limit_terms(_LimitKernels(inst, settings), grid)
-    bases = {id(base): base for _, _, base, _ in terms}.values()
-    for base in bases:
-        assert np.abs(base.imag).max() <= 1e-6 * np.abs(base).max()
+    _limit_terms(kern, grid)
+    coords = {r == inst.p: grid.nodes[grid.slices[r - 1]] for r in range(1, inst.p + 1)}
+
+    def line(key):
+        nodes, wf = kern._lines[key]
+        return np.concatenate([nodes, nodes.conj()]), np.concatenate([wf, wf.conj()])
+
+    assert walked
+    for job, value in walked.items():
+        (first, ukey), *rest = job.links
+        nodes, wf = line(first)
+        full = np.exp(-np.outer(coords[ukey], nodes)) * wf[None, :]
+        for key, weighted in rest:
+            nxt, wf = line(key)
+            full = (full @ (1.0 / (nodes[:, None] - nxt[None, :]))) * (wf if weighted else 1.0)
+            nodes = nxt
+        full = full @ (np.exp(np.outer(nodes, coords[job.cols[1]])) * wf[:, None]) / job.sign
+        assert np.isrealobj(value)
+        assert np.abs(value - full).max() <= 1e-6 * np.abs(full).max()
 
 
 def test_det_invariant_under_conjugation_rate():
@@ -356,6 +366,16 @@ def test_multitime_two_time_anchor():
     assert -1e-4 <= res.value <= 1 + 1e-4
     # frozen two-time value from converged runs of this evaluator
     assert res.value == pytest.approx(0.9720743806856159, abs=5e-6)
+
+
+@pytest.mark.parametrize("value", [-20.5, 1.0 + 3e-6])
+def test_value_outside_unit_interval_is_not_converged(monkeypatch, value):
+    # two levels can agree on a value no probability takes when the kernel
+    # bases lost their accuracy (close tilted times with the lines far out)
+    monkeypatch.setattr(growthdist.asymptotic, "_refine",
+                        lambda *args: (complex(value), 0.0, 2, 8, 0.0, 0))
+    with pytest.raises(ConvergenceError, match="not a probability"):
+        multitime_cdf(ANCHOR)
 
 
 def test_each_line_coupling_formed_once_per_level(monkeypatch):
@@ -461,21 +481,36 @@ def test_two_time_law_is_sandwiched_by_its_marginals(inst):
 @pytest.mark.parametrize(
     "t2, x, xi",
     [
-        pytest.param(1.4658, (0.104, -0.1787), (1.2536, -0.4571), id="census-7",
-                     marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                             reason="ROADMAP item 1: above min F_k")),
-        pytest.param(1.2443, (0.2035, -0.0202), (-0.682, 0.8481), id="census-12",
-                     marks=pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                                             reason="ROADMAP item 1: determinant overflows")),
-        pytest.param(1.2637, (-0.0844, -0.2022), (1.497, -0.64), id="census-21",
-                     marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                             reason="ROADMAP item 1: above min F_k")),
+        pytest.param(1.4658, (0.104, -0.1787), (1.2536, -0.4571), id="census-7"),
+        pytest.param(1.2443, (0.2035, -0.0202), (-0.682, 0.8481), id="census-12"),
+        pytest.param(1.2637, (-0.0844, -0.2022), (1.497, -0.64), id="census-21"),
     ],
 )
 def test_close_times_break_the_sandwich(t2, x, xi):
-    # census instances (default_rng(11), t2 - t1 < 0.8) where the limit law
-    # is wrong; the strict marks fail the suite once item 1 is fixed
+    # census instances (default_rng(11), t2 - t1 < 0.8) that broke the
+    # sandwich (census-7, census-21) or overflowed (census-12) while the
+    # layout was scaled up instead of shifted
     _assert_sandwiched(LimitParams(t=(1.0, t2), x=x, xi=xi))
+
+
+@st.composite
+def close_limit_points(draw):
+    """Two-time limit points of the census ranges with ``t2 - t1 < 0.8``."""
+    t2 = draw(st.floats(1.2, 1.8, exclude_max=True))
+    x = draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)))
+    xi = draw(st.tuples(st.floats(-1.0, 1.5), st.floats(-1.0, 1.5)))
+    return LimitParams(t=(1.0, t2), x=x, xi=xi)
+
+
+@hypothesis.settings(max_examples=8, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+@given(close_limit_points())
+def test_close_time_law_is_sandwiched_and_mirror_symmetric(inst):
+    # ROADMAP item 1 gates (b) and (a) at close times: the sandwich, and the
+    # law is invariant under the mirror x -> -x
+    value = _assert_sandwiched(inst)
+    mirror = LimitParams(t=inst.t, x=tuple(-x for x in inst.x), xi=inst.xi)
+    assert abs(multitime_cdf(mirror).value - value) <= LimitSettings().tol
 
 
 def test_multitime_invariant_under_time_rescaling():

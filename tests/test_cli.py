@@ -15,8 +15,8 @@ from growthdist.params import LimitParams
 
 ANCHOR = '{"t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}'
 TINY = '{"q": 0.4, "m": [1, 3], "n": [1, 2], "a": [2, 4]}'
-# a steep tilt whose determinants overflow at the first theta node
-OVERFLOWING = '{"t": [1, 1.25], "x": [0.1, -0.2], "xi": [0.3, 0.5]}'
+# a tilt so steep that the determinants overflow at the first theta node
+OVERFLOWING = '{"t": [1, 2], "x": [3, -3], "xi": [0.3, 0.5]}'
 
 
 def _run(tmp_path, command: str, config: str | None, *extra: str) -> tuple[int, dict | None]:
@@ -125,9 +125,24 @@ def test_mistyped_fields_are_schema_errors(tmp_path, capsys, command, config):
     ids=["exact", "asymptotic", "non-finite-det"],
 )
 def test_non_convergence_reports_last_delta(tmp_path, capsys, command, config, needle):
-    code, doc = _run(tmp_path, command, config, "--max-levels", "0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = _run(tmp_path, command, config, "--max-levels", "0")
     assert code == 3 and doc is None
     assert needle in capsys.readouterr().err
+
+
+def test_overflowing_limit_kernels_exit_3(tmp_path, capsys):
+    # close times with a tilt push the growing lines far right, where the
+    # cubic weights exceed floating-point range: a convergence failure with
+    # one error line, not a schema error or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = _run(tmp_path, "asymptotic", '{"t": [1, 1.05], "x": [0.3, -0.3], '
+                                                 '"xi": [0.3, 0.5]}')
+    assert code == 3 and doc is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflow" in err
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import growthdist.growth
 from growthdist.growth import _CHUNK, _generator, _height_type, mc_multipoint, sample_weights
 from growthdist.errors import SchemaError
 from growthdist.oracle import dp_exact_prob
@@ -77,6 +78,26 @@ def test_mc_worker_count_does_not_change_the_stream():
     three = mc_multipoint(params, 40_000, seed=7, workers=3)
     assert one.successes == three.successes
     assert one.estimate == three.estimate
+
+
+def test_mc_pool_is_bounded_by_the_chunks(monkeypatch):
+    # threads past the chunk count only hold buffers; a 2-chunk run asks for
+    # at most 2 whatever --workers says, with the same counts
+    asked = []
+    pool = growthdist.growth.ThreadPoolExecutor
+
+    class Recording(pool):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(growthdist.growth, "ThreadPoolExecutor", Recording)
+    params = ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))
+    nsamples = _CHUNK + 1
+    one = mc_multipoint(params, nsamples, seed=7, workers=1)
+    many = mc_multipoint(params, nsamples, seed=7, workers=64)
+    assert many.successes == one.successes
+    assert all(n <= 2 for n in asked)
 
 
 def test_mc_agrees_with_transfer_matrix():

@@ -77,56 +77,15 @@ def test_vline_evaluates_gaussian_integral():
         assert got.real == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-10)
 
 
-def test_chain_walk_matches_direct_products(monkeypatch):
-    # chains that share prefixes, end at different depths, cross the pair
-    # (1, 2) at two depths and share column factors; a link is (contour,
-    # scale the columns?)
-    rng = np.random.default_rng(3)
-    nodes = {c: circle(float(c), 0.2 + 0.05 * c, 16).nodes for c in range(4)}
-    rows = {c: rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16)) for c in nodes}
-    scales = {c: rng.normal(size=16) + 1j * rng.normal(size=16) for c in nodes}
-    colmats = {k: rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3)) for k in range(2)}
-    jobs = [
-        _Chain(((0, False), (1, True), (2, False)), 0, 1.0),
-        _Chain(((0, False), (1, True), (3, True), (2, False)), 1, -2.0),
-        _Chain(((0, False), (1, False)), 0, 3.0),
-        _Chain(((3, False), (1, True), (2, False)), 1, -4.0),
-        _Chain(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
-        _Chain(((0, False), (1, True), (2, False)), 1, -6.0),
-    ]
-    formed, made = [], []
-    cauchy = growthdist.integrands._cauchy
-
-    def counting(a, b):
-        formed.append((a.tobytes(), b.tobytes()))
-        return cauchy(a, b)
-
-    monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
-    got = _walk_chains(
-        jobs, nodes=lambda key: nodes[key], rows=lambda link: rows[link[0]],
-        scale=lambda link: scales[link[0]] if link[1] else None,
-        cols=lambda key: made.append(key) or colmats[key],
-    )
-    assert set(got) == set(jobs)
-    for job in jobs:
-        ref = rows[job.links[0][0]]
-        for (a, _), (b, scaled) in zip(job.links, job.links[1:]):
-            ref = ref @ (1.0 / (nodes[a][:, None] - nodes[b][None, :]))
-            if scaled:
-                ref = ref * scales[b][None, :]
-        np.testing.assert_allclose(got[job], (ref @ colmats[job.cols]) / job.sign, rtol=1e-13)
-    pairs = {(a[0], b[0]) for job in jobs for a, b in zip(job.links, job.links[1:])}
-    assert len(formed) == len(set(formed)) == len(pairs)
-    assert sorted(made) == [0, 1]
-
-
 def test_mirrored_walk_matches_full_products(monkeypatch):
-    # the job layout of the test above, on rules closed under conjugation:
-    # even-count circles centred on the real axis and one vertical line
-    # (contour 3); rows, scales and columns are polynomials with real
-    # coefficients (the columns in contour 2's nodes, for every job), so
-    # the walk over one node of each conjugate pair must reproduce the full
-    # products, and their values are real
+    # chains that share prefixes, end at different depths, cross the pair
+    # (1, 2) at two depths and share column factors, on rules closed under
+    # conjugation: even-count circles centred on the real axis and one
+    # vertical line (contour 3); a link is (contour, scale the columns?).
+    # Rows, scales and columns are polynomials with real coefficients (the
+    # columns in contour 2's nodes, for every job), so the walk over one
+    # node of each conjugate pair must reproduce the full products, and
+    # their values are real
     rng = np.random.default_rng(5)
     full = {c: circle(float(c), 0.2 + 0.05 * c, 16).nodes for c in range(3)}
     full[3] = vline(0.5, 2.0, 16).nodes
@@ -147,7 +106,7 @@ def test_mirrored_walk_matches_full_products(monkeypatch):
         _Chain(((0, False), (3, True), (1, True), (2, True)), 0, 5.0),
         _Chain(((0, False), (1, True), (2, False)), 1, -6.0),
     ]
-    formed = []
+    formed, made = [], []
     cauchy = growthdist.integrands._cauchy
 
     def counting(a, b):
@@ -159,8 +118,7 @@ def test_mirrored_walk_matches_full_products(monkeypatch):
         jobs, nodes=lambda key: half[key],
         rows=lambda link: poly(row_coef[link[0]], half[link[0]]),
         scale=lambda link: poly(scale_coef[link[0]], half[link[0]]) if link[1] else None,
-        cols=lambda key: poly(col_coef[key], half[2]).T,
-        mirrored=True,
+        cols=lambda key: made.append(key) or poly(col_coef[key], half[2]).T,
     )
     assert set(got) == set(jobs)
     for job in jobs:
@@ -173,8 +131,10 @@ def test_mirrored_walk_matches_full_products(monkeypatch):
                 ref = ref * poly(scale_coef[b], full[b])[None, :]
         ref = (ref @ poly(col_coef[job.cols], full[2]).T) / job.sign
         np.testing.assert_allclose(got[job], ref, rtol=1e-13)
+    # each coupling is formed once, each column factor made once
     pairs = {(a[0], b[0]) for job in jobs for a, b in zip(job.links, job.links[1:])}
     assert len(formed) == len(set(formed)) == len(pairs)
+    assert sorted(made) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
