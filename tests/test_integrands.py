@@ -77,15 +77,19 @@ def test_vline_evaluates_gaussian_integral():
         assert got.real == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-10)
 
 
-def test_mirrored_walk_matches_full_products(monkeypatch):
-    # chains that share prefixes, end at different depths, cross the pair
-    # (1, 2) at two depths and share column factors, on rules closed under
-    # conjugation: even-count circles centred on the real axis and one
-    # vertical line (contour 3); a link is (contour, scale the columns?).
-    # Rows, scales and columns are polynomials with real coefficients (the
-    # columns in contour 2's nodes, for every job), so the walk over one
-    # node of each conjugate pair must reproduce the full products, and
-    # their values are real
+def _walk_conjugate_rules(monkeypatch):
+    """Walk chains on rules closed under conjugation; return what the tests check.
+
+    The chains share prefixes, end at different depths, cross the pair
+    (1, 2) at two depths and share column factors; a link is (contour,
+    scale the columns?).  The rules are even-count circles centred on the
+    real axis and one vertical line (contour 3); rows, scales and columns
+    are polynomials with real coefficients (the columns in contour 2's
+    nodes, for every job), so every chain is real.  Returns the jobs, the
+    walk's values, the direct products over the full rules, the shapes of
+    the Cauchy matrices formed (one entry per formation) and the column
+    factors made.
+    """
     rng = np.random.default_rng(5)
     full = {c: circle(float(c), 0.2 + 0.05 * c, 16).nodes for c in range(3)}
     full[3] = vline(0.5, 2.0, 16).nodes
@@ -110,7 +114,7 @@ def test_mirrored_walk_matches_full_products(monkeypatch):
     cauchy = growthdist.integrands._cauchy
 
     def counting(a, b):
-        formed.append((a.tobytes(), b.tobytes()))
+        formed.append((a.tobytes(), b.tobytes(), len(a), len(b)))
         return cauchy(a, b)
 
     monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
@@ -120,21 +124,39 @@ def test_mirrored_walk_matches_full_products(monkeypatch):
         scale=lambda link: poly(scale_coef[link[0]], half[link[0]]) if link[1] else None,
         cols=lambda key: made.append(key) or poly(col_coef[key], half[2]).T,
     )
-    assert set(got) == set(jobs)
+    direct = {}
     for job in jobs:
-        assert np.isrealobj(got[job])
         a = job.links[0][0]
         ref = poly(row_coef[a], full[a])
         for (a, _), (b, scaled) in zip(job.links, job.links[1:]):
             ref = ref @ (1.0 / (full[a][:, None] - full[b][None, :]))
             if scaled:
                 ref = ref * poly(scale_coef[b], full[b])[None, :]
-        ref = (ref @ poly(col_coef[job.cols], full[2]).T) / job.sign
-        np.testing.assert_allclose(got[job], ref, rtol=1e-13)
+        direct[job] = (ref @ poly(col_coef[job.cols], full[2]).T) / job.sign
+    return jobs, got, direct, formed, made
+
+
+def test_chain_walk_matches_direct_products(monkeypatch):
+    jobs, got, direct, formed, made = _walk_conjugate_rules(monkeypatch)
+    assert set(got) == set(jobs)
+    for job in jobs:
+        np.testing.assert_allclose(got[job], direct[job], rtol=1e-13)
     # each coupling is formed once, each column factor made once
     pairs = {(a[0], b[0]) for job in jobs for a, b in zip(job.links, job.links[1:])}
     assert len(formed) == len(set(formed)) == len(pairs)
     assert sorted(made) == [0, 1]
+
+
+def test_mirrored_walk_matches_full_products(monkeypatch):
+    # the walk keeps one node of each conjugate pair: every coupling maps
+    # the kept nodes of one contour onto both halves of the next, and the
+    # folded products are the full-rule products, real
+    jobs, got, direct, formed, _ = _walk_conjugate_rules(monkeypatch)
+    assert all((n_a, n_b) == (8, 16) for *_, n_a, n_b in formed)
+    for job in jobs:
+        assert np.isrealobj(got[job])
+        np.testing.assert_allclose(got[job], direct[job].real, rtol=1e-13)
+        np.testing.assert_allclose(direct[job].imag, 0.0, atol=1e-12 * np.abs(direct[job]).max())
 
 
 # ---------------------------------------------------------------------------
