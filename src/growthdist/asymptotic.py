@@ -680,13 +680,9 @@ def fredholm_det_F(
     """
     inst = instance
     settings = settings or LimitSettings()
-    theta = np.atleast_1d(theta)
-    if len(theta) != inst.p - 1:
-        raise SchemaError(f"theta must have length {inst.p - 1}")
-    if not (np.all(np.isfinite(theta)) and np.all(theta != 0)):
-        raise SchemaError(f"theta components must be finite and non-zero, got {theta}")
     grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    return _det_at(len(grid), _limit_terms(_LimitKernels(inst, settings), grid), theta)
+    terms = _limit_terms(_LimitKernels(inst, settings), grid)
+    return _det_at(len(grid), terms, inst.p, np.atleast_1d(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -759,20 +755,18 @@ def multitime_cdf(
 # Tracy-Widom marginal (independent oracle)
 # ---------------------------------------------------------------------------
 
-def _fgue(s: float, nodes: int = 96) -> float:
-    """``det(I - K_Ai)`` on ``(s, infinity)`` by Nystrom quadrature on ``(s, s + 40)``."""
-    x, w = composite_gl(s, s + 40.0, nodes, panel_size=12)
-    kern = airy_kernel_matrix(x, x)
-    sw = np.sqrt(w)
-    mat = np.eye(len(x)) - sw[:, None] * kern * sw[None, :]
-    return float(lu_det(mat).real)
-
-
 def tracy_widom(s: float, *, nodes: int = 96) -> float:
-    """GUE Tracy-Widom distribution function ``F_GUE(s)`` for s in [-10, 6]."""
+    """GUE Tracy-Widom distribution function ``F_GUE(s)`` for s in [-10, 6].
+
+    ``det(I - K_Ai)`` on ``(s, infinity)`` by Nystrom quadrature on ``(s, s + 40)``.
+    """
     s = float(s)
     if not -10.0 <= s <= 6.0:
         raise SchemaError(f"tracy_widom argument must lie in [-10, 6], got {s}")
     if nodes < 1:
         raise SchemaError(f"nodes must be at least 1, got {nodes}")
-    return _fgue(s, nodes=nodes)
+    x, w = composite_gl(s, s + 40.0, nodes, panel_size=12)
+    kern = airy_kernel_matrix(x, x)
+    sw = np.sqrt(w)
+    mat = np.eye(len(x)) - sw[:, None] * kern * sw[None, :]
+    return float(lu_det(mat).real)

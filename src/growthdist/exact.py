@@ -544,18 +544,14 @@ def det_theta(
     the critical point), each kept within its admissible window; the
     determinant is invariant under both in exact arithmetic, which makes
     this the natural entry point for invariance certificates.  Each of the
-    ``p - 1`` theta components must be finite and non-zero.
+    ``p - 1`` theta components must be finite and non-zero (else ``SchemaError``).
     """
     if params.p < 2:
         raise ValueError("det_theta needs p >= 2 (p = 1 has no theta)")
-    if len(thetas) != params.p - 1:
-        raise ValueError(f"expected {params.p - 1} theta components")
-    if not (np.all(np.isfinite(thetas)) and np.all(np.asarray(thetas) != 0)):
-        raise ValueError(f"theta components must be finite and non-zero, got {tuple(thetas)}")
     _check_node_count("nodes", nodes)
     _check_controls(mu, radius_scale)
     asm = _Assembler(params, mu, radius_scale)
-    return _det_at(asm.N, _terms(asm, nodes), thetas)
+    return _det_at(asm.N, _terms(asm, nodes), params.p, thetas)
 
 
 def multipoint_prob_exact(

@@ -17,14 +17,15 @@ refines two resolutions on their own evidence: the route's (contour or
 Nystrom) nodes grow by ``sqrt(2)`` per level (``_refined_count``) until
 two successive levels agree, from the first level the route's a-priori
 error bound leaves unresolved (``_first_level``), and on each level the
-theta rule doubles on the same terms until ``_theta_tail`` certifies it
-from the determinants it has already taken.
+theta rule doubles on the same terms until its tail certifies it.
 ``_pack`` sums a level's bases into one matrix per (block, monomial) once,
-before its first theta rule.  ``_theta_integral`` lays out the theta grid,
-and ``_det_sum`` builds ``I + F(theta)`` in chunks of about
-``_DET_BATCH_BYTES``, each block by one product of the chunk's monomial
-values with its packed matrices, and takes each chunk's determinants in
-one batched ``lu_det`` call; ``_det_at`` is the one-node grid of a point.
+before its first theta rule.  A theta rule (``_theta_integral``) is a
+function of its determinant torus: ``_dets`` takes ``det(I + F(theta))``
+at every node, in chunks of about ``_DET_BATCH_BYTES``, each block by one
+product of the chunk's monomial values with its packed matrices and each
+chunk by one batched ``lu_det`` call; one FFT of the torus gives the
+determinant's Laurent coefficients, and both the value and the tail are
+read from them.  ``_det_at`` is the one-node grid of a point.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError
+from .errors import BudgetError, ConvergenceError, SchemaError
 from .integrands import circle, composite_gl
 
 __all__ = [
@@ -154,113 +155,99 @@ def _pack(terms) -> tuple[list, list]:
     ]
 
 
-def _det_sum(
-    size: int, packed, thetas: tuple[np.ndarray, ...], weights: np.ndarray,
-    n_theta: int, deadline: float | None, out: np.ndarray | None = None,
-) -> complex:
-    """``sum_k weights[k] * det(I + F(theta_k))`` over theta nodes ``k``.
+def _dets(size: int, packed, thetas: tuple[np.ndarray, ...], deadline: float | None) -> np.ndarray:
+    """``det(I + F(theta))`` at every node of the theta grid ``thetas``.
 
-    ``packed`` is ``_pack(terms)``; ``thetas[i][k]`` is component ``i`` of
-    node ``k`` of the flattened ``(n_theta,) * len(thetas)`` grid in
-    row-major order (no component: one node).  Per chunk of about
-    ``_DET_BATCH_BYTES`` of matrices, a zeroed stack gets its unit diagonal,
-    each block adds ``monomials @ packed`` in one matrix product, the
-    monomials evaluated at the chunk's nodes, and one batched ``lu_det``
-    call takes the determinants.  ``deadline`` is
-    checked before every chunk; a non-finite determinant raises
-    ``ConvergenceError`` naming its node.  ``out[k]``, if given, receives
-    node ``k``'s determinant.
+    ``packed`` is ``_pack(terms)``; ``thetas[i]`` holds component ``i`` of
+    every node, all components of one shape, which the result takes (no
+    component: one node, shape ``()``).  Per chunk of about
+    ``_DET_BATCH_BYTES`` of matrices, a zeroed stack gets its unit
+    diagonal, each block adds ``monomials @ packed`` in one matrix
+    product, and one batched ``lu_det`` call takes the determinants.
+    ``deadline`` is checked before every chunk; a non-finite determinant
+    raises ``ConvergenceError`` naming its node.
     """
     exponents, blocks = packed
-    count = len(weights)
+    torus = thetas[0].shape if thetas else ()
+    flat = [theta.ravel() for theta in thetas]
+    dets = np.empty(math.prod(torus), dtype=complex)
     chunk = max(1, _DET_BATCH_BYTES // (16 * size * size))
-    total = 0.0 + 0.0j
-    for lo in range(0, count, chunk):
+    for lo in range(0, dets.size, chunk):
         _check_deadline(deadline, "theta integration")
-        hi = min(lo + chunk, count)
+        hi = min(lo + chunk, dets.size)
         mats = np.zeros((hi - lo, size, size), dtype=complex)
         mats.reshape(hi - lo, -1)[:, :: size + 1] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             monomials = np.ones((hi - lo, len(exponents)), dtype=complex)
             for a, alpha in enumerate(exponents):
-                for theta, power in zip(thetas, alpha):
+                for theta, power in zip(flat, alpha):
                     monomials[:, a] *= theta[lo:hi] ** power
             for rows, cols, which, mat in blocks:
                 shape = (hi - lo, rows.stop - rows.start, cols.stop - cols.start)
                 mats[:, rows, cols] += (monomials[:, which] @ mat).reshape(shape)
-            dets = lu_det(mats)
-        bad = np.flatnonzero(~np.isfinite(dets))
+            dets[lo:hi] = lu_det(mats)
+        bad = np.flatnonzero(~np.isfinite(dets[lo:hi]))
         if bad.size:
             where = ""
             if thetas:
-                node = np.unravel_index(lo + bad[0], (n_theta,) * len(thetas))
-                where = f" at theta node {tuple(int(j) for j in node)} of n_theta={n_theta}"
-            raise ConvergenceError(f"non-finite determinant {complex(dets[bad[0]])}{where}")
-        if out is not None:
-            out[lo:hi] = dets
-        total += np.sum(weights[lo:hi] * dets)
-    return complex(total)
+                node = np.unravel_index(lo + bad[0], torus)
+                where = f" at theta node {tuple(int(j) for j in node)} of n_theta={torus[0]}"
+            raise ConvergenceError(f"non-finite determinant {complex(dets[lo + bad[0]])}{where}")
+    return dets.reshape(torus)
 
 
-def _det_at(size: int, terms, thetas) -> complex:
-    """``det(I + F(theta))`` of the terms at the single point ``theta``."""
-    node = tuple(np.array([complex(th)]) for th in thetas)
-    return _det_sum(size, _pack(terms), node, np.ones(1), 1, None)
+def _det_at(size: int, terms, p: int, thetas) -> complex:
+    """``det(I + F(theta))`` of the terms at the single point ``theta``, a one-node grid.
+
+    ``theta`` must have ``p - 1`` finite, non-zero components (else ``SchemaError``).
+    """
+    if len(thetas) != p - 1:
+        raise SchemaError(f"theta must have {p - 1} components, got {len(thetas)}")
+    if not (np.all(np.isfinite(thetas)) and np.all(np.asarray(thetas) != 0)):
+        raise SchemaError(f"theta components must be finite and non-zero, got {tuple(thetas)}")
+    node = tuple(np.full((1,) * len(thetas), th, dtype=complex) for th in thetas)
+    return complex(_dets(size, _pack(terms), node, None).ravel()[0])
 
 
 def _theta_integral(
     size: int, packed, p: int, radius: float, n_theta: int, deadline: float | None,
-    dets: np.ndarray | None = None,
-) -> complex:
-    """Trapezoidal ``(p-1)``-fold integral of ``det(I+F(theta))/prod(theta_k - 1)``.
+) -> tuple[complex, float]:
+    """``(value, tail)`` of the ``(p-1)``-fold theta rule on ``n_theta`` (even) nodes per circle.
 
-    ``packed`` is ``_pack(terms)``.  Each theta runs over ``|theta| =
-    radius`` with ``n_theta`` (even) nodes and ``1/(theta - 1) = sum_{j>=1}
-    theta^-j`` is cut after ``n_theta/2`` terms, so the rule returns exactly
-    the sum of the determinant's Laurent coefficients with every degree
-    ``>= 0``, at any radius ``> 1``, once it has no degree outside
-    ``[-n_theta/2, n_theta/2)``.  At ``p = 1`` there is no theta and the
-    integral is the single determinant ``det(I + F)``.  All
-    ``n_theta**(p-1)`` nodes go to ``_det_sum`` at once, which checks
-    ``deadline`` before each chunk of determinants.  ``dets``, if given
-    (shape ``(n_theta,) * (p-1)``), receives the determinant at every
-    node, ``dets[j_1, .., j_{p-1}]`` at node ``j_i`` of circle ``i``.
+    ``packed`` is ``_pack(terms)`` and ``p >= 2``.  The determinants on the
+    torus (``_dets``; node ``j`` of each circle at ``radius *
+    exp(2 pi i (j + 1/2) / n_theta)``) go through one FFT, whose
+    coefficient ``k`` (over the torus size) is the Laurent coefficient
+    ``c_k (radius e^{i pi / n_theta})**k`` of the determinant, every degree
+    outside ``[-n_theta/2, n_theta/2)`` aliased onto one inside it
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  The integral of
+    ``det(I+F(theta)) / prod(theta_i - 1)`` is the sum of the coefficients
+    of every degree ``>= 0``, so ``value`` sums the coefficients with every
+    ``k_i`` in ``[0, n_theta/2)``: the truncated trapezoid rule, exact at
+    any radius ``> 1`` once no degree lies outside the band.
+
+    ``tail`` bounds the rule's error, a sum of aliased coefficients (with
+    weights at most 1) and of missed ones of degree ``>= n_theta/2`` (with
+    ``radius**-k < 1``): once the outer half of the band, every ``k`` with
+    some ``|k_i| >= n_theta/4``, has decayed, what lies beyond it is smaller
+    still.  It is the sum of the outer half's magnitudes that stand above
+    roundoff, ``_TAIL_NOISE`` ulps of the largest ``|det|``; 0 means no
+    finer rule can resolve more.
     """
-    ring = circle(0.0, radius, n_theta)
-    weights = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
-    axes = np.meshgrid(*[ring.nodes] * (p - 1), indexing="ij")
-    thetas = tuple(axis.ravel() for axis in axes)
-    flat = np.ones(1, dtype=complex)
+    nodes = circle(0.0, radius, n_theta).nodes
+    dets = _dets(size, packed, np.meshgrid(*[nodes] * (p - 1), indexing="ij"), deadline)
+    coefs = np.fft.fftn(dets)
+    shift = nodes[0] ** -np.arange(n_theta // 2) / n_theta  # (radius e^{i pi/n})**-k per axis
+    value = coefs[(slice(0, n_theta // 2),) * (p - 1)]
     for _ in range(p - 1):
-        flat = np.multiply.outer(flat, weights).ravel()
-    out = None if dets is None else dets.reshape(-1)
-    return _det_sum(size, packed, thetas, flat, n_theta, deadline, out)
-
-
-def _theta_tail(dets: np.ndarray) -> float:
-    """Band-edge Laurent tail of the determinant sampled on a theta torus.
-
-    ``dets`` holds ``det(I + M(theta))`` at the ``n`` nodes of each circle
-    (as filled by ``_theta_integral``).  Their FFT gives the Laurent
-    coefficients ``c_k radius**k`` of each degree ``k`` modulo ``n``, every
-    degree beyond the band aliased onto one inside it (Trefethen & Weideman,
-    SIAM Rev. 56, 2014).  The rule's error is a sum of such aliased
-    coefficients, which carry weights at most 1, and of the missed
-    coefficients of degree ``>= n/2``, which carry ``radius**-k < 1``.  So
-    once the outer half of the band, every coefficient with some
-    ``|k_i| >= n/4``, has decayed, what lies beyond it is smaller still.
-    Returns the sum of the outer half's magnitudes that stand above
-    roundoff, ``_TAIL_NOISE`` ulps of the largest ``|det|``; 0 means the
-    outer half is at roundoff and no finer rule can resolve more.
-    """
-    n = dets.shape[0]
-    coefs = np.abs(np.fft.fftn(dets)) / dets.size
-    inner = np.abs(np.fft.fftfreq(n, 1.0 / n)) < n // 4
+        value = value @ shift
+    mags = np.abs(coefs) / dets.size
+    inner = np.abs(np.fft.fftfreq(n_theta, 1.0 / n_theta)) < n_theta // 4
     in_band = np.ones((), dtype=bool)
-    for _ in range(dets.ndim):
+    for _ in range(p - 1):
         in_band = np.logical_and.outer(in_band, inner)
     noise = _TAIL_NOISE * np.finfo(float).eps * np.abs(dets).max()
-    return float(np.sum(coefs[~in_band & (coefs > noise)]))
+    return complex(value), float(np.sum(mags[~in_band & (mags > noise)]))
 
 
 def _certified_integral(
@@ -270,20 +257,18 @@ def _certified_integral(
     """Theta integral at the first of ``n_theta, 2 n_theta, ..`` nodes whose tail is certified.
 
     The terms are packed once (``_pack``), and every rule integrates the
-    same packed blocks; a rule is accepted once its
-    ``_theta_tail`` is at most ``tol``.  ``deadline`` is checked before
-    every doubling.  A rule over ``_THETA_MAX_NODES`` nodes in all is not
-    tried: ``ConvergenceError`` then reports the last tail.  Returns
-    ``(value, n_theta, tail)``; ``p = 1`` has no theta (``n_theta = 0``,
-    tail 0).
+    same packed blocks; a rule is accepted once its tail
+    (``_theta_integral``) is at most ``tol``.  ``deadline`` is checked
+    before every doubling.  A rule over ``_THETA_MAX_NODES`` nodes in all
+    is not tried: ``ConvergenceError`` then reports the last tail.  Returns
+    ``(value, n_theta, tail)``; ``p = 1`` has no theta, and its value is the
+    single determinant ``det(I + F)`` (``n_theta = 0``, tail 0).
     """
     packed = _pack(terms)
     if p == 1:
-        return _theta_integral(size, packed, p, radius, 0, deadline), 0, 0.0
+        return complex(_dets(size, packed, (), deadline)), 0, 0.0
     while True:
-        dets = np.empty((n_theta,) * (p - 1), dtype=complex)
-        value = _theta_integral(size, packed, p, radius, n_theta, deadline, dets)
-        tail = _theta_tail(dets)
+        value, tail = _theta_integral(size, packed, p, radius, n_theta, deadline)
         if tail <= tol:
             return value, n_theta, tail
         if (2 * n_theta) ** (p - 1) > _THETA_MAX_NODES:

@@ -260,7 +260,8 @@ def test_level_packs_terms_once_per_monomial(monkeypatch):
             if getattr(obj, "__module__", None) == "growthdist.params" and callable(obj):
                 monkeypatch.setattr(mod, name, forbidden)
     for n_theta in (8, 16, 32):
-        _theta_integral(len(grid), (exponents, blocks), INST3.p, 2.0, n_theta, None)
+        value, tail = _theta_integral(len(grid), (exponents, blocks), INST3.p, 2.0, n_theta, None)
+        assert math.isfinite(abs(value)) and tail >= 0.0
 
 
 @pytest.mark.parametrize(

@@ -314,8 +314,8 @@ def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
     # reference, hence within 1e-12 of every other pair
     asm = _Assembler(P2, 0.0, 1.0)
     packed = _pack(_terms(asm, 256))
-    value = _theta_integral(asm.N, packed, P2.p, radius, n_theta, None)
-    ref = _theta_integral(asm.N, packed, P2.p, 2.0, 96, None)
+    value, _ = _theta_integral(asm.N, packed, P2.p, radius, n_theta, None)
+    ref, _ = _theta_integral(asm.N, packed, P2.p, 2.0, 96, None)
     assert abs(value - ref) < 5e-13
     assert value.real == pytest.approx(dp_exact_prob(P2), abs=1e-9)
 
@@ -335,11 +335,12 @@ def _p3_level0():
 
 
 def test_batched_theta_integral_matches_per_node_sum():
-    # the engine assembles the packed blocks on the whole grid and batches
-    # the determinants; the loop version sums weight * det_theta node by node
+    # the engine batches the determinants on the whole torus and reads the
+    # value from their FFT; the reference sums trapezoid weight * det_theta
+    # node by node
     asm, packed = _p3_level0()
     n_theta, radius = 8, 2.0
-    value = _theta_integral(asm.N, packed, P3.p, radius, n_theta, None)
+    value, _ = _theta_integral(asm.N, packed, P3.p, radius, n_theta, None)
     ring = circle(0.0, radius, n_theta)
     w = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
     ref = sum(
@@ -351,9 +352,9 @@ def test_batched_theta_integral_matches_per_node_sum():
 
 def test_batched_theta_integral_independent_of_chunk_size(monkeypatch):
     asm, packed = _p3_level0()
-    batched = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
+    batched, _ = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
     monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 1)  # one matrix per chunk
-    single = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
+    single, _ = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
     assert abs(single - batched) <= 1e-15
 
 
@@ -363,22 +364,21 @@ def test_packed_assembly_matches_direct_sum(monkeypatch, size):
     # nodes take many chunks; the reference sums every term at every node
     rng = np.random.default_rng(7)
     ring = circle(0.0, 2.0, 32)
-    axes = np.meshgrid(ring.nodes, ring.nodes, indexing="ij")
-    thetas = tuple(axis.ravel() for axis in axes)
-    weights = rng.normal(size=len(thetas[0])) / len(thetas[0])
+    thetas = tuple(np.meshgrid(ring.nodes, ring.nodes, indexing="ij"))
     every = slice(0, size)
     terms = [
         (every, every, 0.1 * rng.normal(size=(size, size)), {(j, k): 1.0})
         for j, k in ((1, 0), (0, -1), (-2, 1))
     ]
     monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 2560)
-    got = growthdist.linalg._det_sum(size, _pack(terms), thetas, weights, 32, None)
+    got = growthdist.linalg._dets(size, _pack(terms), thetas, None)
     mats = np.eye(size) + sum(
-        (thetas[0] ** j * thetas[1] ** k)[:, None, None] * base
+        (thetas[0] ** j * thetas[1] ** k)[..., None, None] * base
         for _, _, base, poly in terms for (j, k) in poly
     )
-    ref = np.sum(weights * np.linalg.det(mats))
-    assert abs(got - ref) <= 1e-13 * abs(ref)
+    ref = np.linalg.det(mats)
+    assert got.shape == (32, 32)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
 def test_odd_node_counts_rejected(tmp_path):

@@ -1,4 +1,4 @@
-"""LU determinants, Nystrom grids and Nystrom determinants."""
+"""LU determinants, Nystrom grids, Nystrom determinants and the theta rule."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from growthdist.linalg import block_grid, lu_det
+from growthdist.linalg import _pack, _theta_integral, block_grid, lu_det
 
 
 def _random_complex(rng, n):
@@ -111,3 +111,30 @@ def test_nystrom_node_doubling_converges():
     want = 1.0 + math.sqrt(math.pi / 2.0) / 2.0 * math.erf(6.0 * math.sqrt(2.0))
     assert abs(det_at(48) - want) < 1e-8
     assert abs(det_at(96) - want) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# theta rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("radius", [1.5, 3.0])
+@pytest.mark.parametrize("n_theta", [8, 16])
+@pytest.mark.parametrize("p", [2, 3])
+def test_theta_rule_is_exact_on_a_laurent_polynomial(p, n_theta, radius):
+    # with side-1 terms det(1 + sum_a c_a theta^a) is the polynomial itself,
+    # so its integral is 1 plus every c_a whose degrees are all >= 0.  The
+    # degrees fill the band [-n/2, n/2), the top corner and a degree-1 term
+    # included, and each term has modulus 0.1 on the circle.
+    rng = np.random.default_rng(100 * p + n_theta)
+    half = n_theta // 2
+    degrees = {tuple(int(k) for k in rng.integers(-half, half, size=p - 1)) for _ in range(12)}
+    degrees |= {(half - 1,) * (p - 1), (1,) + (0,) * (p - 2), (-half,) * (p - 1)}
+    one = slice(0, 1)
+    coefs = {
+        alpha: 0.1 * np.exp(2j * np.pi * rng.random()) * radius ** -sum(alpha)
+        for alpha in sorted(degrees)
+    }
+    terms = [(one, one, np.array([[c]]), {alpha: 1.0}) for alpha, c in coefs.items()]
+    value, _ = _theta_integral(1, _pack(terms), p, radius, n_theta, None)
+    exact = 1.0 + sum(c for alpha, c in coefs.items() if min(alpha) >= 0)
+    assert abs(value - exact) < 1e-14
