@@ -50,10 +50,12 @@ grid until two successive levels agree;
 ``_limit_terms`` hands the Nystrom-weighted kernel bases to the shared
 theta-determinant engine in ``linalg``, which does the summing,
 determinants, integration and refinement.  One ``_LimitKernels`` serves
-every level of a call: it builds each line once, and per level it forms
-each line coupling, row and column factor and chain prefix once, on one
-node of each conjugate pair, shares it among all bases, and drops it when
-the level's bases are done.  Every base is real.  At ``p = 1`` there is
+every level of a call: it builds each line once, and per walk it forms
+each line coupling, row and column factor once and each chain prefix
+once per level, on one node of each conjugate pair, shares it among all
+bases, and drops it when the walk's bases are done.  Levels 0 and 1 share
+one walk, so a run that ends at level 1 forms each coupling once.  Every
+base is real.  At ``p = 1`` there is
 no theta circle and the same route returns the single determinant
 ``det(I + F) = F_GUE(xi + x^2)``; ``tracy_widom`` evaluates that marginal
 independently, from the closed-form Airy kernel.
@@ -623,50 +625,55 @@ def _block_terms(p: int, r: int, s: int) -> list[tuple[int, dict, Laurent]]:
 
 
 def _limit_terms(
-    kern: _LimitKernels, grid: NystromGrid, deadline: float | None = None,
-) -> list:
-    """Engine terms ``(rows, cols, base, poly)`` of ``F(theta)`` on a Nystrom grid.
+    kern: _LimitKernels, grids: Sequence[NystromGrid], deadline: float | None = None,
+) -> list[list]:
+    """Engine terms ``(rows, cols, base, poly)`` of ``F(theta)``, one list per Nystrom grid.
 
     Each block ``(r, s)`` is a theta-weighted sum of basic-family matrices;
     distinct terms frequently share the same matrix (same family, same
     resolved indices, same coordinate blocks), so each base is evaluated
-    once, with the Nystrom weights ``W^(1/2) . W^(1/2)`` folded in, and
-    carries the sum of its terms' ``Laurent`` coefficients.  All bases of the grid
-    come from one ``kern.kernels`` call, which forms each line coupling, row
-    and column factor and chain prefix once, drops each coupling after its
-    last use, and keeps nothing grid-sized once the bases are built.
+    once per grid, with the Nystrom weights ``W^(1/2) . W^(1/2)`` folded in,
+    and carries the sum of its terms' ``Laurent`` coefficients.  The bases
+    of every grid come from one ``kern.kernels`` call, whose coordinate keys
+    ``(i, r == p)`` carry the grid's position ``i``: each grid keeps its own
+    jobs, and the walk forms each line coupling, row and column factor once
+    for all grids and each chain prefix once per grid.  Each kernel matrix
+    is weighted in place, so the bases are all that outlive the call.
     """
     p = kern.p
-    # blocks below p share one coordinate array, block p has the other
-    coords = {r == p: grid.nodes[grid.slices[r - 1]] for r in range(1, p + 1)}
+    # per grid, blocks below p share one coordinate array, block p has the other
+    coords = {(i, r == p): grid.nodes[grid.slices[r - 1]]
+              for i, grid in enumerate(grids) for r in range(1, p + 1)}
     index: dict[tuple, int] = {}
-    requests, slices, blocks = [], [], []
-    for r in range(1, p + 1):
-        rows = grid.slices[r - 1]
-        for s in range(1, p + 1):
-            cols = grid.slices[s - 1]
-            bucket: dict[int, Laurent] = {}
-            for family, kw, poly in _block_terms(p, r, s):
-                key = (family, tuple(sorted(kw.items())), r == p, s == p)
-                if key not in index:
-                    index[key] = len(requests)
-                    requests.append((family, kw, r == p, s == p))
-                    slices.append((rows, cols))
-                bucket[index[key]] = bucket.get(index[key], 0) + poly
-            blocks.append((rows, cols, bucket))
+    requests, weights, levels = [], [], []
+    for i, grid in enumerate(grids):
+        sw = np.sqrt(grid.weights)
+        blocks = []
+        for r in range(1, p + 1):
+            rows = grid.slices[r - 1]
+            for s in range(1, p + 1):
+                cols = grid.slices[s - 1]
+                bucket: dict[int, Laurent] = {}
+                for family, kw, poly in _block_terms(p, r, s):
+                    key = (i, family, tuple(sorted(kw.items())), r == p, s == p)
+                    if key not in index:
+                        index[key] = len(requests)
+                        requests.append((family, kw, (i, r == p), (i, s == p)))
+                        weights.append((sw[rows], sw[cols]))
+                    bucket[index[key]] = bucket.get(index[key], 0) + poly
+                blocks.append((rows, cols, bucket))
+        levels.append(blocks)
     _check_deadline(deadline, "assembly")
-    sw = np.sqrt(grid.weights)
-    mats = kern.kernels(requests, coords)
-    mats.reverse()
-    bases = []
-    for rows, cols in slices:
-        base = mats.pop()  # each kernel matrix is dropped once weighted
+    bases = kern.kernels(requests, coords)
+    for base, (row_w, col_w) in zip(bases, weights):
         if not np.all(np.isfinite(base)):
             raise ConvergenceError("kernel values overflow: a line's weights exceed range")
-        bases.append(sw[rows, None] * base * sw[None, cols])
+        base *= row_w[:, None]
+        base *= col_w[None, :]
     return [
-        (rows, cols, bases[idx], poly)
-        for rows, cols, bucket in blocks for idx, poly in bucket.items()
+        [(rows, cols, bases[idx], poly) for rows, cols, bucket in blocks
+         for idx, poly in bucket.items()]
+        for blocks in levels
     ]
 
 
@@ -681,7 +688,7 @@ def fredholm_det_F(
     inst = instance
     settings = settings or LimitSettings()
     grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    terms = _limit_terms(_LimitKernels(inst, settings), grid)
+    (terms,) = _limit_terms(_LimitKernels(inst, settings), [grid])
     return _det_at(len(grid), terms, inst.p, np.atleast_1d(theta))
 
 
@@ -716,23 +723,35 @@ def multitime_cdf(
     l)`` Nystrom nodes per block: whole 12-node panels, growing by
     ``sqrt(2)`` per level (4, 6, 8, 11, 16, .. panels from the default 48
     nodes).  Levels are refined, at most ``settings.max_levels`` times,
-    until two successive levels agree within ``settings.tol``.  Each
-    level's theta rule starts at the previous level's (8 nodes per circle
-    on the first) and doubles until its Laurent tail is at most
-    ``settings.tol``.  Raises ``ConvergenceError`` otherwise, or when the
-    value lies outside ``[0, 1]`` by more than ``settings.tol``.
+    until two successive levels agree within ``settings.tol``.  Levels 0
+    and 1, which are compared in any case, are built by one
+    ``_limit_terms`` walk, and level 1's terms wait until level 0 is
+    integrated; each later level is built alone, when the comparison before
+    it fails.  Each level's theta rule starts at the previous level's (8
+    nodes per circle on the first) and doubles until its Laurent tail is at
+    most ``settings.tol``, each doubling computing only its new nodes.
+    Raises ``ConvergenceError`` when no level agrees with the one before
+    it, or when the value lies outside ``[0, 1]`` by more than
+    ``settings.tol``.  The value is real by construction (``imag_part``
+    0).
     """
     start = time.perf_counter()
     inst = instance
     settings = settings or LimitSettings()
     kern = _LimitKernels(inst, settings)
 
+    pending: dict[int, tuple[int, list]] = {}
+
     def nodes_at(level: int) -> int:
         return _refined_count(settings.block_nodes, _PANEL, level)
 
     def terms_at(level: int) -> tuple[int, list]:
-        grid = block_grid(inst.p, settings.extent, nodes_at(level))
-        return len(grid), _limit_terms(kern, grid, deadline)
+        if level not in pending:
+            levels = range(level, level + 1 + (level == 0 < settings.max_levels))
+            grids = [block_grid(inst.p, settings.extent, nodes_at(lv)) for lv in levels]
+            for lv, grid, terms in zip(levels, grids, _limit_terms(kern, grids, deadline)):
+                pending[lv] = len(grid), terms
+        return pending.pop(level)
 
     value, _, level, n_theta, tail, _ = _refine(
         terms_at, inst.p, settings.theta_radius, settings.tol, settings.max_levels, deadline,

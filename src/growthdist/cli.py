@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -389,6 +390,7 @@ def _cmd_validate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parsing does not change the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="growthdist",

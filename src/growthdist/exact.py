@@ -379,16 +379,20 @@ class _Assembler:
         )
 
     def build_b_block(self, rstar: int, s: int, nn: int) -> np.ndarray:
-        """Toeplitz values of the single-circle piece for profile gap (s, r*)."""
+        """Toeplitz values of the single-circle piece for profile gap (s, r*).
+
+        The values are real: the sum runs over the upper half of the circle
+        and adds each node's conjugate as twice the real part.
+        """
         cz = circle(0.0, self.tau1, nn)
         lo = (self.n0[rstar - 1] + 1) - self.n0[s] + 1
         hi = self.n0[self.p] - (self.n0[s - 1] + 1) + 1
         exps = np.arange(lo, hi + 1)
         grid = log_g(
-            cz.nodes, exps,
+            cz.nodes[:nn // 2], exps,
             self.m0[rstar] - self.m0[s], self.a0[rstar] - self.a0[s], self.q,
         )
-        vals = np.exp(-grid) @ cz.weights / self.wc
+        vals = 2.0 * (np.exp(-grid) @ cz.weights[:nn // 2]).real / self.wc
         return exps, vals
 
     # -- masks ---------------------------------------------------------------
@@ -505,6 +509,8 @@ def _single_point_terms(params: ModelParams, radius_scale: float):
     into a circle around 0, both offset from the critical point in the
     units of ``_Assembler``;
     ``P(G(m, n) < a) = det(I + K)`` is the one term ``(all, all, K, {(): 1})``.
+    ``K`` is real: like ``_Assembler.chain_values``, it is one
+    ``_walk_chains`` chain over the upper half of each circle.
     """
     m, n, a = params.m[0], params.n[0], params.a[0]
     q = params.q
@@ -518,13 +524,18 @@ def _single_point_terms(params: ModelParams, radius_scale: float):
     every = slice(0, n)
 
     def terms(nn: int) -> list:
-        cone = circle(1.0, radius, nn)
-        czero = circle(0.0, tau, nn)
-        rows = np.exp(log_g(cone.nodes, n - ivals, m, a - 1, q))
-        rows *= cone.weights[None, :]
-        cols = np.exp(-log_g(czero.nodes, n - ivals + 1, m, a - 1, q)).T
-        coup = czero.weights[None, :] / (cone.nodes[:, None] - czero.nodes[None, :])
-        return [(every, every, (rows @ coup @ cols) / wc, Laurent.monomial(()))]
+        half = slice(0, nn // 2)
+        cone, czero = circle(1.0, radius, nn), circle(0.0, tau, nn)
+        nodes = {"one": cone.nodes[half], "zero": czero.nodes[half]}
+        rows = np.exp(log_g(nodes["one"], n - ivals, m, a - 1, q)) * cone.weights[half]
+        cols = np.exp(-log_g(nodes["zero"], n - ivals + 1, m, a - 1, q)).T
+        cols *= czero.weights[half, None]
+        chain = _Chain((("one",), ("zero",)), ("zero",), wc)
+        kernel = _walk_chains(
+            [chain], nodes=nodes.get, rows=lambda link: rows,
+            scale=lambda link: None, cols=lambda key: cols,
+        )[chain]
+        return [(every, every, kernel, Laurent.monomial(()))]
 
     return terms
 

@@ -246,7 +246,7 @@ def test_level_packs_terms_once_per_monomial(monkeypatch):
     # and evaluates no coefficient in params
     settings = LimitSettings()
     grid = block_grid(INST3.p, settings.extent, 12)
-    terms = _limit_terms(_LimitKernels(INST3, settings), grid)
+    (terms,) = _limit_terms(_LimitKernels(INST3, settings), [grid])
     exponents, blocks = _pack(terms)
     assert len(terms) == 87
     assert len(exponents) == 15
@@ -260,7 +260,8 @@ def test_level_packs_terms_once_per_monomial(monkeypatch):
             if getattr(obj, "__module__", None) == "growthdist.params" and callable(obj):
                 monkeypatch.setattr(mod, name, forbidden)
     for n_theta in (8, 16, 32):
-        value, tail = _theta_integral(len(grid), (exponents, blocks), INST3.p, 2.0, n_theta, None)
+        value, tail, _ = _theta_integral(
+            len(grid), (exponents, blocks), INST3.p, 2.0, n_theta, None)
         assert math.isfinite(abs(value)) and tail >= 0.0
 
 
@@ -313,8 +314,8 @@ def test_limit_bases_are_real_to_rounding(monkeypatch, inst):
     settings = LimitSettings()
     kern = _LimitKernels(inst, settings)
     grid = block_grid(inst.p, settings.extent, settings.block_nodes)
-    _limit_terms(kern, grid)
-    coords = {r == inst.p: grid.nodes[grid.slices[r - 1]] for r in range(1, inst.p + 1)}
+    _limit_terms(kern, [grid])
+    coords = {(0, r == inst.p): grid.nodes[grid.slices[r - 1]] for r in range(1, inst.p + 1)}
 
     def line(key):
         nodes, wf = kern._lines[key]
@@ -369,6 +370,16 @@ def test_multitime_two_time_anchor():
     assert res.value == pytest.approx(0.9720743806856159, abs=5e-6)
 
 
+@pytest.mark.parametrize("inst", [ANCHOR, INST3, LimitParams(t=(1.0,), x=(0.3,), xi=(0.2,))],
+                         ids=["anchor", "inst3", "p1"])
+def test_imag_part_is_zero_by_construction(inst):
+    # real bases and a conjugate-symmetric theta torus give real Laurent
+    # coefficients; the p = 1 determinant is that of a real matrix
+    res = multitime_cdf(inst)
+    assert res.imag_part == 0.0
+    assert isinstance(res.value, float)
+
+
 @pytest.mark.parametrize("value", [-20.5, 1.0 + 3e-6])
 def test_value_outside_unit_interval_is_not_converged(monkeypatch, value):
     # two levels can agree on a value no probability takes when the kernel
@@ -391,9 +402,27 @@ def test_each_line_coupling_formed_once_per_level(monkeypatch):
     kern = _LimitKernels(ANCHOR, LimitSettings())
     for level in (0, 1):
         pairs.clear()
-        _limit_terms(kern, block_grid(ANCHOR.p, 12.0, _refined_count(48, _PANEL, level)))
+        _limit_terms(kern, [block_grid(ANCHOR.p, 12.0, _refined_count(48, _PANEL, level))])
         assert pairs
         assert len(set(pairs)) == len(pairs)
+
+
+def test_anchor_run_forms_each_line_coupling_once(monkeypatch):
+    # the lines do not depend on the Nystrom grid, and levels 0 and 1 are
+    # walked together, so a run that ends at level 1 forms each coupling
+    # of two lines once
+    pairs = []
+    cauchy = growthdist.integrands._cauchy
+
+    def counting(a, b):
+        pairs.append((a.tobytes(), b.tobytes()))
+        return cauchy(a, b)
+
+    monkeypatch.setattr(growthdist.integrands, "_cauchy", counting)
+    res = multitime_cdf(ANCHOR)
+    assert res.levels == 1
+    assert len(pairs) == 8
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_lines_built_once_per_call(monkeypatch):
@@ -424,13 +453,21 @@ def test_every_level_has_more_panels(monkeypatch, block_nodes):
     # level would repeat the last one and agree with it exactly
     panels = []
     grid = growthdist.asymptotic.block_grid
+    certified = growthdist.linalg._certified_integral
 
     def recording(p, extent, n):
         g = grid(p, extent, n)
         panels.append(len(g) // (p * _PANEL))
         return g
 
+    def apart(size, *args):
+        # converged levels can agree to the last bit; offsetting each value
+        # by its matrix side keeps every level apart, so all of them run
+        value, n_theta, tail = certified(size, *args)
+        return value + size, n_theta, tail
+
     monkeypatch.setattr(growthdist.asymptotic, "block_grid", recording)
+    monkeypatch.setattr(growthdist.linalg, "_certified_integral", apart)
     settings = LimitSettings(block_nodes=block_nodes, tol=1e-300, max_levels=4)
     with pytest.raises(ConvergenceError, match="at level 4"):
         multitime_cdf(ANCHOR, settings)

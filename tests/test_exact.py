@@ -124,6 +124,16 @@ def test_multipoint_matches_transfer_matrix_small():
     assert res.value == pytest.approx(dp_exact_prob(P2), abs=1e-9)
 
 
+@pytest.mark.parametrize("params", [P2, P3, ModelParams(q=0.4, m=(3,), n=(2,), a=(5,))],
+                         ids=["p2", "p3", "p1"])
+def test_imag_part_is_zero_by_construction(params):
+    # real bases and a conjugate-symmetric theta torus give real Laurent
+    # coefficients; the p = 1 determinant is that of a real matrix
+    res = multipoint_prob_exact(params)
+    assert res.imag_part == 0.0
+    assert isinstance(res.value, float)
+
+
 def test_multipoint_matches_truncated_sum():
     mp = ModelParams(q=0.5, m=(2, 3), n=(1, 2), a=(3, 5))
     res = multipoint_prob_exact(mp)
@@ -314,8 +324,8 @@ def test_theta_trapezoid_saturates_with_bandwidth(n_theta, radius):
     # reference, hence within 1e-12 of every other pair
     asm = _Assembler(P2, 0.0, 1.0)
     packed = _pack(_terms(asm, 256))
-    value, _ = _theta_integral(asm.N, packed, P2.p, radius, n_theta, None)
-    ref, _ = _theta_integral(asm.N, packed, P2.p, 2.0, 96, None)
+    value, _, _ = _theta_integral(asm.N, packed, P2.p, radius, n_theta, None)
+    ref, _, _ = _theta_integral(asm.N, packed, P2.p, 2.0, 96, None)
     assert abs(value - ref) < 5e-13
     assert value.real == pytest.approx(dp_exact_prob(P2), abs=1e-9)
 
@@ -340,7 +350,7 @@ def test_batched_theta_integral_matches_per_node_sum():
     # node by node
     asm, packed = _p3_level0()
     n_theta, radius = 8, 2.0
-    value, _ = _theta_integral(asm.N, packed, P3.p, radius, n_theta, None)
+    value, _, _ = _theta_integral(asm.N, packed, P3.p, radius, n_theta, None)
     ring = circle(0.0, radius, n_theta)
     w = ring.weights / (ring.nodes - 1.0) * (1.0 - ring.nodes ** (-(n_theta // 2)))
     ref = sum(
@@ -352,9 +362,9 @@ def test_batched_theta_integral_matches_per_node_sum():
 
 def test_batched_theta_integral_independent_of_chunk_size(monkeypatch):
     asm, packed = _p3_level0()
-    batched, _ = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
+    batched, _, _ = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
     monkeypatch.setattr(growthdist.linalg, "_DET_BATCH_BYTES", 1)  # one matrix per chunk
-    single, _ = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
+    single, _, _ = _theta_integral(asm.N, packed, P3.p, 2.0, 8, None)
     assert abs(single - batched) <= 1e-15
 
 

@@ -114,7 +114,7 @@ def test_certified_theta_rule_matches_dp_and_its_refinement(params):
     # the last contour level again, under twice the certified theta nodes
     asm = _Assembler(params, 0.0, 1.0)
     packed = _pack(_terms(asm, res.nodes))
-    doubled, _ = _theta_integral(asm.N, packed, params.p, 2.0, 2 * res.theta_nodes, None)
+    doubled, _, _ = _theta_integral(asm.N, packed, params.p, 2.0, 2 * res.theta_nodes, None)
     assert abs(doubled - complex(res.value, res.imag_part)) <= tol
 
 
@@ -134,7 +134,7 @@ def test_theta_tail_doubles_the_rule(monkeypatch):
     assert res.theta_nodes == 16
     assert phases.count("theta refinement") == 1
     asm = _Assembler(params, 0.0, 1.0)
-    _, tail = _theta_integral(asm.N, _pack(_terms(asm, res.nodes)), params.p, 2.0, 8, None)
+    _, tail, _ = _theta_integral(asm.N, _pack(_terms(asm, res.nodes)), params.p, 2.0, 8, None)
     assert tail > 1e-9
     assert abs(res.value - dp_exact_prob(params)) < 1e-9
 
