@@ -342,13 +342,19 @@ class _LimitKernels:
             lines.append((-s.d3, kw["sbot"], kw["k3"], True))
         return -1.0, lines
 
-    def kernels(self, requests: Sequence[tuple], coords: dict) -> list[np.ndarray]:
+    def kernels(
+        self, requests: Sequence[tuple], coords: dict, weights: dict | None = None,
+    ) -> list[np.ndarray]:
         """Family matrices for ``requests`` of ``(family, kw, ukey, vkey)``.
 
         ``coords[ukey]`` and ``coords[vkey]`` are the row and column
-        coordinates; every matrix is real, and is conjugated by
-        ``exp(mu (v - u))`` once the walk is done, each in turn, so a
-        conjugated and an unconjugated copy of all of them never coexist.
+        coordinates; every matrix is real.  Once the walk is done, each
+        distinct matrix is conjugated by ``exp(mu (v - u))``, each in turn,
+        so a conjugated and an unconjugated copy of all of them never
+        coexist; given ``weights`` keyed like ``coords``, the conjugated
+        copy's rows and columns are then scaled in place by
+        ``weights[ukey]`` and ``weights[vkey]``.  Requests that resolve to
+        the same chain get the same array, conjugated and weighted once.
         """
         jobs = []
         for family, kw, ukey, vkey in requests:
@@ -380,8 +386,12 @@ class _LimitKernels:
             scale=lambda link: self._lines[link[0]][1] if link[1] else None, cols=cols,
         )
         for job, mat in values.items():
-            u, v = coords[job.links[0][1]], coords[job.cols[1]]
-            values[job] = mat * np.exp(self.mu * (v[None, :] - u[:, None]))
+            ukey, vkey = job.links[0][1], job.cols[1]
+            u, v = coords[ukey], coords[vkey]
+            values[job] = mat = mat * np.exp(self.mu * (v[None, :] - u[:, None]))
+            if weights is not None:
+                mat *= weights[ukey][:, None]
+                mat *= weights[vkey][None, :]
         return [values[job] for job in jobs]
 
 
@@ -637,17 +647,20 @@ def _limit_terms(
     of every grid come from one ``kern.kernels`` call, whose coordinate keys
     ``(i, r == p)`` carry the grid's position ``i``: each grid keeps its own
     jobs, and the walk forms each line coupling, row and column factor once
-    for all grids and each chain prefix once per grid.  Each kernel matrix
-    is weighted in place, so the bases are all that outlive the call.
+    for all grids and each chain prefix once per grid.  ``kern.kernels``
+    weights each distinct kernel matrix in place, once, also when two
+    requests resolve to the same chain (equal time increments), so the
+    bases are all that outlive the call.
     """
     p = kern.p
-    # per grid, blocks below p share one coordinate array, block p has the other
+    # per grid, blocks below p share one coordinate array and weights, block p has the other
     coords = {(i, r == p): grid.nodes[grid.slices[r - 1]]
               for i, grid in enumerate(grids) for r in range(1, p + 1)}
+    weights = {(i, r == p): np.sqrt(grid.weights[grid.slices[r - 1]])
+               for i, grid in enumerate(grids) for r in range(1, p + 1)}
     index: dict[tuple, int] = {}
-    requests, weights, levels = [], [], []
+    requests, levels = [], []
     for i, grid in enumerate(grids):
-        sw = np.sqrt(grid.weights)
         blocks = []
         for r in range(1, p + 1):
             rows = grid.slices[r - 1]
@@ -659,17 +672,13 @@ def _limit_terms(
                     if key not in index:
                         index[key] = len(requests)
                         requests.append((family, kw, (i, r == p), (i, s == p)))
-                        weights.append((sw[rows], sw[cols]))
                     bucket[index[key]] = bucket.get(index[key], 0) + poly
                 blocks.append((rows, cols, bucket))
         levels.append(blocks)
     _check_deadline(deadline, "assembly")
-    bases = kern.kernels(requests, coords)
-    for base, (row_w, col_w) in zip(bases, weights):
-        if not np.all(np.isfinite(base)):
-            raise ConvergenceError("kernel values overflow: a line's weights exceed range")
-        base *= row_w[:, None]
-        base *= col_w[None, :]
+    bases = kern.kernels(requests, coords, weights)
+    if not all(np.all(np.isfinite(base)) for base in bases):
+        raise ConvergenceError("kernel values overflow: a line's weights exceed range")
     return [
         [(rows, cols, bases[idx], poly) for rows, cols, bucket in blocks
          for idx, poly in bucket.items()]

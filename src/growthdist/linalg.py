@@ -38,6 +38,7 @@ symmetric, and both the value and the tail are read from them.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -167,10 +168,7 @@ def _pack(terms) -> tuple[list, list]:
     ]
 
 
-def _dets(
-    size: int, packed, thetas: tuple[np.ndarray, ...], deadline: float | None,
-    where: Callable[[int], str] | None = None,
-) -> np.ndarray:
+def _dets(size: int, packed, thetas: tuple[np.ndarray, ...], deadline: float | None) -> np.ndarray:
     """``det(I + F(theta))`` at every node of the theta grid ``thetas``.
 
     ``packed`` is ``_pack(terms)``; ``thetas[i]`` holds component ``i`` of
@@ -179,9 +177,8 @@ def _dets(
     ``_DET_BATCH_BYTES`` of matrices, a zeroed stack gets its unit
     diagonal, each block adds ``monomials @ packed`` in one matrix
     product, and one batched ``lu_det`` call takes the determinants.
-    ``deadline`` is checked before every chunk; a non-finite determinant
-    raises ``ConvergenceError``, naming its node by ``where(flat index)``
-    when given.
+    ``deadline`` is checked before every chunk.  A non-finite determinant
+    is returned as it is; the callers raise ``ConvergenceError`` for it.
     """
     exponents, blocks = packed
     torus = thetas[0].shape if thetas else ()
@@ -202,10 +199,6 @@ def _dets(
                 shape = (hi - lo, rows.stop - rows.start, cols.stop - cols.start)
                 mats[:, rows, cols] += (monomials[:, which] @ mat).reshape(shape)
             dets[lo:hi] = lu_det(mats)
-        bad = np.flatnonzero(~np.isfinite(dets[lo:hi]))
-        if bad.size:
-            at = "" if where is None else where(lo + bad[0])
-            raise ConvergenceError(f"non-finite determinant {complex(dets[lo + bad[0]])}{at}")
     return dets.reshape(torus)
 
 
@@ -219,7 +212,10 @@ def _det_at(size: int, terms, p: int, thetas) -> complex:
     if not (np.all(np.isfinite(thetas)) and np.all(np.asarray(thetas) != 0)):
         raise SchemaError(f"theta components must be finite and non-zero, got {tuple(thetas)}")
     node = tuple(np.full((1,) * len(thetas), th, dtype=complex) for th in thetas)
-    return complex(_dets(size, _pack(terms), node, None).ravel()[0])
+    det = complex(_dets(size, _pack(terms), node, None).ravel()[0])
+    if not cmath.isfinite(det):
+        raise ConvergenceError(f"non-finite determinant {det}")
+    return det
 
 
 def _ring(radius: float, n: int) -> np.ndarray:
@@ -277,11 +273,12 @@ def _theta_integral(
         keep &= (index % 2).any(axis=0)
         dets.reshape(torus)[(slice(None, None, 2),) * (p - 1)] = coarse
     nodes = np.flatnonzero(keep)
-
-    def where(i: int) -> str:
-        return f" at theta node {tuple(int(j) for j in index[:, nodes[i]])} of n_theta={n_theta}"
-
-    computed = _dets(size, packed, tuple(ring[axis[nodes]] for axis in index), deadline, where)
+    computed = _dets(size, packed, tuple(ring[axis[nodes]] for axis in index), deadline)
+    bad = np.flatnonzero(~np.isfinite(computed))
+    if bad.size:
+        node = tuple(int(j) for j in index[:, nodes[bad[0]]])
+        raise ConvergenceError(f"non-finite determinant {complex(computed[bad[0]])} "
+                               f"at theta node {node} of n_theta={n_theta}")
     dets[mirror[nodes]] = computed.conj()
     dets[nodes] = computed  # a self-conjugate node keeps its own value
     dets = dets.reshape(torus)
@@ -315,9 +312,10 @@ def _certified_integral(
     1`` has no theta, and its value is the single determinant ``det(I +
     F)``, real since the bases are (``n_theta = 0``, tail 0).
     """
-    packed = _pack(terms)
     if p == 1:
-        return float(_dets(size, packed, (), deadline).real), 0, 0.0
+        _check_deadline(deadline, "theta integration")
+        return _det_at(size, terms, p, ()).real, 0, 0.0
+    packed = _pack(terms)
     dets = None
     while True:
         value, tail, dets = _theta_integral(size, packed, p, radius, n_theta, deadline, dets)

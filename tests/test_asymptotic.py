@@ -20,6 +20,7 @@ import growthdist.params
 from growthdist.asymptotic import (
     LimitSettings,
     _airy_form_kernel,
+    _block_terms,
     _eval_basic_kernel,
     _Layout,
     _limit_terms,
@@ -333,6 +334,36 @@ def test_limit_bases_are_real_to_rounding(monkeypatch, inst):
         full = full @ (np.exp(np.outer(nodes, coords[job.cols[1]])) * wf[:, None]) / job.sign
         assert np.isrealobj(value)
         assert np.abs(value - full).max() <= 1e-6 * np.abs(full).max()
+
+
+def test_equal_increments_weight_each_shared_base_once():
+    # t = (1, 2, 3) has equal increments, so requests of different blocks
+    # resolve to one chain and share one kernel matrix; every block must
+    # still be the sum of its terms' families under W^(1/2) . W^(1/2)
+    inst = LimitParams(t=(1.0, 2.0, 3.0), x=(0.0, 0.0, 0.0), xi=(0.0, 0.0, 0.0))
+    settings = LimitSettings()
+    grid = block_grid(inst.p, settings.extent, 12)
+    (terms,) = _limit_terms(_LimitKernels(inst, settings), [grid])
+    theta = (2.0 * cmath.exp(0.7j), 2.0 * cmath.exp(-0.4j))
+
+    def at(poly):
+        return sum(c * math.prod(th ** k for th, k in zip(theta, alpha))
+                   for alpha, c in poly.items())
+
+    got = np.zeros((len(grid), len(grid)), dtype=complex)
+    for rows, cols, base, poly in terms:
+        got[rows, cols] += at(poly) * base
+    want = np.zeros_like(got)
+    sw = np.sqrt(grid.weights)
+    requests = set()
+    for r, s in itertools.product(range(1, inst.p + 1), repeat=2):
+        rows, cols = grid.slices[r - 1], grid.slices[s - 1]
+        for family, kw, poly in _block_terms(inst.p, r, s):
+            requests.add((family, tuple(sorted(kw.items())), r == inst.p, s == inst.p))
+            kern = _eval_basic_kernel(family, kw, grid.nodes[rows], grid.nodes[cols], inst)
+            want[rows, cols] += at(poly) * (sw[rows, None] * kern * sw[None, cols])
+    assert len({id(base) for _, _, base, _ in terms}) < len(requests)  # some bases are shared
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_det_invariant_under_conjugation_rate():
