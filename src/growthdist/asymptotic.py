@@ -15,11 +15,15 @@ families of iterated line-contour integrals of the cubic-exponent weight
 
 evaluated on increment triples ``(Dt, Dx, Dxi)`` between two time indices
 (index 0 denotes the zero base point).  Downward-decaying factors ``1/G``
-live on vertical lines left of the origin (abscissas ``-d1, -d2, -d3``),
-upward factors ``G`` on lines right of it (``D`` or a ladder ``D_k`` whose
-up/down ordering is dictated by a sign vector ``eps``).  All kernels carry
-the conjugation ``exp(mu (v - u))``, which leaves every determinant
-invariant but makes each block decay fast enough to truncate.
+live on lines left of the origin (abscissas ``-d1, -d2, -d3``), upward
+factors ``G`` on lines right of it (``D`` or a ladder ``D_k`` whose up/down
+ordering is dictated by a sign vector ``eps``).  Each line is an upward
+wedge: two rays from its abscissa, mirror images across the real axis,
+tilted from vertical toward the steepest descent of the cubic, so that
+the wedge of ``G`` opens right and that of ``1/G`` left.  Translates of one
+wedge never meet, so every ordering the kernels need survives.  All
+kernels carry the conjugation ``exp(mu (v - u))``, which leaves every
+determinant invariant but makes each block decay fast enough to truncate.
 
 A family is named by its number and one index dict ``kw`` as
 ``_block_terms`` writes it: ``rtop``/``sbot`` (first and last time index),
@@ -67,6 +71,8 @@ override: ``extent``, ``block_nodes``, ``theta_radius``, ``mu``, ``tol`` and
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -82,7 +88,7 @@ from .integrands import (
     airy_kernel_matrix,
     composite_gl,
     log_script_g,
-    vline,
+    wedge,
 )
 from .linalg import (
     _PANEL,
@@ -119,9 +125,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _QC_FLOOR = 0.15          # minimum Gaussian decay rate enforced on any line
-_HW_SIGMA = 6.5           # line half-width in units of 1/sqrt(decay rate)
+_HW_SIGMA = 6.5           # a line is cut where its integrand falls below exp(-_HW_SIGMA^2)
+_RAY_ANGLE = math.radians(75.0)  # a growing line's rays; a decaying line's mirror them
 _NODES_PER_RADIAN = 3.4 / (2.0 * math.pi)
-_MAX_LINE_NODES = 6000
+_PANEL_PER_GAP = 2.0      # longest panel, in gaps to the nearest coupled line
+_MAX_PANEL = 1.0          # and in absolute terms
+_MAX_LINE_NODES = 6000    # nodes of a whole wedge, at most
 _INTERIOR_VMAX = 2.0      # oscillation allowance for lines with no u/v factor
 _AIRY_ARG_FLOOR = -58.0   # deepest Airy argument the evaluator certifies
 _LAM_MAX = 40.0           # widest decay-variable window of the Airy-operator form
@@ -129,7 +138,7 @@ _LAM_NODES = 160          # Gauss-Legendre nodes on that window
 
 
 class _Layout(NamedTuple):
-    """Abscissas of the limit kernels' lines.
+    """Abscissas of the limit kernels' lines, the vertices of their wedges.
 
     ``d1, d2, d3`` are the (positive) distances of the decaying lines left
     of the origin, ``d_single`` the abscissa of a lone growing line, and
@@ -211,24 +220,33 @@ class _LimitKernels:
     Every family is a chain of line contours: the row factor
     ``exp(-node * u)`` on the first line, Cauchy couplings ``1/(a - b)``
     between adjacent lines with each interior line's weights in between,
-    and the column factor ``exp(node * v)`` on the last line.  Lines are
-    truncated where the Gaussian decay of ``G^(+-1)`` reaches
-    ``exp(-_HW_SIGMA^2)`` and sampled densely enough for the accumulated
-    cubic phase plus the ``exp(i y u)`` rotation; they do not depend on the
-    Nystrom grid, so one instance builds each line once and keeps it.  If an
-    instance's tilt ``Dx`` would push some line's decay rate below
-    ``_QC_FLOOR``, the decaying lines shift left, or the growing lines
-    right, by the least common amount that restores it; a shift keeps every
-    ordering and gap the kernels depend on.
+    and the column factor ``exp(node * v)`` on the last line.  A line is a
+    wedge whose rays leave its abscissa at ``_RAY_ANGLE`` from the positive
+    real axis for ``G`` and from the negative one for ``1/G``, between
+    vertical and the cubic's steepest descent (``pi/3``).  Each ray is cut
+    where ``log|G^(+-1)| + vmax |Re z|``, a cubic in the distance along it,
+    falls below ``-_HW_SIGMA^2`` for good, and carries whole 12-node
+    Gauss-Legendre panels: enough for the variation of the exponent and of
+    ``exp(-z u)`` (``_NODES_PER_RADIAN``), and none longer than
+    ``_PANEL_PER_GAP`` times the gap to the nearest line coupled to it or
+    than ``_MAX_PANEL``.  The lines do not depend on the Nystrom grid, so
+    one instance builds each line once and keeps it, and a line whose
+    weights overflow raises ``ConvergenceError`` when it is built.  If an
+    instance's tilt ``Dx`` would push some line's Gaussian decay rate across
+    the real axis below ``_QC_FLOOR``, the decaying lines shift left, or the
+    growing lines right, by the least common amount that restores it; a
+    shift keeps every ordering and gap the kernels depend on.
 
-    A line is whole 12-node panels symmetric about its anchor, and keeps one
-    node of each conjugate pair.  ``_chain(family, kw)`` lists a family's
-    lines.  ``kernels`` gives the first line the oscillation budget of
-    ``u``, the last that of ``v`` and the others ``_INTERIOR_VMAX``, and
-    walks many chains together on the kept nodes (``_walk_chains``), so
-    each line coupling, row and column factor and chain prefix is formed
-    once and shared, a coupling or column factor is dropped after its last
-    use, and nothing grid-sized outlives the call.  Every result is real.
+    A line keeps one node of each conjugate pair, those of its lower ray.
+    The upper ray's weights are ``e^(i phi) dr / (2 pi i)``, the lower
+    ray's their conjugates, so the walks stay real.  ``_chain(family, kw)``
+    lists a family's lines.  ``kernels`` gives the first line the
+    oscillation budget of ``u``, the last that of ``v`` and the others
+    ``_INTERIOR_VMAX``, and walks many chains together on the kept nodes
+    (``_walk_chains``), so each line coupling, row and column factor and
+    chain prefix is formed once and shared, a coupling or column factor is
+    dropped after its last use, and nothing grid-sized outlives the call.
+    Every result is real.
     """
 
     def __init__(self, inst: LimitParams, settings: LimitSettings):
@@ -242,6 +260,7 @@ class _LimitKernels:
         down = max(0.0, max(f + s for f, s in need) - min(d1, d2, d3))
         up = max(0.0, max(f - s for f, s in need) - min(d_single, lo))
         self.layout = _Layout(d1 + down, d2 + down, d3 + down, d_single + up, lo + up, hi + up)
+        self._gaps = self._coupled_gaps()
         # line key -> (nodes, weights times G^(+-1))
         self._lines: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -255,31 +274,52 @@ class _LimitKernels:
     def _line(
         self, anchor: float, trip: tuple[float, float, float], vmax: float, inverse: bool
     ) -> tuple:
-        """Key of the line at ``anchor`` for ``G^(+-1)(trip)``, built on first use."""
+        """Key of the wedge at ``anchor`` for ``G^(+-1)(trip)``, built on first use."""
         key = (round(anchor, 12), trip, vmax, inverse)
         if key in self._lines:
             return key
         dt, dx, dxi = trip
-        qc = dt * abs(anchor) + (dx * dt ** (2.0 / 3.0)) * (1.0 if anchor > 0 else -1.0)
-        if qc <= 0.02:
-            raise ConvergenceError(
-                f"line at {anchor:g} has no Gaussian decay (rate {qc:g})"
-            )
-        hw = _HW_SIGMA / math.sqrt(qc)
-        phase = (2.0 / 3.0) * dt * hw ** 3 + 2.0 * hw * (
-            dt * anchor * anchor
-            + 2.0 * abs(anchor * dx) * dt ** (2.0 / 3.0)
-            + abs(dxi) * dt ** (1.0 / 3.0)
-            + vmax
-        )
-        n = int(max(96, min(_MAX_LINE_NODES, _NODES_PER_RADIAN * phase + 24)))
-        line = vline(anchor, hw, n, panel_size=12)
+        angle = math.pi - _RAY_ANGLE if inverse else _RAY_ANGLE
+        ray = cmath.exp(1j * angle)
+        # Taylor coefficients of log G^(+-1)(anchor + r ray) in r
+        a, b2, b1 = anchor, dx * dt ** (2.0 / 3.0), dxi * dt ** (1.0 / 3.0)
+        taylor = (-1.0 if inverse else 1.0) * np.array(
+            [dt * a ** 3 / 3.0 + b2 * a * a - b1 * a, dt * a * a + 2.0 * b2 * a - b1,
+             dt * a + b2, dt / 3.0]) * ray ** np.arange(4)
+        # cut where log|G^(+-1)| + vmax |Re z| falls below -_HW_SIGMA^2 for good
+        bound = taylor.real + vmax * np.array([abs(a), abs(ray.real), 0.0, 0.0])
+        bound[0] += _HW_SIGMA ** 2
+        roots = np.roots(bound[::-1])
+        cuts = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+        longest = min(_PANEL_PER_GAP * self._gaps[key[0]], _MAX_PANEL)
+        length = max(cuts.max(initial=0.0), longest)
+        # enough panels for the variation of the exponent and of exp(-z u)
+        change = np.abs(taylor[1:]) @ length ** np.arange(1, 4) + vmax * length
+        panels = max(math.ceil(length / longest), math.ceil(_NODES_PER_RADIAN * change / _PANEL) + 1)
+        line = wedge(anchor, angle, length, min(panels, _MAX_LINE_NODES // (2 * _PANEL)), _PANEL)
         half = len(line) // 2  # the other half are the conjugates
         with np.errstate(over="ignore", invalid="ignore"):
             lg = log_script_g(line.nodes[:half], dt, dx, dxi)
             wf = line.weights[:half] * np.exp(-lg if inverse else lg)
+        if not np.all(np.isfinite(wf)):
+            raise ConvergenceError("kernel values overflow: a line's weights exceed range")
         self._lines[key] = (line.nodes[:half], wf)
         return key
+
+    def _coupled_gaps(self) -> dict[float, float]:
+        """``{abscissa: least distance to a line coupled to it}`` over every chain shape."""
+        s, gaps = self.layout, {}
+        chains = [[-s.d1, -s.d2, -s.d3], [s.d_single, -s.d1], [s.d_single, -s.d2, -s.d3]]
+        for k2 in range(1, self.p + 1):
+            for k1 in range(k2):
+                for epsw in itertools.product((1, 2), repeat=k2 - k1 - 1):
+                    ladder = self._ladder(k1, k2, epsw)
+                    chains.append([-s.d1] + [ladder[k] for k in range(k1 + 1, k2 + 1)] + [-s.d2])
+        for chain in chains:
+            for a, b in zip(chain, chain[1:]):
+                for z in (a, b):
+                    gaps[round(z, 12)] = min(gaps.get(round(z, 12), math.inf), abs(a - b))
+        return gaps
 
     def _ladder(
         self, k1: int, k2: int, epsw: tuple[int, ...]

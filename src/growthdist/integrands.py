@@ -8,9 +8,9 @@ Two contour shapes are used:
 
 * counterclockwise circles (trapezoidal rule — exponentially accurate for
   integrands analytic in an annulus around the circle), and
-* upward vertical lines (composite Gauss-Legendre panels on a finite
-  symmetric window chosen by the caller from the Gaussian decay of the
-  integrand).
+* upward wedges: two rays from one point of the real axis, mirror images
+  across it (composite Gauss-Legendre panels on each ray, truncated at a
+  length the caller chooses from the decay of the integrand).
 
 The scalar factors are evaluated in log space and exponentiated once per
 kernel entry, which keeps intermediate magnitudes representable even when
@@ -34,6 +34,7 @@ in its closed form ``(Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b)``, with
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ __all__ = [
     "gauss_legendre",
     "composite_gl",
     "circle",
-    "vline",
+    "wedge",
     "log_g",
     "log_script_g",
     "airy_ai",
@@ -108,10 +109,21 @@ def circle(center: complex, radius: float, n: int) -> Contour:
     return Contour(nodes=nodes, weights=weights)
 
 
-def vline(anchor: float, halfwidth: float, n: int, panel_size: int = 8) -> Contour:
-    """Upward vertical line through ``anchor`` truncated at ``+-i*halfwidth``."""
-    y, w = composite_gl(-halfwidth, halfwidth, n, panel_size)
-    return Contour(nodes=anchor + 1j * y, weights=w / (2.0 * np.pi))
+def wedge(anchor: float, angle: float, length: float, panels: int, panel_size: int = 12) -> Contour:
+    """Upward wedge with vertex ``anchor``: rays at ``-angle`` (inward), then ``angle``.
+
+    ``angle`` in ``(0, pi)`` is measured from the positive real axis, and
+    each ray carries ``panels`` Gauss-Legendre panels on ``[0, length]``.
+    The first half of the nodes is the lower ray from its far end inward,
+    the second half their conjugates in reverse order, so ``nodes[::-1] ==
+    nodes.conj()`` and ``weights[::-1] == weights.conj()``.
+    """
+    r, w = composite_gl(0.0, length, panels * panel_size, panel_size)
+    ray = cmath.exp(1j * angle)
+    upper = anchor + ray * r
+    wu = ray * w / (2j * np.pi)
+    return Contour(nodes=np.concatenate([upper[::-1].conj(), upper]),
+                   weights=np.concatenate([wu[::-1].conj(), wu]))
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -460,13 +460,13 @@ def test_lines_built_once_per_call(monkeypatch):
     # the lines do not depend on the Nystrom grid, so a further level
     # reuses them; tol=1e-300 forces every level to run
     calls = [0]
-    vline = growthdist.asymptotic.vline
+    wedge = growthdist.asymptotic.wedge
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return vline(*args, **kwargs)
+        return wedge(*args, **kwargs)
 
-    monkeypatch.setattr(growthdist.asymptotic, "vline", counting)
+    monkeypatch.setattr(growthdist.asymptotic, "wedge", counting)
     counts = []
     for max_levels in (1, 2):
         calls[0] = 0
@@ -476,6 +476,17 @@ def test_lines_built_once_per_call(monkeypatch):
         counts.append(calls[0])
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+def test_anchor_rays_keep_at_most_200_nodes():
+    # the wedges leave the real axis toward the cubic's steepest descent, so
+    # the anchor's lines are short and barely oscillate; as vertical lines
+    # its two growing ladder lines kept 426 nodes each
+    kern = _LimitKernels(ANCHOR, LimitSettings())
+    _limit_terms(kern, [block_grid(ANCHOR.p, 12.0, 48)])
+    counts = [len(nodes) for nodes, _ in kern._lines.values()]
+    assert len(counts) == 9
+    assert max(counts) <= 200
 
 
 @pytest.mark.parametrize("block_nodes", [8, 12])
@@ -560,6 +571,30 @@ def test_close_times_break_the_sandwich(t2, x, xi):
     # sandwich (census-7, census-21) or overflowed (census-12) while the
     # layout was scaled up instead of shifted
     _assert_sandwiched(LimitParams(t=(1.0, t2), x=x, xi=xi))
+
+
+@pytest.mark.parametrize(
+    "t2, x, xi, ref",
+    [
+        pytest.param(1.25, (0.3, -0.3), (0.3, 0.5), 0.98174846, id="tilted-1.25"),
+        pytest.param(1.05, (0.0, 0.0), (0.3, 0.7), 0.98377445, id="untilted-1.05"),
+    ],
+)
+def test_close_times_agree_with_denser_lines(t2, x, xi, ref):
+    # ROADMAP item 1 gate (e) and a census corner: the references are the
+    # values on which 2x and 4x the vertical lines' node density agreed
+    # (1.6e-10 and 1.3e-9 apart); at 1x those lines read 0.98175351 and
+    # 0.98418459, 5e-6 and 4.1e-4 off
+    res = multitime_cdf(LimitParams(t=(1.0, t2), x=x, xi=xi))
+    assert abs(res.value - ref) <= LimitSettings().tol
+
+
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="ROADMAP item 1: a non-finite determinant at t2 - t1 <= 0.03")
+@pytest.mark.parametrize("t2", [1.02, 1.03])
+def test_closest_times_are_finite_and_sandwiched(t2):
+    # ROADMAP item 1 gate (e) at its smallest gaps
+    _assert_sandwiched(LimitParams(t=(1.0, t2), x=(0.0, 0.0), xi=(0.3, 0.7)))
 
 
 @st.composite

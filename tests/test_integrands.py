@@ -22,7 +22,7 @@ from growthdist.integrands import (
     log_g,
     log_gstar,
     log_script_g,
-    vline,
+    wedge,
 )
 from growthdist.params import compute_constants
 
@@ -67,14 +67,20 @@ def test_circle_node_doubling_stable():
     )
 
 
-def test_vline_evaluates_gaussian_integral():
-    # on the line z = -1 + iy the factor exp(z^2/2) is a tilted Gaussian:
-    # int exp(z^2/2) dy / (2 pi) = 1/sqrt(2 pi) independent of the anchor
-    for anchor in (-1.0, -2.0):
-        v = vline(anchor, 30.0, 400, panel_size=8)
-        got = v.integrate(np.exp(v.nodes ** 2 / 2.0))
-        assert got.imag == pytest.approx(0.0, abs=1e-12)
-        assert got.real == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-10)
+@pytest.mark.parametrize("anchor, angle", [(0.5, 75.0), (1.2, 60.0), (-0.5, 105.0), (-1.2, 120.0)],
+                         ids=["right-75", "right-60", "left-105", "left-120"])
+def test_wedge_evaluates_airy_integral(anchor, angle):
+    # Ai(x) = (1/(2 pi i)) int exp(w^3/3 - x w) dw on a wedge opening right,
+    # and the same integral of exp(-w^3/3 + x w) on one opening left (w -> -w)
+    x = np.array([-3.0, -1.0, 0.0, 0.7, 2.0])
+    sign = 1.0 if anchor > 0 else -1.0
+    c = wedge(anchor, math.radians(angle), 7.0, 16)
+    assert len(c) == 2 * 16 * 12
+    assert np.allclose(c.nodes[::-1], c.nodes.conj())
+    assert np.allclose(c.weights[::-1], c.weights.conj())
+    got = np.exp(sign * (c.nodes[None, :] ** 3 / 3.0 - x[:, None] * c.nodes[None, :])) @ c.weights
+    assert np.abs(got.imag).max() < 1e-13
+    assert np.abs(got.real - airy_ai(x)).max() < 1e-13
 
 
 def _walk_conjugate_rules(monkeypatch):
@@ -83,7 +89,7 @@ def _walk_conjugate_rules(monkeypatch):
     The chains share prefixes, end at different depths, cross the pair
     (1, 2) at two depths and share column factors; a link is (contour,
     scale the columns?).  The rules are even-count circles centred on the
-    real axis and one vertical line (contour 3); rows, scales and columns
+    real axis and one wedge (contour 3); rows, scales and columns
     are polynomials with real coefficients (the columns in contour 2's
     nodes, for every job), so every chain is real.  Returns the jobs, the
     walk's values, the direct products over the full rules, the shapes of
@@ -92,7 +98,7 @@ def _walk_conjugate_rules(monkeypatch):
     """
     rng = np.random.default_rng(5)
     full = {c: circle(float(c), 0.2 + 0.05 * c, 16).nodes for c in range(3)}
-    full[3] = vline(0.5, 2.0, 16).nodes
+    full[3] = wedge(0.5, math.radians(75.0), 2.0, 1, panel_size=8).nodes
     half = {c: z[:8] for c, z in full.items()}
     assert all(np.allclose(z[::-1], z.conj()) for z in full.values())
 
