@@ -11,7 +11,8 @@ import pytest
 
 from growthdist.asymptotic import multitime_cdf
 from growthdist.cli import main
-from growthdist.params import LimitParams
+from growthdist.growth import mc_multipoint
+from growthdist.params import LimitParams, ModelParams
 
 ANCHOR = '{"t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}'
 TINY = '{"q": 0.4, "m": [1, 3], "n": [1, 2], "a": [2, 4]}'
@@ -182,6 +183,17 @@ def test_zero_budget_exits_4(tmp_path, capsys, command, config, extra):
     code, doc = _run(tmp_path, command, config, *extra)
     assert code == 4 and doc is None
     assert "budget" in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    # 2**64 - 1 is the last seed the CLI takes; it keys the chunk streams
+    # with every word set
+    seed = 2**64 - 1
+    code, doc = _run(tmp_path, "simulate", TINY, "--samples", "1000", "--seed", str(seed))
+    assert code == 0
+    assert doc["provenance"]["seed"] == seed
+    params = ModelParams(q=0.4, m=(1, 3), n=(1, 2), a=(2, 4))
+    assert doc["diagnostics"]["successes"] == mc_multipoint(params, 1000, seed=seed).successes
 
 
 @pytest.mark.parametrize(

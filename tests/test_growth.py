@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import growthdist.growth
 from growthdist.growth import _CHUNK, _generator, _height_type, mc_multipoint, sample_weights
 from growthdist.errors import SchemaError
+from growthdist.exact import multipoint_prob_exact
 from growthdist.oracle import dp_exact_prob
 from growthdist.params import ModelParams, discretize, parse_instance
 
@@ -115,6 +116,9 @@ def test_mc_validates_sample_count():
 
 # Success counts are part of the reproducibility contract: the chunk streams
 # and the inverse transform must reproduce them exactly for any worker count.
+# Each pin must also lie within 5 binomial standard errors of an independent
+# value (the exact formula on a scaled config, the DP on a discrete one), so
+# that it cannot record a biased sampler.
 SCALED = {"q": 0.25, "t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}
 
 
@@ -122,10 +126,10 @@ SCALED = {"q": 0.25, "t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}
 @pytest.mark.parametrize(
     "config, nsamples, seed, successes",
     [
-        ({**SCALED, "T": 40}, 16384, 99, 15752),
-        ({**SCALED, "T": 10}, 20000, 5, 19234),
-        ({"q": 0.4, "m": [1, 2], "n": [1, 3], "a": [2, 4]}, 40000, 7, 21293),
-        ({"q": 0.6, "m": [3, 5], "n": [2, 4], "a": [3, 6]}, 30000, 11, 22),
+        ({**SCALED, "T": 40}, 16384, 99, 15669),
+        ({**SCALED, "T": 10}, 20000, 5, 19258),
+        ({"q": 0.4, "m": [1, 2], "n": [1, 3], "a": [2, 4]}, 40000, 7, 21019),
+        ({"q": 0.6, "m": [3, 5], "n": [2, 4], "a": [3, 6]}, 30000, 11, 25),
     ],
     ids=["T40-seed99", "T10-seed5", "tiny-seed7", "tail-seed11"],
 )
@@ -135,6 +139,24 @@ def test_mc_success_counts_are_pinned(config, nsamples, seed, successes, workers
         params = discretize(params)
     res = mc_multipoint(params, nsamples, seed=seed, workers=workers)
     assert res.successes == successes
+    truth = multipoint_prob_exact(params).value if "T" in config else dp_exact_prob(params)
+    assert abs(successes - nsamples * truth) <= 5 * math.sqrt(nsamples * truth * (1 - truth))
+
+
+def _head(seed: int, stream: int) -> tuple[float, ...]:
+    return tuple(_generator(seed, stream).random(4))
+
+
+def test_generator_keys_give_distinct_streams():
+    seeds = [0, 1, 2**63, 2**64 - 1]
+    heads = {_head(s, c) for s in seeds for c in range(3)}
+    assert len(heads) == len(seeds) * 3
+    for a, b in [(0, 1), (1, 2), (5, 2**63), (2**32, 7)]:
+        assert _head(a, b) != _head(b, a)
+    # variable-width keys would pad (2**32, 0) to the words of (0, 1)
+    assert _head(2**32, 0) != _head(0, 1)
+    # keys are taken modulo 2**64
+    assert _head(2**64 + 3, 1) == _head(3, 1)
 
 
 # A plain reference for the stream contract: each chunk's rows drawn whole as
