@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from itertools import accumulate
 
 import numpy as np
@@ -11,8 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import growthdist.growth
-from growthdist.growth import _CHUNK, _generator, _height_type, mc_multipoint, sample_weights
-from growthdist.errors import SchemaError
+from growthdist.growth import (
+    _CHUNK,
+    _cell_table,
+    _generator,
+    _height_type,
+    _inverse_transform,
+    mc_multipoint,
+    sample_weights,
+)
+from growthdist.errors import BudgetError, SchemaError
 from growthdist.exact import multipoint_prob_exact
 from growthdist.oracle import dp_exact_prob
 from growthdist.params import ModelParams, discretize, parse_instance
@@ -43,6 +52,23 @@ def test_sample_weights_distribution():
     # P(w = 0) = 1 - q, with a binomial error bar
     p0 = np.mean(w == 0)
     assert abs(p0 - (1 - q)) < 4 * math.sqrt(q * (1 - q) / n)
+
+
+@pytest.mark.parametrize("q", [1e-20, 0.02, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1 - 1e-9])
+def test_cell_table_matches_the_transform(q):
+    # a determinate cell h must give the weight of every j = (h << 37) | l
+    table = _cell_table(q, np.int64)
+    # U <= 2**-16 is always a fix-up, even at q = 1e-20 where its weights are all 0
+    assert table[-1] == -1
+    cells = np.flatnonzero(table >= 0).astype(np.uint64)
+    rng = np.random.default_rng(17)
+    lows = (np.uint64(0), np.uint64(2**37 - 1), rng.integers(0, 2**37, cells.size, np.uint64))
+    for low in lows:
+        j = (cells << np.uint64(37)) | low
+        weights = np.floor(_inverse_transform(j * 2.0**-53, math.log(q))).astype(np.int64)
+        assert np.array_equal(weights, table[cells.astype(np.intp)])
+    if q == 0.25:
+        assert np.mean(table < 0) < 1e-3
 
 
 def test_sample_weights_validates_q():
@@ -108,6 +134,16 @@ def test_mc_agrees_with_transfer_matrix():
     assert abs(res.estimate - truth) < 5 * res.stderr
 
 
+def test_mc_budget_is_checked_every_row():
+    # one 8,192-sample chunk of 300 rows takes seconds; a check before
+    # each chunk alone would let it run to the end
+    params = ModelParams(q=0.5, m=(300,), n=(300,), a=(10**5,))
+    start = time.monotonic()
+    with pytest.raises(BudgetError):
+        mc_multipoint(params, _CHUNK, seed=0, deadline=start + 0.05)
+    assert time.monotonic() - start < 2.0
+
+
 def test_mc_validates_sample_count():
     params = ModelParams(q=0.5, m=(1,), n=(1,), a=(1,))
     with pytest.raises(ValueError):
@@ -126,10 +162,10 @@ SCALED = {"q": 0.25, "t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}
 @pytest.mark.parametrize(
     "config, nsamples, seed, successes",
     [
-        ({**SCALED, "T": 40}, 16384, 99, 15669),
-        ({**SCALED, "T": 10}, 20000, 5, 19258),
-        ({"q": 0.4, "m": [1, 2], "n": [1, 3], "a": [2, 4]}, 40000, 7, 21019),
-        ({"q": 0.6, "m": [3, 5], "n": [2, 4], "a": [3, 6]}, 30000, 11, 25),
+        ({**SCALED, "T": 40}, 16384, 99, 15708),
+        ({**SCALED, "T": 10}, 20000, 5, 19245),
+        ({"q": 0.4, "m": [1, 2], "n": [1, 3], "a": [2, 4]}, 40000, 7, 21320),
+        ({"q": 0.6, "m": [3, 5], "n": [2, 4], "a": [3, 6]}, 30000, 11, 21),
     ],
     ids=["T40-seed99", "T10-seed5", "tiny-seed7", "tail-seed11"],
 )
@@ -159,22 +195,38 @@ def test_generator_keys_give_distinct_streams():
     assert _head(2**64 + 3, 1) == _head(3, 1)
 
 
-# A plain reference for the stream contract: each chunk's rows drawn whole as
-# ``gen.random(size=(S, n_p))``, floored, and summed into int64 heights.
+# A plain reference for the stream contract.  Per chunk and row, the
+# ``n_p * S`` weights of the row, column ``n`` of the grid for every sample
+# and then column ``n + 1``, take their 16-bit cells ``h`` from the
+# little-endian words of ``ceil(n_p * S / 4)`` raw outputs; then each fix-up
+# cell, in that order, takes the top 37 bits of one more raw output as its
+# low bits ``l``.  Every weight goes through the full transform of
+# ``j = (h << 37) | l``; a determinate cell takes ``l`` from an unrelated
+# generator, so the reference also checks the table's determinate entries.
 def _reference_heights(params: ModelParams, nsamples: int, seed: int) -> np.ndarray:
     """Heights ``G(m_k, n_k)`` of every sample, shape ``(nsamples, p)``."""
     logq = math.log(params.q)
+    fixup = _cell_table(params.q, np.int64) < 0
+    unrelated = np.random.default_rng(2024)
+    words = np.arange(4, dtype=np.uint64) * np.uint64(16)
+    cols = params.n[-1]
     out = []
     for chunk, lo in enumerate(range(0, nsamples, _CHUNK)):
         size = min(_CHUNK, nsamples - lo)
-        gen = _generator(seed, chunk)
-        g = np.zeros((size, params.n[-1] + 1), dtype=np.int64)
+        bits = _generator(seed, chunk).bit_generator
+        g = np.zeros((size, cols + 1), dtype=np.int64)
         at = np.zeros((size, params.p), dtype=np.int64)
         for m in range(1, params.m[-1] + 1):
-            u = gen.random(size=(size, params.n[-1]))
-            w = np.floor(np.log(1.0 - u) / logq).astype(np.int64)
-            for n in range(1, params.n[-1] + 1):
-                g[:, n] = np.maximum(g[:, n], g[:, n - 1]) + w[:, n - 1]
+            raw = bits.random_raw(math.ceil(cols * size / 4))
+            h = ((raw[:, None] >> words) & np.uint64(0xFFFF)).reshape(-1)[: cols * size]
+            h = h.reshape(cols, size)
+            low = unrelated.integers(0, 2**37, size=h.shape, dtype=np.uint64)
+            fix = fixup[h.astype(np.intp)]
+            low[fix] = bits.random_raw(int(fix.sum())) >> np.uint64(27)
+            j = (h << np.uint64(37)) | low
+            w = np.floor(np.log(1.0 - j * 2.0**-53) / logq).astype(np.int64)
+            for n in range(1, cols + 1):
+                g[:, n] = np.maximum(g[:, n], g[:, n - 1]) + w[n - 1]
             for k, mk in enumerate(params.m):
                 if mk == m:
                     at[:, k] = g[:, params.n[k]]
@@ -197,7 +249,8 @@ def mc_cases(draw):
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(case=mc_cases())
-@example(case=(1 - 1e-9, (2, 4, 6), (1, 3, 5), (0.3, 0.5, 0.8)))  # int64 heights
+@example(case=(1 - 1e-9, (2, 4, 6), (1, 3, 5), (0.3, 0.5, 0.8)))  # int64 heights, all fix-ups
+@example(case=(0.999, (2, 4), (3, 9), (0.4, 0.7)))  # 8% fix-ups; 9 columns span two gathers
 @example(case=(0.5, (3,), (2,), (0.5,)))
 @pytest.mark.parametrize("nsamples", [1, 511, 513, _CHUNK + 37])
 def test_mc_matches_the_reference_recursion(case, nsamples):
