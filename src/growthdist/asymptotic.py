@@ -72,7 +72,6 @@ override: ``extent``, ``block_nodes``, ``theta_radius``, ``mu``, ``tol`` and
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -103,10 +102,10 @@ from .linalg import (
 from .params import (
     Laurent,
     LimitParams,
-    admissible_eps,
+    _sign_windows,
+    _window_piece,
     big_theta,
     delta_txxi,
-    eps_sign_exponent,
     mu_bound,
     theta_profile,
 )
@@ -310,11 +309,9 @@ class _LimitKernels:
         """``{abscissa: least distance to a line coupled to it}`` over every chain shape."""
         s, gaps = self.layout, {}
         chains = [[-s.d1, -s.d2, -s.d3], [s.d_single, -s.d1], [s.d_single, -s.d2, -s.d3]]
-        for k2 in range(1, self.p + 1):
-            for k1 in range(k2):
-                for epsw in itertools.product((1, 2), repeat=k2 - k1 - 1):
-                    ladder = self._ladder(k1, k2, epsw)
-                    chains.append([-s.d1] + [ladder[k] for k in range(k1 + 1, k2 + 1)] + [-s.d2])
+        for k1, k2, epsw, _ in _sign_windows(self.p):
+            ladder = self._ladder(k1, k2, epsw)
+            chains.append([-s.d1] + [ladder[k] for k in range(k1 + 1, k2 + 1)] + [-s.d2])
         for chain in chains:
             for a, b in zip(chain, chain[1:]):
                 for z in (a, b):
@@ -626,11 +623,15 @@ def _block_terms(p: int, r: int, s: int) -> list[tuple[int, dict, Laurent]]:
     the two-decaying-line family with merged coefficient
     ``Theta(r|k) - (1 + Theta(r|k)) (1 + Theta(k|s))`` (from ``-F0 + F1``),
     the three-decaying-line family with ``-Theta(r|k1)(1 + Theta(k2|s))``
-    (from ``-F3``), and for every admissible ``(k1, k2, eps)`` the signed
-    ``theta(r|eps)`` ladder terms of ``F2`` plus the bracketed corrections
-    of ``-F4`` (a free ``k3``, with boundary replacements when ``k2 = p``
-    or ``k3 = p``).  Each coefficient is a ``Laurent`` polynomial, built
-    once from the exponents of ``theta_profile`` and ``big_theta``.
+    (from ``-F3``), and for every window of ``params._sign_windows`` the
+    signed ``theta(r|eps)`` ladder terms of ``F2``, summed over the window
+    once, plus the bracketed corrections of ``-F4`` (a free ``k3``, with
+    boundary replacements when ``k2 = p`` or ``k3 = p``).  The walk's signs
+    are the finite-size ones; a limit ladder's couplings carry
+    ``(-1)^(k2-k1-1)`` more and its chain sign ``-1``, so a window takes
+    ``(-1)^(k1+k2)``, the per-eps limit sign ``(-1)^(eps[k1,k2] + [k2=p])``.
+    Families 6, 5 and 1 sit where ``L^eps``, ``J^eps`` and ``L_p`` do
+    (``params._window_piece``).  Each coefficient is a ``Laurent`` polynomial.
     """
     rtop, sbot = min(r, p - 1), min(s, p - 1)
     out = []
@@ -647,30 +648,26 @@ def _block_terms(p: int, r: int, s: int) -> list[tuple[int, dict, Laurent]]:
             add(4, -big_theta(r, k1, p) * (1 + big_theta(k2, s, p)),
                 k1=k1, rtop=rtop, k2=k2, sbot=s)
 
-    for k1 in range(0, p + 1):
-        for k2 in range(k1 + 1, p + 1):
-            for eps in admissible_eps(k1, k2, p):
-                sgn = (-1.0) ** (eps_sign_exponent(eps, k1, k2, p) + (1 if k2 == p else 0))
-                base = Laurent.monomial(theta_profile(r, eps), sgn)
-                ladder = {"k1": k1, "k2": k2, "epsw": tuple(eps[k1:k2 - 1]), "rtop": rtop}
-                if k1 < rtop and s == k2 < p:
-                    add(5, base, **ladder)
-                if k1 < rtop and sbot < k2:
-                    add(6, base, **ladder, sbot=sbot)
-                if k1 == p - 1 and k2 == p and r == p:
-                    add(1, base, sbot=sbot)
-
-                for k3 in range(0, p + 1):
-                    if k1 < rtop and s < k3 < k2:
-                        add(7, -base * (1 + big_theta(k3, s, p)), **ladder, k3=k3, sbot=s)
-                    if k2 == p and k3 == p - 1 and k1 < rtop and s < p - 1:
-                        add(7, base * (1 + big_theta(p, s, p)), **ladder, k3=k3, sbot=s)
-                    if k2 < p and k3 == p and k1 < rtop and sbot < k2:
-                        add(6, -base * (1 + big_theta(k2, s, p)), **ladder, sbot=sbot)
-                    if k1 == p - 1 and k2 == p and r == p and s < k3 < p:
-                        add(3, -base * (1 + big_theta(k3, s, p)), k=k3, sbot=s)
-                    if k1 == p - 1 and k2 == p and k3 == p - 1 and r == p and s < p - 1:
-                        add(3, base * (1 + big_theta(p, s, p)), k=k3, sbot=s)
+    for k1, k2, window, signed in _sign_windows(p):
+        piece = _window_piece(p, k1, k2, r, s)
+        if not piece and k1 >= rtop:
+            continue
+        base = sum(Laurent.monomial(theta_profile(r, eps), (-1) ** (k1 + k2) * sign)
+                   for sign, eps in signed)
+        ladder = {"k1": k1, "k2": k2, "epsw": window, "rtop": rtop}
+        if piece:
+            family, kw = {"L": (6, {**ladder, "sbot": sbot}), "J": (5, ladder),
+                          "Lp": (1, {"sbot": sbot})}[piece]
+            add(family, base, **kw)
+        # -F4: family 7 continues a ladder row (k1 < r*), family 3 the line of L_p
+        for k3 in range(s + 1, k2):
+            family, kw = ((3, {"k": k3, "sbot": s}) if piece == "Lp"
+                          else (7, {**ladder, "k3": k3, "sbot": s}))
+            add(family, -base * (1 + big_theta(k3, s, p)), **kw)
+            if k2 == p and k3 == p - 1:
+                add(family, base * (1 + big_theta(p, s, p)), **kw)
+        if piece == "L" and k2 < p:
+            add(6, -base * (1 + big_theta(k2, s, p)), **ladder, sbot=sbot)
     return out
 
 

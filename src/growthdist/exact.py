@@ -21,13 +21,16 @@ out of circular contour integrals of ratios of the normalized factor
 * ``L_p``        — one circle around 1 into one circle around 0;
 * ``B``          — single circles around 0, Toeplitz within each block.
 
-Every piece is weighted by Laurent monomials in ``theta`` attached to its
-row block, and the whole matrix is conjugated by ``exp(mu (n(i)-i)/nu)``
+Every piece is weighted by a Laurent polynomial in ``theta`` that depends
+on its block, and the whole matrix is conjugated by ``exp(mu (n(i)-i)/nu)``
 with ``nu`` the fluctuation scale (a similarity, so the determinant is
-invariant in exact arithmetic — a useful self-test).  ``_terms`` turns the
-pieces into the weighted bases of the theta-determinant engine in
+invariant in exact arithmetic — a useful self-test).  ``_pieces`` maps each
+block ``(r, s)`` to its parts and polynomials once per run, from the walk
+``params._sign_windows`` that ``asymptotic._block_terms`` shares, and
+``_terms`` cuts each part to its block for the theta-determinant engine in
 ``linalg``, which sums them, takes the determinant, integrates over theta
-with its trapezoidal rule and refines.  Level ``l`` has ``base_nodes``
+with its trapezoidal rule and refines.  Times that a later time implies
+are dropped first (``_drop_implied_times``).  Level ``l`` has ``base_nodes``
 grown by ``sqrt(2)`` per level (64, 90, 128, 182, .. from 64) contour nodes
 per circle, ``base_nodes`` being the base of this schedule, not the first
 count built: a run starts at the last level whose closest concentric
@@ -85,10 +88,10 @@ from .linalg import lu_det
 from .params import (
     Laurent,
     ModelParams,
-    admissible_eps,
+    _sign_windows,
+    _window_piece,
     big_theta,
     compute_constants,
-    eps_sign_exponent,
     theta_profile,
 )
 
@@ -179,10 +182,10 @@ class _Assembler:
         self.m0 = (0,) + params.m
         self.a0 = (0,) + params.a
         idx = np.arange(1, self.N + 1)
-        self.row_block = np.searchsorted(params.n, idx, side="left") + 1
+        row_block = np.searchsorted(params.n, idx, side="left") + 1
         # per-index profiles n(i), m(i), a(i), shared within each block
         n_of_i, self.m_of_i, self.a_of_i = np.array(
-            [params.blocked(r) for r in self.row_block]).T
+            [params.blocked(r) for r in row_block]).T
         # contour offsets in units of two fluctuation scales of the instance
         nu_eff = consts.c0 * self.N ** (1.0 / 3.0)
         dz = _OFFSET_UNITS * consts.c4 / nu_eff * radius_scale
@@ -378,24 +381,26 @@ class _Assembler:
             chains, nodes=lambda key: contour(key).nodes, rows=rows, scale=scale, cols=cols,
         )
 
-    def build_b_block(self, rstar: int, s: int, nn: int) -> np.ndarray:
-        """Toeplitz values of the single-circle piece for profile gap (s, r*).
+    def b_block(self, r: int, s: int, nn: int) -> np.ndarray:
+        """Block ``(r, s)`` of the single-circle piece, Toeplitz for profile gap ``(s, r*)``.
 
         The values are real: the sum runs over the upper half of the circle
         and adds each node's conjugate as twice the real part.
         """
+        rstar = self.rstar(r)
         cz = circle(0.0, self.tau1, nn)
         lo = (self.n0[rstar - 1] + 1) - self.n0[s] + 1
         hi = self.n0[self.p] - (self.n0[s - 1] + 1) + 1
-        exps = np.arange(lo, hi + 1)
         grid = log_g(
-            cz.nodes[:nn // 2], exps,
+            cz.nodes[:nn // 2], np.arange(lo, hi + 1),
             self.m0[rstar] - self.m0[s], self.a0[rstar] - self.a0[s], self.q,
         )
         vals = 2.0 * (np.exp(-grid) @ cz.weights[:nn // 2]).real / self.wc
-        return exps, vals
+        ivals = np.arange(self.n0[r - 1] + 1, self.n0[r] + 1)
+        jvals = np.arange(self.n0[s - 1] + 1, self.n0[s] + 1)
+        return vals[(ivals[:, None] - jvals[None, :] + 1) - lo]
 
-    # -- masks ---------------------------------------------------------------
+    # -- blocks --------------------------------------------------------------
 
     def block_rows(self, r: int) -> slice:
         return slice(self.n0[r - 1], self.n0[r])
@@ -404,101 +409,54 @@ class _Assembler:
         return min(r, self.p - 1)
 
 
-def _a2_groups(p: int):
-    """Group the sign vectors of each pair ``k1 < k2`` by contour window.
-
-    Yields ``(k1, k2, window, terms)`` with ``terms`` a list of
-    ``(sign, eps)``; the window ``eps_{k1+1..k2-1}`` fixes the contour
-    ordering, while the remaining free components only affect the weight.
-    """
-    for k1 in range(0, p + 1):
-        for k2 in range(k1 + 1, p + 1):
-            groups: dict[tuple[int, ...], list] = {}
-            for eps in admissible_eps(k1, k2, p):
-                window = eps[k1: k2 - 1]
-                sign = (-1) ** (
-                    eps_sign_exponent(eps, k1, k2, p) + k1 + min(k2, p - 1)
-                )
-                groups.setdefault(window, []).append((sign, eps))
-            for window, terms in groups.items():
-                yield k1, k2, window, terms
-
-
 def _pieces(asm: _Assembler):
-    """The chain pieces of every level, described node-count free.
+    """Each block's parts and their theta coefficients, built once per run.
 
-    Returns ``(groups, lks, chains)``: ``groups`` holds ``(signed, parts)``
-    per ``_a2_groups`` window, each part a ``(chain, mask)`` of ``L^eps``,
-    ``J^eps`` or ``L_p``; ``lks`` holds ``(k, chain, col_ok)`` per ``L_k``;
-    ``chains`` lists every chain of both.
+    Returns ``(table, chains)``: ``table[(r, s)]`` lists block ``(r, s)``'s
+    ``(part, poly)``, a part being the ``L^eps``, ``J^eps`` or ``L_p`` chain
+    that a ``params._sign_windows`` window puts there (``_window_piece``),
+    with the window's signed ``theta(r|eps)``; an ``L_k`` chain with
+    ``Theta(r|k)``; or ``"B"``, the Toeplitz piece, with ``1 + Theta(r|s)``.
+    ``chains`` lists the table's chains.  No node count enters.
     """
     p = asm.p
-    groups = []
-    for k1, k2, window, signed in _a2_groups(p):
-        parts = []
-        row_ok = np.array([asm.rstar(r) > k1 for r in asm.row_block])
-        col_ok = np.array([asm.rstar(s) < k2 for s in asm.row_block])
-        if row_ok.any() and col_ok.any():
-            parts.append((asm.leps_chain(k1, k2, window), row_ok[:, None] * col_ok[None, :]))
-        if k2 < p:
-            col_j = np.array([s == k2 for s in asm.row_block])
-            if row_ok.any() and col_j.any():
-                parts.append((asm.leps_chain(k1, k2, window, last_carries_column=True),
-                              row_ok[:, None] * col_j[None, :]))
-        if k1 == p - 1 and k2 == p:
-            row_p = np.array([r == p for r in asm.row_block])
-            parts.append((asm.lp_chain(), row_p[:, None]))
-        groups.append((signed, parts))
-    lks = [(k, asm.lk_chain(k), np.array([s < k for s in asm.row_block]))
-           for k in range(2, p - 1)]
-    chains = [chain for _, parts in groups for chain, _ in parts] + [c for _, c, _ in lks]
-    return groups, lks, chains
+    blocks = [(r, s) for r in range(1, p + 1) for s in range(1, p + 1)]
+    table: dict[tuple[int, int], list] = {block: [] for block in blocks}
+    for k1, k2, window, signed in _sign_windows(p):
+        parts = {"L": asm.leps_chain(k1, k2, window), "Lp": asm.lp_chain(),
+                 "J": asm.leps_chain(k1, k2, window, last_carries_column=True)}
+        polys = {r: sum(Laurent.monomial(theta_profile(r, eps), sign) for sign, eps in signed)
+                 for r in range(1, p + 1)}
+        for r, s in blocks:
+            piece = _window_piece(p, k1, k2, r, s)
+            if piece:
+                table[r, s].append((parts[piece], polys[r]))
+    for r, s in blocks:
+        # Theta(r|k) is empty unless k < r*, so L_k and B sit on s < k < r* and s < r*
+        table[r, s] += [(asm.lk_chain(k), big_theta(r, k, p)) for k in range(s + 1, asm.rstar(r))]
+        if s < asm.rstar(r):
+            table[r, s].append(("B", 1 + big_theta(r, s, p)))
+    chains = list(dict.fromkeys(part for parts in table.values() for part, _ in parts
+                                if part != "B"))
+    return table, chains
 
 
 def _terms(asm: _Assembler, nn: int, pieces=None) -> list:
     """Engine terms ``(rows, cols, base, poly)`` at contour node count ``nn``.
 
-    Every chain piece (``L^eps``, ``J^eps``, ``L_p``, ``L_k``) of the level
-    is evaluated in one ``chain_values`` walk over shared couplings, then
-    masked and split into row blocks, each carrying its ``Laurent``
-    coefficient: the signed ``theta(r|eps)`` of its ``_a2_groups`` window,
-    ``Theta(r|k)`` for ``L_k`` and ``1 + Theta(r|s)`` for ``B``.  The
-    similarity conjugation is folded into the bases.  ``pieces`` is
-    ``_pieces(asm)``, built here when not given.
+    The table's chains are evaluated in one ``chain_values`` walk over
+    shared couplings, and each block takes each of its parts, cut to the
+    block and conjugated by the similarity, with the part's coefficient;
+    the engine sums them.  ``pieces`` is ``_pieces(asm)``, built if not given.
     """
-    p, N = asm.p, asm.N
-    terms = []
-
-    def add(rows: slice, cols: slice, block: np.ndarray, poly: Laurent) -> None:
-        terms.append((rows, cols, block * asm.conj[rows, cols], poly))
-
-    groups, lks, chains = pieces or _pieces(asm)
+    table, chains = pieces or _pieces(asm)
     values = asm.chain_values(chains, nn)
-
-    all_cols = slice(0, N)
-    for signed, parts in groups:
-        base = np.zeros((N, N))
-        for chain, mask in parts:
-            base += values[chain] * mask
-        for r in range(1, p + 1):
-            rows = asm.block_rows(r)
-            add(rows, all_cols, base[rows],
-                sum(Laurent.monomial(theta_profile(r, eps), sign) for sign, eps in signed))
-
-    for k, chain, col_ok in lks:
-        base = values[chain] * col_ok[None, :]
-        for r in range(1, p + 1):
-            rows = asm.block_rows(r)
-            add(rows, all_cols, base[rows], big_theta(r, k, p))
-
-    for r in range(1, p + 1):
-        for s in range(1, asm.rstar(r)):
-            exps, vals = asm.build_b_block(asm.rstar(r), s, nn)
-            rows, cols = asm.block_rows(r), asm.block_rows(s)
-            ivals = np.arange(rows.start + 1, rows.stop + 1)
-            jvals = np.arange(cols.start + 1, cols.stop + 1)
-            block = vals[(ivals[:, None] - jvals[None, :] + 1) - exps[0]]
-            add(rows, cols, block, 1 + big_theta(r, s, p))
+    terms = []
+    for (r, s), parts in table.items():
+        rows, cols = asm.block_rows(r), asm.block_rows(s)
+        for part, poly in parts:
+            base = asm.b_block(r, s, nn) if part == "B" else values[part][rows, cols]
+            terms.append((rows, cols, base * asm.conj[rows, cols], poly))
     return terms
 
 
@@ -538,6 +496,15 @@ def _single_point_terms(params: ModelParams, radius_scale: float):
         return [(every, every, kernel, Laurent.monomial(()))]
 
     return terms
+
+
+def _drop_implied_times(params: ModelParams) -> ModelParams:
+    """``params`` without the times ``k`` whose event ``G(m_k, n_k) < a_k``
+    a later time ``j`` implies: ``G`` is monotone along the ordered corners,
+    so ``a_k >= a_j`` gives ``G(m_k, n_k) <= G(m_j, n_j) < a_j <= a_k``."""
+    keep = [k for k in range(params.p) if all(params.a[k] < a for a in params.a[k + 1:])]
+    return ModelParams(params.q, *(tuple(v[k] for k in keep)
+                                   for v in (params.m, params.n, params.a)))
 
 
 def det_theta(
@@ -594,10 +561,13 @@ def multipoint_prob_exact(
     the default layout (1, two fluctuation units from the critical point)
     within their admissible windows.  ``deadline`` is a
     ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
+    Times that a later time implies are dropped before any numerics
+    (``_drop_implied_times``); the diagnostics describe the reduced instance.
     """
     start = time.perf_counter()
     _check_node_count("base_nodes", base_nodes)
     _check_controls(mu, radius_scale, theta_radius)
+    params = _drop_implied_times(params)
     if any(ak <= 0 for ak in params.a):
         return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0, 0.0, 0)
     if params.p == 1:
@@ -606,7 +576,7 @@ def multipoint_prob_exact(
         asm = _Assembler(params, mu, radius_scale)
         pieces = _pieces(asm)
         terms = partial(_terms, asm, pieces=pieces)
-        ratio = asm.coupling_ratio(pieces[2])
+        ratio = asm.coupling_ratio(pieces[1])
         bound = lambda level: ratio ** _refined_count(base_nodes, 2, level)
     val, delta, level, n_theta, tail, first = _refine(
         lambda level: (params.n[-1], terms(_refined_count(base_nodes, 2, level))),

@@ -425,6 +425,34 @@ def eps_sign_exponent(eps: Sequence[int], k1: int, k2: int, p: int) -> int:
     return sum(eps[k - 1] for k in range(lo, hi + 1))
 
 
+def _sign_windows(p: int):
+    """Group the sign vectors of each pair ``k1 < k2`` by contour window.
+
+    Yields ``(k1, k2, window, terms)``, ``terms`` a list of ``(sign, eps)``
+    with the finite-size sign ``(-1)^(eps[k1,k2] + k1 + min(k2, p-1))``.  The
+    window ``eps_{k1+1..k2-1}`` fixes the contour ordering; the other free
+    components only affect the weight.  It is both routes' one such walk.
+    """
+    for k1 in range(0, p + 1):
+        for k2 in range(k1 + 1, p + 1):
+            groups: dict[tuple[int, ...], list] = {}
+            for eps in admissible_eps(k1, k2, p):
+                sign = (-1) ** (eps_sign_exponent(eps, k1, k2, p) + k1 + min(k2, p - 1))
+                groups.setdefault(eps[k1:k2 - 1], []).append((sign, eps))
+            yield from ((k1, k2, window, terms) for window, terms in groups.items())
+
+
+def _window_piece(p: int, k1: int, k2: int, r: int, s: int) -> str | None:
+    """The piece, at most one, that a window of ``(k1, k2)`` puts on block ``(r, s)``:
+    ``"L"`` (``L^eps``, the limit's family 6), ``"J"`` (``J^eps``, family 5),
+    ``"Lp"`` (``L_p``, family 1) or ``None``."""
+    if k1 < min(r, p - 1) and min(s, p - 1) < k2:
+        return "L"
+    if k1 < min(r, p - 1) and s == k2 < p:
+        return "J"
+    return "Lp" if k1 == p - 1 and k2 == p and r == p else None
+
+
 def mu_bound(t: Sequence[float], x: Sequence[float]) -> float:
     """Least admissible decay rate for the kernel conjugation.
 

@@ -31,7 +31,7 @@ from growthdist.asymptotic import (
 )
 from growthdist.errors import ConvergenceError, SchemaError
 from growthdist.exact import det_theta
-from growthdist.linalg import _PANEL, _pack, _refined_count, _theta_integral, block_grid
+from growthdist.linalg import _PANEL, _dets, _pack, _refined_count, _theta_integral, block_grid
 from growthdist.params import (
     KPZParams,
     LimitParams,
@@ -663,3 +663,44 @@ def test_three_time_determinant_convergence_pointwise():
     assert diffs[1] < diffs[0]
     assert diffs[2] < diffs[1]
     assert diffs[2] < 6e-3
+
+
+# ---------------------------------------------------------------------------
+# the interior-time term (ROADMAP item 2)
+# ---------------------------------------------------------------------------
+
+INTERIOR = LimitParams(t=(1.0, 1.5, 2.0), x=(0.0, 0.0, 0.0), xi=(0.3, 4.0, 0.7))
+INTERIOR_DROPPED = LimitParams(t=(1.0, 2.0), x=(0.0, 0.0), xi=(0.3, 0.7))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 2: the p=3 limit table is "
+                          "4.19e-3 off the one-theta identity")
+@pytest.mark.parametrize("block_nodes", [48, 96])
+def test_limit_interior_time_out_of_reach_at_one_theta(block_nodes):
+    # The limit route's form of the exact route's item-2 gate: with xi_2 = 4
+    # out of reach, the mean of det * theta_2 / (theta_2 - 1) over a 64-node
+    # theta_2 ring is the determinant at t = (1, 2).  It is 4.19e-3 off at
+    # 48 and 96 nodes per block alike, so the grid does not cause it.
+    settings = LimitSettings(block_nodes=block_nodes)
+    theta1 = 2.0 * cmath.exp(0.7j)
+    ring = 2.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+    grid = block_grid(INTERIOR.p, settings.extent, settings.block_nodes)
+    (terms,) = _limit_terms(_LimitKernels(INTERIOR, settings), [grid])
+    dets = _dets(len(grid), _pack(terms), (np.full(64, theta1), ring), None)
+    want = fredholm_det_F((theta1,), INTERIOR_DROPPED, settings=settings)
+    assert abs(np.mean(dets * ring / (ring - 1)) - want) <= settings.tol
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 2: the p=3 limit law reads 0.9776996, below "
+                          "Harris' bound 0.9790087 and off the p=2 law 0.9808106")
+def test_limit_interior_time_out_of_reach_gives_the_two_time_law():
+    # Harris: increasing events are positively correlated, so the law is at
+    # least the product of its marginals; with xi_2 out of reach it is the
+    # two-time law of t = (1, 2)
+    tol = LimitSettings().tol
+    value = multitime_cdf(INTERIOR).value
+    harris = math.prod(tracy_widom(xi) for xi in INTERIOR.xi)
+    assert value >= harris - tol
+    assert abs(value - multitime_cdf(INTERIOR_DROPPED).value) <= tol

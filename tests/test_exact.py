@@ -21,9 +21,9 @@ import growthdist.exact
 import growthdist.integrands
 import growthdist.linalg
 from growthdist.integrands import circle
-from growthdist.linalg import _first_level, _pack, _refined_count, _theta_integral
+from growthdist.linalg import _dets, _first_level, _pack, _refined_count, _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
-from growthdist.params import ModelParams, discretize, parse_instance
+from growthdist.params import KPZParams, ModelParams, discretize, parse_instance
 
 P2 = ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))
 P3 = ModelParams(q=0.4, m=(3, 6, 9), n=(2, 4, 6), a=(5, 9, 13))
@@ -101,6 +101,51 @@ def test_det_theta_four_point_pinned_value():
     ref = -0.02378328555988478 - 0.008215627189621683j
     got = det_theta(mp, (1.3 + 0.4j, 1.6 - 0.5j, 1.2 + 0.9j), nodes=64)
     assert abs(got - ref) / abs(ref) < 1e-12
+
+
+def test_exact_interior_time_out_of_reach_at_one_theta():
+    # ROADMAP item 2 gate on the exact route: with the middle threshold out
+    # of reach, (1/2 pi i) oint det(theta_1, theta_2) dtheta_2 / (theta_2 - 1),
+    # the mean of det * theta_2 / (theta_2 - 1) over a theta_2 ring, is the
+    # determinant without time 2 (under 1e-15 on 64 nodes; 32 alias to 2e-10)
+    mp = discretize(KPZParams(q=0.25, T=20.0, t=(1.0, 1.5, 2.0), x=(0.0, 0.0, 0.0),
+                              xi=(0.3, 4.0, 0.7)))
+    assert (mp.m, mp.n, mp.a) == ((20, 30, 40), (20, 30, 40), (41, 83, 84))
+    theta1 = 2.0 * np.exp(0.7j)
+    ring = 2.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+    asm = _Assembler(mp, 0.0, 1.0)
+    dets = _dets(asm.N, _pack(_terms(asm, 256)), (np.full(64, theta1), ring), None)
+    two = ModelParams(q=mp.q, m=(20, 40), n=(20, 40), a=(41, 84))
+    assert abs(np.mean(dets * ring / (ring - 1)) - det_theta(two, (theta1,))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "full, kept, ref",
+    [
+        (ModelParams(q=0.4, m=(2, 4), n=(2, 3), a=(6, 4)),
+         ModelParams(q=0.4, m=(4,), n=(3,), a=(4,)), 0.1745101141130),
+        (ModelParams(q=0.4, m=(2, 4, 5), n=(1, 3, 4), a=(4, 4, 7)),
+         ModelParams(q=0.4, m=(4, 5), n=(3, 4), a=(4, 7)), 0.1193712766209),
+    ],
+    ids=["two-points", "three-points"],
+)
+def test_implied_times_are_dropped(full, kept, ref):
+    # G is monotone along ordered corners, so a_k >= a_(k+1) implies time k:
+    # the run returns the shorter route's value, the DP's on the full event
+    res = multipoint_prob_exact(full)
+    assert res.value == pytest.approx(ref, abs=1e-12)
+    assert res.value == pytest.approx(multipoint_prob_exact(kept).value, abs=1e-15)
+    assert res.value == pytest.approx(dp_exact_prob(full), abs=1e-9)
+    assert res.theta_nodes == multipoint_prob_exact(kept).theta_nodes
+
+
+def test_far_apart_thresholds_reduce_to_one_corner():
+    # a_1 >= a_2 makes the event P(G(20, 20) < 18); the two-time theta rule
+    # of these thresholds is not certified within 65536 nodes (tail 1.06)
+    res = multipoint_prob_exact(ModelParams(q=0.25, m=(10, 20), n=(10, 20), a=(35, 18)))
+    one = multipoint_prob_exact(ModelParams(q=0.25, m=(20,), n=(20,), a=(18,)))
+    assert res.value == one.value == pytest.approx(2.8125e-6, rel=1e-4)
+    assert res.theta_nodes == 0
 
 
 def test_det_theta_validates_inputs():
@@ -233,7 +278,7 @@ def test_every_level_has_more_contour_nodes(monkeypatch):
     [
         (ModelParams(q=0.7261, m=(2, 5), n=(4, 5), a=(1, 3)), 5, [362, 512], 6, 5),
         (ModelParams(q=0.3564, m=(3, 5), n=(1, 2), a=(5, 8)), 2, [128, 182], 3, 3),
-        (ModelParams(q=0.767, m=(2, 3, 4, 6), n=(1, 2, 4, 6), a=(1, 1, 1, 3)),
+        (ModelParams(q=0.767, m=(2, 3, 4, 6), n=(1, 2, 4, 6), a=(1, 2, 3, 4)),
          7, [724, 1024], 8, 6),
     ],
     ids=["steps-down", "bound-rules-out", "four-points"],
@@ -252,7 +297,7 @@ def test_first_comparison_that_agrees(monkeypatch, corner, start, built, level, 
         return terms(asm, nn, **kwargs)
 
     asm = _Assembler(corner, 0.0, 1.0)
-    ratio = asm.coupling_ratio(_pieces(asm)[2])
+    ratio = asm.coupling_ratio(_pieces(asm)[1])
     assert _first_level(lambda lv: ratio ** _refined_count(64, 2, lv), 1e-9, 14) == start
     monkeypatch.setattr(growthdist.exact, "_terms", recording)
     res = multipoint_prob_exact(corner)
@@ -306,11 +351,12 @@ def test_boundary_blocks_are_nilpotent(mp):
     p, n_last = mp.p, mp.n[-1]
     asm = _Assembler(mp, 0.0, 1.0)
     th = tuple(1.2 + 0.4j * k for k in range(1, p))
+    table, chains = _pieces(asm)
+    boundary = {block: [(part, poly) for part, poly in parts if part == "B"]
+                for block, parts in table.items()}
     b = np.zeros((n_last, n_last), dtype=complex)
-    for rows, cols, base, poly in _terms(asm, 64):
-        # the boundary pieces are the only terms confined to one block column
-        if cols != slice(0, n_last):
-            b[rows, cols] += _laurent_value(poly, th) * base
+    for rows, cols, base, poly in _terms(asm, 64, pieces=(boundary, chains)):
+        b[rows, cols] += _laurent_value(poly, th) * base
     assert np.abs(b).max() > 0.0
     assert np.abs(np.linalg.matrix_power(b, p - 1)).max() < 1e-12
 

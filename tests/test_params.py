@@ -10,6 +10,7 @@ import pytest
 
 from growthdist.errors import SchemaError
 from growthdist.params import (
+    _sign_windows,
     KPZParams,
     Laurent,
     LimitParams,
@@ -285,6 +286,30 @@ def test_eps_sign_exponent_sums_window_entries():
             assert eps_sign_exponent(eps, k1, k2, p) == want
             ones = sum(1 for k in range(lo, hi + 1) if eps[k - 1] == 1)
             assert eps_sign_exponent(eps, k1, k2, p) % 2 == ones % 2
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_sign_windows_give_the_per_eps_limit_coefficients(p):
+    # each window's limit coefficient (-1)^(k1+k2) sum sign theta(r|eps), as
+    # asymptotic._block_terms forms it from the shared walk, is the sum over
+    # the window's sign vectors of (-1)^(eps[k1,k2] + [k2 = p]) theta(r|eps);
+    # the windows of a pair partition its admissible sign vectors
+    windows = {}
+    for k1, k2, window, signed in _sign_windows(p):
+        assert all(eps[k1:k2 - 1] == window for _, eps in signed)
+        windows.setdefault((k1, k2), []).extend(eps for _, eps in signed)
+        for r in range(1, p + 1):
+            got = sum((Laurent.monomial(theta_profile(r, eps), (-1) ** (k1 + k2) * sign)
+                       for sign, eps in signed), Laurent())
+            want = sum((Laurent.monomial(theta_profile(r, eps),
+                                         (-1) ** (eps_sign_exponent(eps, k1, k2, p) + (k2 == p)))
+                        for eps in admissible_eps(k1, k2, p) if eps[k1:k2 - 1] == window),
+                       Laurent())
+            assert got == want and got
+    pairs = [(k1, k2) for k2 in range(1, p + 1) for k1 in range(k2)]
+    assert sorted(windows) == sorted(pairs)
+    for (k1, k2), eps in windows.items():
+        assert sorted(eps) == sorted(admissible_eps(k1, k2, p))
 
 
 def test_mu_bound_value():
