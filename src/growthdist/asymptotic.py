@@ -695,6 +695,7 @@ def _limit_terms(
               for i, grid in enumerate(grids) for r in range(1, p + 1)}
     weights = {(i, r == p): np.sqrt(grid.weights[grid.slices[r - 1]])
                for i, grid in enumerate(grids) for r in range(1, p + 1)}
+    table = {(r, s): _block_terms(p, r, s) for r in range(1, p + 1) for s in range(1, p + 1)}
     index: dict[tuple, int] = {}
     requests, levels = [], []
     for i, grid in enumerate(grids):
@@ -704,7 +705,7 @@ def _limit_terms(
             for s in range(1, p + 1):
                 cols = grid.slices[s - 1]
                 bucket: dict[int, Laurent] = {}
-                for family, kw, poly in _block_terms(p, r, s):
+                for family, kw, poly in table[r, s]:
                     key = (i, family, tuple(sorted(kw.items())), r == p, s == p)
                     if key not in index:
                         index[key] = len(requests)

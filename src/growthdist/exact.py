@@ -30,7 +30,8 @@ block ``(r, s)`` to its parts and polynomials once per run, from the walk
 ``_terms`` cuts each part to its block for the theta-determinant engine in
 ``linalg``, which sums them, takes the determinant, integrates over theta
 with its trapezoidal rule and refines.  Times that a later time implies
-are dropped first (``_drop_implied_times``).  Level ``l`` has ``base_nodes``
+are dropped first (``_drop_implied_times``), and the sides swapped so that
+``n_p <= m_p`` (``params._short_side``).  Level ``l`` has ``base_nodes``
 grown by ``sqrt(2)`` per level (64, 90, 128, 182, .. from 64) contour nodes
 per circle, ``base_nodes`` being the base of this schedule, not the first
 count built: a run starts at the last level whose closest concentric
@@ -63,9 +64,9 @@ so circles two units out need about half the nodes of circles one unit
 out, while the integrands stay of order one near the dominant arc.  Node
 counts grow until the value is stable to the requested tolerance.
 
-The single-point case ``p = 1`` has no theta integral: its two-contour
-kernel (``_single_point_terms``) is one engine term, and the engine
-refines its single determinant ``det(I + K)`` like any other.
+At ``p = 1`` the table holds one part, the ``L_p`` chain with coefficient
+1, which is the kernel of ``P(G(m, n) <= a)``: the assembly takes the
+threshold as ``a - 1``, and the engine refines one determinant, no theta.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +88,7 @@ from .linalg import lu_det
 from .params import (
     Laurent,
     ModelParams,
+    _short_side,
     _sign_windows,
     _window_piece,
     big_theta,
@@ -177,15 +178,16 @@ class _Assembler:
         consts = compute_constants(params.q)
         self.wc = consts.w_c
         self.sq = math.sqrt(params.q)
-        # cumulative corner vectors with the 0th entry prepended
+        # cumulative corner vectors with the origin prepended as index 0
         self.n0 = (0,) + params.n
         self.m0 = (0,) + params.m
-        self.a0 = (0,) + params.a
+        # At p = 1 the lone piece, L_p, is the kernel of P(G(m, n) <= a), so
+        # the threshold of the event G(m, n) < a enters as a - 1.
+        self.a0 = (0,) + (params.a if self.p > 1 else (params.a[0] - 1,))
         idx = np.arange(1, self.N + 1)
-        row_block = np.searchsorted(params.n, idx, side="left") + 1
-        # per-index profiles n(i), m(i), a(i), shared within each block
-        n_of_i, self.m_of_i, self.a_of_i = np.array(
-            [params.blocked(r) for r in row_block]).T
+        # per-index profiles n(i), m(i), a(i): the corner min(r, p-1) of row block r
+        corner = np.minimum(np.searchsorted(params.n, idx, side="left") + 1, self.p - 1)
+        n_of_i, self.m_of_i, self.a_of_i = (np.take(v, corner) for v in (self.n0, self.m0, self.a0))
         # contour offsets in units of two fluctuation scales of the instance
         nu_eff = consts.c0 * self.N ** (1.0 / 3.0)
         dz = _OFFSET_UNITS * consts.c4 / nu_eff * radius_scale
@@ -460,44 +462,6 @@ def _terms(asm: _Assembler, nn: int, pieces=None) -> list:
     return terms
 
 
-def _single_point_terms(params: ModelParams, radius_scale: float):
-    """Engine terms of the p = 1 two-contour kernel, as ``nn -> terms``.
-
-    ``K = rows @ couplings @ columns / w_c`` runs from a circle around 1
-    into a circle around 0, both offset from the critical point in the
-    units of ``_Assembler``;
-    ``P(G(m, n) < a) = det(I + K)`` is the one term ``(all, all, K, {(): 1})``.
-    ``K`` is real: like ``_Assembler.chain_values``, it is one
-    ``_walk_chains`` chain over the upper half of each circle.
-    """
-    m, n, a = params.m[0], params.n[0], params.a[0]
-    q = params.q
-    consts = compute_constants(q)
-    wc, sq = consts.w_c, math.sqrt(q)
-    nu_eff = consts.c0 * n ** (1.0 / 3.0)
-    dz = _OFFSET_UNITS * consts.c4 / nu_eff * radius_scale
-    tau = wc - 0.8 * min(dz, wc / 8.0)
-    radius = sq - 0.4 * min(dz, (sq - q) / 2.0)
-    ivals = np.arange(1, n + 1)
-    every = slice(0, n)
-
-    def terms(nn: int) -> list:
-        half = slice(0, nn // 2)
-        cone, czero = circle(1.0, radius, nn), circle(0.0, tau, nn)
-        nodes = {"one": cone.nodes[half], "zero": czero.nodes[half]}
-        rows = np.exp(log_g(nodes["one"], n - ivals, m, a - 1, q)) * cone.weights[half]
-        cols = np.exp(-log_g(nodes["zero"], n - ivals + 1, m, a - 1, q)).T
-        cols *= czero.weights[half, None]
-        chain = _Chain((("one",), ("zero",)), ("zero",), wc)
-        kernel = _walk_chains(
-            [chain], nodes=nodes.get, rows=lambda link: rows,
-            scale=lambda link: None, cols=lambda key: cols,
-        )[chain]
-        return [(every, every, kernel, Laurent.monomial(()))]
-
-    return terms
-
-
 def _drop_implied_times(params: ModelParams) -> ModelParams:
     """``params`` without the times ``k`` whose event ``G(m_k, n_k) < a_k``
     a later time ``j`` implies: ``G`` is monotone along the ordered corners,
@@ -521,11 +485,10 @@ def det_theta(
     the contour offsets of the default layout (1, two fluctuation units from
     the critical point), each kept within its admissible window; the
     determinant is invariant under both in exact arithmetic, which makes
-    this the natural entry point for invariance certificates.  Each of the
-    ``p - 1`` theta components must be finite and non-zero (else ``SchemaError``).
+    this the natural entry point for invariance certificates.  The ``p - 1``
+    theta components (none at ``p = 1``) must be finite and non-zero (else
+    ``SchemaError``).
     """
-    if params.p < 2:
-        raise ValueError("det_theta needs p >= 2 (p = 1 has no theta)")
     _check_node_count("nodes", nodes)
     _check_controls(mu, radius_scale)
     asm = _Assembler(params, mu, radius_scale)
@@ -553,34 +516,32 @@ def multipoint_prob_exact(
     builds levels upward from the last one whose coupling bound
     ``coupling_ratio**nodes`` exceeds ``tol`` (``linalg._refine``), and
     reports that start as ``first_level``.  Each level's theta rule starts at
-    the previous level's (8 nodes per circle on the first; none at
-    ``p = 1``) and doubles until its Laurent tail is at most ``tol``.
+    the previous level's (8 nodes per circle on the first; ``p = 1``, the
+    ``L_p`` chain at threshold ``a - 1``, has none) and doubles until its
+    Laurent tail is at most ``tol``.
     ``mu`` controls the similarity conjugation (the value is invariant);
     ``theta_radius`` (> 1) and ``radius_scale`` move contours without
     changing the value, ``radius_scale`` multiplying the contour offsets of
     the default layout (1, two fluctuation units from the critical point)
     within their admissible windows.  ``deadline`` is a
     ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
-    Times that a later time implies are dropped before any numerics
-    (``_drop_implied_times``); the diagnostics describe the reduced instance.
+    Before any numerics, implied times are dropped (``_drop_implied_times``)
+    and ``m, n`` swapped if ``n_p > m_p`` (``params._short_side``); the
+    diagnostics describe that instance.
     """
     start = time.perf_counter()
     _check_node_count("base_nodes", base_nodes)
     _check_controls(mu, radius_scale, theta_radius)
-    params = _drop_implied_times(params)
+    params = _short_side(_drop_implied_times(params))
     if any(ak <= 0 for ak in params.a):
         return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0, 0.0, 0)
-    if params.p == 1:
-        terms, bound = _single_point_terms(params, radius_scale), None
-    else:
-        asm = _Assembler(params, mu, radius_scale)
-        pieces = _pieces(asm)
-        terms = partial(_terms, asm, pieces=pieces)
-        ratio = asm.coupling_ratio(pieces[1])
-        bound = lambda level: ratio ** _refined_count(base_nodes, 2, level)
+    asm = _Assembler(params, mu, radius_scale)
+    pieces = _pieces(asm)
+    ratio = asm.coupling_ratio(pieces[1])
     val, delta, level, n_theta, tail, first = _refine(
-        lambda level: (params.n[-1], terms(_refined_count(base_nodes, 2, level))),
-        params.p, theta_radius, tol, max_levels, deadline, bound,
+        lambda level: (asm.N, _terms(asm, _refined_count(base_nodes, 2, level), pieces=pieces)),
+        params.p, theta_radius, tol, max_levels, deadline,
+        lambda level: ratio ** _refined_count(base_nodes, 2, level),
     )
     return ExactResult(
         value=float(val.real), imag_part=float(val.imag), delta=float(delta),

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .linalg import _check_deadline
-from .params import ModelParams
+from .params import ModelParams, _short_side
 
 __all__ = [
     "w_weight",
@@ -215,8 +215,8 @@ def dp_exact_prob(
     step expands every state over its admissible values at once and merges
     duplicates (see ``_dp_step``).  Values are capped at ``a_p``: mass
     reaching the cap is dropped (it can never satisfy the final
-    constraint).  The grid is transposed when that gives the smaller state
-    vector.
+    constraint).  The grid is transposed (``params._short_side``) when that
+    gives the smaller state vector.
 
     Raises ``BudgetError`` when the peak state count (``_dp_peak_states``)
     exceeds the budget, before anything is allocated, and when ``deadline`` (a
@@ -224,8 +224,7 @@ def dp_exact_prob(
     """
     if any(ak <= 0 for ak in params.a):
         return 0.0
-    if params.m[-1] < params.n[-1]:
-        params = ModelParams(q=params.q, m=params.n, n=params.m, a=params.a)
+    params = _short_side(params)
     N = params.n[-1]
     cap = params.a[-1]
     peak = _dp_peak_states(params)

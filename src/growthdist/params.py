@@ -193,14 +193,13 @@ class ModelParams:
     def p(self) -> int:
         return len(self.m)
 
-    def blocked(self, k: int) -> tuple[int, int, int]:
-        """Profile values ``(n(i), m(i), a(i))`` shared by block ``r``.
 
-        ``k`` is the block index ``r`` in 1..p; the profile uses
-        ``min(r, p-1)`` so the last block reuses the values of block p-1.
-        """
-        r = min(k, self.p - 1) if self.p > 1 else 1
-        return self.n[r - 1], self.m[r - 1], self.a[r - 1]
+def _short_side(params: ModelParams) -> ModelParams:
+    """``params`` with ``m, n`` swapped if ``n_p > m_p``: the weights are i.i.d.,
+    so ``G(n_k, m_k)`` has the law of ``G(m_k, n_k)`` (Johansson, CMP 209, 2000)."""
+    if params.n[-1] > params.m[-1]:
+        return ModelParams(q=params.q, m=params.n, n=params.m, a=params.a)
+    return params
 
 
 @dataclass(frozen=True)

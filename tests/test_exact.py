@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import inspect
 import math
+from dataclasses import replace
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ import growthdist.integrands
 import growthdist.linalg
 from growthdist.integrands import circle
 from growthdist.linalg import _dets, _first_level, _pack, _refined_count, _theta_integral
-from growthdist.oracle import dp_exact_prob, truncated_sum_prob
+from growthdist.oracle import _dp_peak_states, dp_exact_prob, truncated_sum_prob
 from growthdist.params import KPZParams, ModelParams, discretize, parse_instance
 
 P2 = ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))
@@ -55,6 +59,54 @@ def test_single_point_square_matches_transfer_matrix():
     mp = ModelParams(q=0.5, m=(3,), n=(3,), a=(5,))
     res = multipoint_prob_exact(mp)
     assert res.value == pytest.approx(dp_exact_prob(mp), abs=1e-8)
+
+
+SINGLE_POINT_STATES = 2 * 10 ** 5  # DP states allowed per generated corner
+
+
+@st.composite
+def single_corners(draw):
+    """One corner in [1, 6]^2 and a threshold from 1 to the mean plus 4,
+    capped where the DP would hold more than ``SINGLE_POINT_STATES``."""
+    q = draw(st.floats(0.15, 0.65))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mean = round(q / (1.0 - q) * (math.sqrt(m) + math.sqrt(n)) ** 2)
+    cap = max(c for c in range(1, mean + 5)
+              if _dp_peak_states(ModelParams(q, (m,), (n,), (c,))) <= SINGLE_POINT_STATES)
+    return ModelParams(q=q, m=(m,), n=(n,), a=(draw(st.integers(1, cap)),))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(single_corners())
+# a long strip that exited 3 before the swap put its short side in n
+@example(ModelParams(q=0.6, m=(2,), n=(48,), a=(130,)))
+def test_single_point_matches_transfer_matrix(params):
+    # p = 1 runs the L_p chain of the multi-point assembly at threshold a - 1
+    assert abs(multipoint_prob_exact(params).value - dp_exact_prob(params)) < 1e-9
+
+
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="ROADMAP item 4: a deep tail of a long strip (m >> n) "
+                   "does not converge")
+def test_single_point_deep_tail_of_a_long_strip():
+    # min(m, n) = 1 makes G(46, 1) a sum of 46 geometrics, 1.673e-11 below 8
+    from growthdist.oracle import w_weight
+
+    q = 0.580621675502883
+    cdf = sum(w_weight(x, 46, q) for x in range(8))
+    res = multipoint_prob_exact(ModelParams(q=q, m=(46,), n=(1,), a=(8,)))
+    assert abs(res.value - cdf) < 1e-9
+
+
+def test_exact_runs_the_short_side():
+    # n_2 > m_2: the run computes the swapped instance, the same law since
+    # the weights are i.i.d., and reports its diagnostics
+    tall = ModelParams(q=0.45, m=(1, 3), n=(2, 5), a=(3, 7))
+    wide = ModelParams(q=tall.q, m=tall.n, n=tall.m, a=tall.a)
+    res, ref = multipoint_prob_exact(tall), multipoint_prob_exact(wide)
+    assert replace(res, runtime_ms=0.0) == replace(ref, runtime_ms=0.0)
+    assert res.value == pytest.approx(dp_exact_prob(tall), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +270,8 @@ def test_multipoint_invariances():
 
 # Tilted scaled p = 2 configs.  Each reference comes from TIGHT_ROUTE: the
 # same formula with contour offsets 1.6 times the default, whose finest
-# levels agree to about 1e-11.
+# levels agree to about 1e-11.  All three have n_2 > m_2, so the runs
+# compute the swapped instance.
 TIGHT_ROUTE = "multipoint_prob_exact(radius_scale=1.6, tol=1e-11)"
 
 
@@ -227,16 +280,9 @@ TIGHT_ROUTE = "multipoint_prob_exact(radius_scale=1.6, tol=1e-11)"
     [
         ({"q": 0.4331, "T": 17.52, "t": [1, 2.871], "x": [0.26, -0.283], "xi": [0.04, 0.509]},
          0.9635884750612387),
-        pytest.param(
-            {"q": 0.4634, "T": 27.69, "t": [1, 1.959], "x": [0.167, -0.236],
-             "xi": [-0.229, 0.235]},
-            0.9401857554282298,
-            marks=pytest.mark.xfail(
-                strict=True, raises=AssertionError,
-                reason="converges, but 1.4e-9 off: past 362 nodes successive levels "
-                "scatter by about 1e-9 in roundoff on these circles (ROADMAP item 4)",
-            ),
-        ),
+        ({"q": 0.4634, "T": 27.69, "t": [1, 1.959], "x": [0.167, -0.236],
+          "xi": [-0.229, 0.235]},
+         0.9401857554282298),
         ({"q": 0.25, "T": 80, "t": [1, 1.5], "x": [0.1, -0.2], "xi": [0.3, 0.5]},
          0.9704781768551898),
     ],

@@ -77,10 +77,6 @@ def test_constants_domain(q):
 def test_model_params_accessors():
     mp = ModelParams(q=0.3, m=(1, 2, 4), n=(2, 3, 4), a=(3, 5, 6))
     assert mp.p == 3
-    assert mp.blocked(1) == (2, 1, 3)
-    assert mp.blocked(2) == (3, 2, 5)
-    # the last block reuses the profile of block p-1
-    assert mp.blocked(3) == mp.blocked(2)
 
 
 @pytest.mark.parametrize(

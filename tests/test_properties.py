@@ -16,7 +16,7 @@ import growthdist.linalg
 from growthdist.exact import _Assembler, _drop_implied_times, _terms, multipoint_prob_exact
 from growthdist.linalg import _pack, _theta_integral
 from growthdist.oracle import dp_exact_prob, truncated_sum_prob
-from growthdist.params import KPZParams, ModelParams, discretize
+from growthdist.params import KPZParams, ModelParams, _short_side, discretize
 
 MAX_STATES = 150  # transfer-matrix states C(a_p - 1 + N, N), N = min(m_p, n_p)
 
@@ -89,7 +89,8 @@ def test_dp_is_symmetric_and_matches_determinantal_sum(params):
 def seeded_corners(draw):
     """Corners from the benchmark's seeded-corner ranges, at p = 2 or 3:
     distinct corners in [1, 5] x [1, 4] and thresholds near the mean
-    passage time, non-decreasing and at most 8."""
+    passage time, strictly increasing and at most 8, so that no time is
+    implied by a later one."""
     p = draw(st.sampled_from([2, 3]))
     q = draw(st.floats(0.2, 0.6))
     m = sorted(draw(st.lists(st.integers(1, 5), min_size=p, max_size=p, unique=True)))
@@ -99,7 +100,9 @@ def seeded_corners(draw):
         max(1, round(mean * (math.sqrt(mk) + math.sqrt(nk)) ** 2)) + draw(st.integers(0, 2))
         for mk, nk in zip(m, n)
     ]
-    a = [min(ak, 8) for ak in accumulate(a, max)]
+    # strictly increasing, each threshold leaving room below 8 for the steps after it
+    a = list(accumulate(a, lambda lo, ak: max(lo + 1, ak)))
+    a = [min(ak, 8 - (p - 1 - k)) for k, ak in enumerate(a)]
     return ModelParams(q=q, m=tuple(m), n=tuple(n), a=tuple(a))
 
 
@@ -112,13 +115,13 @@ def test_certified_theta_rule_matches_dp_and_its_refinement(params):
     assert abs(res.value - dp_exact_prob(params)) < tol
     assert res.theta_tail <= tol
     # the last contour level again, under twice the certified theta nodes, on
-    # the times the run kept; a single kept time has no theta rule
-    kept = _drop_implied_times(params)
-    if kept.p > 1:
-        asm = _Assembler(kept, 0.0, 1.0)
-        packed = _pack(_terms(asm, res.nodes))
-        doubled, _, _ = _theta_integral(asm.N, packed, kept.p, 2.0, 2 * res.theta_nodes, None)
-        assert abs(doubled - complex(res.value, res.imag_part)) <= tol
+    # the instance the run computed: its times all kept, its short side in n
+    run = _short_side(_drop_implied_times(params))
+    assert run.p == params.p
+    asm = _Assembler(run, 0.0, 1.0)
+    packed = _pack(_terms(asm, res.nodes))
+    doubled, _, _ = _theta_integral(asm.N, packed, run.p, 2.0, 2 * res.theta_nodes, None)
+    assert abs(doubled - complex(res.value, res.imag_part)) <= tol
 
 
 def test_theta_tail_doubles_the_rule(monkeypatch):
