@@ -24,12 +24,16 @@ with ``w_c = 1 - sqrt(q)`` the double critical point of ``gstar``.  The
 exponents are integers, so principal-branch logarithms exponentiate to the
 exact single-valued product.
 
-The module also provides the Airy function ``Ai`` (series for moderate
-arguments, saddle-point contour quadrature outside; ``Ai'`` comes from the
-same pass, the series differentiated term by term in the same loop and the
-same contour samples times an extra factor ``-z``) and the Airy kernel ``K_Ai(a, b) = int_0^inf Ai(a+s) Ai(b+s) ds``
-in its closed form ``(Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b)``, with
-``Ai'(a)^2 - a Ai(a)^2`` where ``a = b`` (Tracy & Widom 1994).
+The module also provides the Airy function ``Ai`` and the Airy kernel
+``K_Ai(a, b) = int_0^inf Ai(a+s) Ai(b+s) ds``.  ``Ai`` is the Maclaurin
+series for ``|s| <= 5``; right of it, one fixed Gauss-Legendre rule on the
+steepest-descent path through the saddle ``sqrt(s)``, where the integrand
+is real and Gaussian-like; left of it, saddle-point contour quadrature.
+``Ai'`` comes from the same pass: the series differentiated term by term
+in the same loop, or the same path samples times the factor ``-z``.  The
+kernel is evaluated in its closed form
+``(Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b)``, with ``Ai'(a)^2 - a Ai(a)^2``
+where ``a = b`` (Tracy & Widom 1994).
 """
 
 from __future__ import annotations
@@ -341,30 +345,37 @@ def _airy_series(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _AIRY_CHUNK = 1024
+_AIRY_NODES = 32  # Gauss-Legendre nodes of the right tail
 
 
 def _airy_right(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertical-line quadrature through the saddle ``sqrt(s)``, for s > 5.
+    """Steepest-descent path through the saddle ``sqrt(s)``, for s > 5.
 
-    ``Ai(s) = (1/2 pi i) int exp(z^3/3 - s z) dz``; ``Ai'`` carries the
-    extra factor ``-z`` inside the integral, applied to the same samples.
-    Elements are processed in chunks on a shared normalized grid (scaled
-    per element), so large batches stay vectorized.
+    ``Ai(s) = (1/2 pi i) int exp(z^3/3 - s z) dz``.  On the path
+    ``z = sqrt(s) (u + iv)``, ``u = sqrt(1 + v^2/3)``, the phase is constant
+    and the integrand real: with ``r = s^(3/2)``,
+
+        Ai(s)  =  (sqrt(s)/pi) e^(-2r/3) int_0^inf exp(-r v^2 h(v)) dv,
+        Ai'(s) = -(s/pi) e^(-2r/3) int_0^inf exp(-r v^2 h(v)) (u + v^2/(3u)) dv,
+
+    ``h(v) = 2/(9(u+1)) + 8u/9``, where ``u - 1 = v^2/(3(u+1))`` keeps ``h``
+    free of cancellation near ``v = 0``.  Since ``h >= 1``, the integrand
+    is below ``e^-48`` past ``v = sqrt(48/r)``, and one fixed Gauss-Legendre
+    rule on ``[0, sqrt(48/r)]`` serves every point.  Elements are processed
+    in chunks, so large batches stay within memory.
     """
+    tau, weights = gauss_legendre(0.0, 1.0, _AIRY_NODES)
     ai, aip = np.empty_like(s), np.empty_like(s)
     for lo in range(0, len(s), _AIRY_CHUNK):
         sv = s[lo : lo + _AIRY_CHUNK]
-        d = np.sqrt(sv)
-        hw = 7.0 / sv ** 0.25
-        osc = float(np.max(hw ** 3)) / 3.0
-        n = int(max(80, 12 * osc))
-        tau, w = composite_gl(0.0, 1.0, n, panel_size=10)
-        z = d[:, None] + 1j * (hw[:, None] * tau[None, :])
-        f = z ** 3 / 3.0 - sv[:, None] * z
-        vals = np.exp(f)
-        ai[lo : lo + _AIRY_CHUNK] = hw * ((vals.real * w).sum(axis=1)) / math.pi
-        vals *= -z
-        aip[lo : lo + _AIRY_CHUNK] = hw * ((vals.real * w).sum(axis=1)) / math.pi
+        r = sv ** 1.5
+        vmax = np.sqrt(48.0 / r)
+        v2 = (vmax[:, None] * tau) ** 2
+        u = np.sqrt(1.0 + v2 / 3.0)
+        vals = np.exp(-r[:, None] * v2 * (2.0 / (9.0 * (u + 1.0)) + 8.0 * u / 9.0)) * weights
+        scale = np.exp(-2.0 * r / 3.0) * vmax / math.pi
+        ai[lo : lo + _AIRY_CHUNK] = np.sqrt(sv) * scale * vals.sum(axis=1)
+        aip[lo : lo + _AIRY_CHUNK] = -sv * scale * (vals * (u + v2 / (3.0 * u))).sum(axis=1)
     return ai, aip
 
 

@@ -6,9 +6,10 @@ Two routes are provided, both independent of any contour integration:
   chain of last-passage columns ``(G(m,1), ..., G(m,N))``, with values
   capped at the final threshold (exact: by monotonicity any value reaching
   ``a_p`` already violates the final constraint, so the cap introduces no
-  truncation error).  The states are the rows of an integer array with a
-  mass vector beside it; each step expands all of them at once and merges
-  the transitions that meet by an exact integer key.
+  truncation error).  Each state is one exact mixed-radix key (a few int64
+  words) with its mass beside it; a step groups the states by their key
+  off the column it advances and sums each group's geometric moves by a
+  prefix recursion, without spelling the moves out.
 
 * ``truncated_sum_prob`` — the determinantal sum
 
@@ -128,62 +129,105 @@ def nabla_w_table(k: int, m: int, q: float, lo: int, hi: int) -> np.ndarray:
 # exact dynamic program
 # ---------------------------------------------------------------------------
 
-_DP_ROWS = 1 << 20  # transitions expanded at once by one DP step
+def _digits_per_word(cap: int, N: int) -> int:
+    """Radix-``cap`` digits one int64 key word holds: the most ``d`` with ``cap**d < 2**63``."""
+    if cap == 1:
+        return max(N, 1)
+    d = 1
+    while cap ** (d + 1) < 2 ** 63:
+        d += 1
+    return d
 
 
-def _row_keys(cols: np.ndarray, radix: int) -> np.ndarray:
-    """Integer keys of the rows of ``cols`` (entries in ``[0, radix)``).
+def _digit(keys: np.ndarray, j: int, cap: int, per: int) -> np.ndarray:
+    """Column ``j`` of every state: digit ``j % per`` of key word ``j // per``.
 
-    Equal rows get equal keys and distinct rows distinct keys.  The key is
-    mixed-radix in ``radix``; whenever the next column would overflow
-    int64, the keys so far are first replaced by their dense ranks, which
-    keeps the keys exact for any row length.
+    Only floor divisions by scalars, on a contiguous word, which numpy
+    does far faster than a remainder or a strided division.
     """
-    key = np.zeros(len(cols), dtype=np.int64)
-    bound = 1  # keys lie in [0, bound)
-    for col in cols.T:
-        if bound > 2 ** 63 // radix:
-            ranks, key = np.unique(key, return_inverse=True)
-            bound = len(ranks)
-        key = key * radix + col
+    word, d = divmod(j, per)
+    w = np.ascontiguousarray(keys[:, word])
+    unit = cap ** d
+    return w // unit - w // (unit * cap) * cap
+
+
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the entries of ``x`` and their count."""
+    uniq, rank = np.unique(x, return_inverse=True)
+    return rank, len(uniq)
+
+
+def _group(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows whose columns are ``words`` (non-negative int64 arrays).
+
+    Returns each row's group (the dense rank of the row) and the index of
+    one row of each group.  The words are combined into one uint64 key in
+    mixed radix, each word's radix one more than its largest entry;
+    whenever the product would pass ``2**64``, the key so far (and, if
+    still needed, the word) is first replaced by its dense ranks, so the
+    key stays exact for any number of words.  One word is ranked as it is.
+    """
+    key, bound = words[0], int(words[0].max()) + 1
+    for word in words[1:]:
+        radix = int(word.max()) + 1
+        if bound * radix > 2 ** 64:
+            key, bound = _ranks(key)
+        if bound * radix > 2 ** 64:
+            word, radix = _ranks(word)
+        key = key.view(np.uint64) * np.uint64(radix) + word.view(np.uint64)
         bound *= radix
-    return key
+    group, groups = _ranks(key)
+    first = np.empty(groups, dtype=np.intp)
+    first[group] = np.arange(len(group))
+    return group, first
 
 
 def _dp_step(
-    states: np.ndarray, mass: np.ndarray, j: int, cap: int, geo: np.ndarray
+    keys: np.ndarray, mass: np.ndarray, j: int, cap: int, q: float, per: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance column ``j`` of every state by one geometric increment.
 
-    State ``s`` moves to ``s`` with ``s[j] = v`` for every
-    ``v in [base, cap)``, ``base = max(s[j], s[j-1])``, with weight
-    ``geo[v - base]``; mass reaching ``cap`` is dropped.  Two transitions
-    land on the same state exactly when their parents agree off column
-    ``j`` and their values agree, so the parents are grouped by their
-    exact key off column ``j`` (``np.unique``), and the transitions are
-    summed into a dense ``(group, v)`` table with ``np.bincount``, in slices
-    of at most ``_DP_ROWS`` transitions.  The new states are the reachable
-    cells, in ``(group, v)`` order.
+    A state is a row of int64 key words holding its columns as radix-``cap``
+    digits, ``per`` to a word (``_digit``).  State ``s`` moves to ``s`` with
+    ``s[j] = v`` for every ``v in [base, cap)``, ``base = max(s[j], s[j-1])``,
+    with weight ``(1 - q) q**(v - base)``; mass reaching ``cap`` is dropped.
+    Two moves land on the same state exactly when their parents agree off
+    column ``j`` and their values agree, so the parents are grouped by
+    their key words with digit ``j`` taken out (``_group``).  Their masses
+    are binned by ``(base, group)`` into a table ``T``, and the geometric
+    sums follow from the recursion ``T[v] += q T[v-1]``, so no move is
+    expanded; the new weights are ``(1 - q) T``.  The new states are the
+    cells with ``v`` at least the lowest base of their group, in
+    ``(v, group)`` order; setting digit ``j`` to ``v`` changes one word.
     """
-    base = states[:, j] if j == 0 else np.maximum(states[:, j], states[:, j - 1])
-    _, group = np.unique(_row_keys(np.delete(states, j, axis=1), cap), return_inverse=True)
-    groups = int(group.max()) + 1
-    table = np.zeros(groups * cap)
-    step = max(1, _DP_ROWS // cap)
-    for lo in range(0, len(states), step):
-        counts = cap - base[lo:lo + step]
-        par = np.repeat(np.arange(lo, lo + len(counts)), counts)
-        off = np.arange(len(par)) - np.repeat(np.cumsum(counts) - counts, counts)
-        cell = group[par] * cap + base[par] + off
-        table += np.bincount(cell, weights=mass[par] * geo[off], minlength=len(table))
+    word, d = divmod(j, per)
+    unit = cap ** d
+    w = np.ascontiguousarray(keys[:, word])
+    low, high = w // unit, w // (unit * cap)  # the digits from j up, and above j
+    digit = low - high * cap
+    if j:
+        prev = w // (unit // cap) - low * cap if d else _digit(keys, j - 1, cap, per)
+        base = np.maximum(digit, prev)
+    else:
+        base = digit
+    rest = high * unit + (w - low * unit)  # the word without digit j
+    group, first = _group([rest if k == word else col for k, col in enumerate(keys.T)])
+    groups = len(first)
+    table = np.bincount(base * groups + group, weights=mass, minlength=cap * groups)
+    table = table.reshape(cap, groups)
+    for v in range(1, cap):
+        table[v] += q * table[v - 1]
     lowest = np.full(groups, cap)
     np.minimum.at(lowest, group, base)
-    cells = np.flatnonzero(np.arange(cap)[None, :] >= lowest[:, None])
-    parent = np.empty(groups, dtype=np.intp)
-    parent[group] = np.arange(len(states))
-    out = states[parent[cells // cap]]
-    out[:, j] = cells % cap
-    return out, table[cells]
+    values = np.arange(cap)[:, None]
+    cells = values >= lowest
+    out = np.empty((np.count_nonzero(cells), keys.shape[1]), dtype=np.int64, order="F")
+    for k, col in enumerate(keys.T):
+        if k == word:
+            out[:, k] = (w[first] - digit[first] * unit + values * unit)[cells]
+        else:
+            out[:, k] = np.broadcast_to(col[first], cells.shape)[cells]
+    return out, (1.0 - q) * table[cells]
 
 
 def _dp_peak_states(params: ModelParams) -> int:
@@ -210,13 +254,17 @@ def dp_exact_prob(
 
     The state is the vector ``(G(m,1), ..., G(m,N))`` with ``N = n_p``,
     evolved column by column; within a column the rows are swept in order,
-    so intermediate states mix new and old entries.  The states are the
-    rows of a ``(K, N)`` integer array with a mass vector beside it; each
-    step expands every state over its admissible values at once and merges
-    duplicates (see ``_dp_step``).  Values are capped at ``a_p``: mass
-    reaching the cap is dropped (it can never satisfy the final
-    constraint).  The grid is transposed (``params._short_side``) when that
-    gives the smaller state vector.
+    so intermediate states mix new and old entries.  A state is kept as
+    its key: the ``N`` values as radix-``a_p`` digits, as many to an int64
+    word as fit (``_digits_per_word``), so a ``(K, W)`` array of words with
+    a mass vector beside it, ``W = 1`` unless ``a_p**N`` passes ``2**63``.
+    A step decodes only the two columns it reads, groups the states by the
+    key off the column it advances, bins their masses and takes the
+    geometric sums by the recursion ``T[v] += q T[v-1]``, then rewrites
+    one word of each new key (see ``_dp_step``).  Values are capped at
+    ``a_p``: mass reaching the cap is dropped (it can never satisfy the
+    final constraint).  The grid is transposed (``params._short_side``)
+    when that gives the smaller state vector.
 
     Raises ``BudgetError`` when the peak state count (``_dp_peak_states``)
     exceeds the budget, before anything is allocated, and when ``deadline`` (a
@@ -232,20 +280,18 @@ def dp_exact_prob(
         raise BudgetError(f"peak state count {peak} exceeds budget {state_budget}")
     q = params.q
     checkpoints = {m: k for k, m in enumerate(params.m)}
-    # geometric increment probabilities; the tail q**cap beyond is dropped
-    geo = (1.0 - q) * q ** np.arange(cap, dtype=float)
-
-    states = np.zeros((1, N), dtype=np.int64)
+    per = _digits_per_word(cap, N)
+    keys = np.zeros((1, -(-N // per)), dtype=np.int64)
     mass = np.ones(1)
     for m in range(1, params.m[-1] + 1):
         _check_deadline(deadline, "the transfer-matrix DP")
         for j in range(N):
-            states, mass = _dp_step(states, mass, j, cap, geo)
+            keys, mass = _dp_step(keys, mass, j, cap, q, per)
         if m in checkpoints:
             k = checkpoints[m]
-            keep = states[:, params.n[k] - 1] < params.a[k]
-            states, mass = states[keep], mass[keep]
-            if not len(states):
+            keep = _digit(keys, params.n[k] - 1, cap, per) < params.a[k]
+            keys, mass = keys[keep], mass[keep]
+            if not len(keys):
                 return 0.0
     return float(mass.sum())
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -350,6 +351,26 @@ def test_airy_prime_against_scipy():
     s = np.linspace(-10.0, 50.0, 1201)
     ref = scipy.special.airy(s)[1]
     assert np.max(np.abs(_airy(s)[1] - ref)) < 1e-12
+
+
+def test_airy_right_tail_is_relatively_accurate():
+    # Ai falls to 1e-79 by s = 60, so an absolute check says nothing there
+    s = np.concatenate([np.linspace(5.0, 60.0, 221)[1:], [np.nextafter(5.0, 6.0)]])
+    ai, aip = _airy(s)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.airyai(x)) for x in s])
+        refp = np.array([float(mpmath.airyai(x, derivative=1)) for x in s])
+    assert np.max(np.abs(ai / ref - 1.0)) < 1e-13
+    assert np.max(np.abs(aip / refp - 1.0)) < 1e-13
+
+
+def test_airy_agrees_across_the_series_switch():
+    # s = 5 takes the series, the next double the steepest-descent path;
+    # the series keeps about 1e-9 of Ai(5) after its cancellation
+    s = np.array([5.0, np.nextafter(5.0, 6.0)])
+    ai, aip = _airy(s)
+    assert ai[0] == pytest.approx(ai[1], rel=1e-9, abs=0)
+    assert aip[0] == pytest.approx(aip[1], rel=1e-9, abs=0)
 
 
 def test_airy_kernel_at_coincident_off_diagonal_points():

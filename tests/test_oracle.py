@@ -7,12 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import growthdist.oracle
 from growthdist.errors import BudgetError
+from growthdist.exact import multipoint_prob_exact
 from growthdist.oracle import (
+    _digit,
+    _digits_per_word,
     _dp_peak_states,
-    _row_keys,
+    _group,
     dp_exact_prob,
     nabla_pow,
     nabla_w,
@@ -123,17 +128,95 @@ def test_dp_value_is_pinned():
     assert dp_exact_prob(mp) == pytest.approx(0.011606711549096003, rel=1e-14, abs=0)
 
 
-def test_row_keys_are_exact_past_int64():
-    # 41 columns of radix 3 need 3**41 > 2**63 key values
+def _pack(rows: np.ndarray, cap: int, per: int) -> np.ndarray:
+    """The DP's key words of the states ``rows``: ``per`` radix-``cap`` digits a word."""
+    keys = np.zeros((len(rows), -(-rows.shape[1] // per)), dtype=np.int64)
+    for c, col in enumerate(rows.T):
+        keys[:, c // per] += col * cap ** (c % per)
+    return keys
+
+
+def test_state_keys_are_exact_past_int64():
+    # 41 columns of radix 3 need 3**41 > 2**63 key values, so two words;
+    # 120 columns need four, and combining them ranks both key and word
     rng = np.random.default_rng(5)
-    rows = rng.integers(0, 3, size=(400, 41))
-    rows[200:] = rows[rng.integers(0, 200, size=200)]
-    rows[::7, 0] = rng.integers(0, 3, size=len(rows[::7]))
-    _, want = np.unique(rows, axis=0, return_inverse=True)
-    keys = _row_keys(rows, 3)
-    same_rows = want[:, None] == want[None, :]
-    same_keys = keys[:, None] == keys[None, :]
-    assert np.array_equal(same_rows, same_keys)
+    for width in (41, 120):
+        rows = rng.integers(0, 3, size=(400, width))
+        rows[200:] = rows[rng.integers(0, 200, size=200)]
+        rows[::7, 0] = rng.integers(0, 3, size=len(rows[::7]))
+        per = _digits_per_word(3, width)
+        keys = _pack(rows, 3, per)
+        assert keys.shape[1] == -(-width // 39) and per == 39
+        assert all(np.array_equal(_digit(keys, c, 3, per), rows[:, c]) for c in range(width))
+        _, want = np.unique(rows, axis=0, return_inverse=True)
+        group, first = _group(list(keys.T))
+        assert np.array_equal(rows[first][group], rows)
+        same_rows = want[:, None] == want[None, :]
+        same_keys = group[:, None] == group[None, :]
+        assert np.array_equal(same_rows, same_keys)
+
+
+def test_group_ranks_before_a_key_would_wrap():
+    # k * 3 == 2 (mod 2**64): combined without ranks in uint64, the rows
+    # (k, 0) and (0, 2) would share a key
+    k = 2 * pow(3, -1, 2 ** 64) % 2 ** 64
+    assert k < 2 ** 63 and (k + 1) * 3 > 2 ** 64
+    words = [np.array([k, 0, k], dtype=np.int64), np.array([0, 2, 0], dtype=np.int64)]
+    group, first = _group(words)
+    assert group[0] == group[2] != group[1]
+    assert sorted(first.tolist()) in ([0, 1], [1, 2])
+
+
+def _moves(rows: np.ndarray, mass: np.ndarray, j: int, cap: int, q: float) -> dict:
+    """One DP step by its definition: every move spelled out and summed."""
+    out: dict = {}
+    for s, w in zip(map(tuple, rows), mass):
+        base = s[j] if j == 0 else max(s[j], s[j - 1])
+        for v in range(base, cap):
+            t = s[:j] + (v,) + s[j + 1:]
+            out[t] = out.get(t, 0.0) + w * (1.0 - q) * q ** (v - base)
+    return out
+
+
+@st.composite
+def dp_steps(draw):
+    """Mid-row states before step ``j``: columns ``< j`` new, the rest old,
+    both nondecreasing and each new one at least the old one it replaced.
+    ``per`` of at most ``N`` digits a word spreads the keys over several words."""
+    cap, N = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    j, per = draw(st.integers(0, N - 1)), draw(st.integers(1, N))
+    raw = draw(st.lists(st.lists(st.integers(0, cap - 1), min_size=2 * N, max_size=2 * N),
+                        min_size=1, max_size=40))
+    rows = set()
+    for r in raw:
+        old, new = sorted(r[:N]), sorted(r[N:N + j])
+        rows.add(tuple(max(a, b) for a, b in zip(new, old)) + tuple(old[j:]))
+    rows = np.array(sorted(rows), dtype=np.int64)
+    mass = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows), max_size=len(rows))))
+    return rows, mass, j, cap, draw(st.floats(0.02, 0.98)), per
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dp_steps())
+def test_dp_step_sums_the_expanded_moves(case):
+    rows, mass, j, cap, q, per = case
+    keys, got = growthdist.oracle._dp_step(_pack(rows, cap, per), mass, j, cap, q, per)
+    states = np.stack([_digit(keys, c, cap, per) for c in range(rows.shape[1])], axis=1)
+    want = _moves(rows, mass, j, cap, q)
+    assert len(states) == len(want)
+    assert {tuple(s) for s in states.tolist()} == set(want)
+    for s, value in zip(map(tuple, states.tolist()), got):
+        assert value == pytest.approx(want[s], rel=1e-14, abs=0)
+
+
+def test_dp_on_a_long_strip_with_two_key_words():
+    # N = 41 columns at cap 3 need two key words, since 3**41 > 2**63
+    mp = ModelParams(q=0.02, m=(20, 41), n=(30, 41), a=(2, 3))
+    assert _digits_per_word(3, 41) < 41
+    want = multipoint_prob_exact(mp).value
+    got = dp_exact_prob(mp)
+    assert abs(got - want) < 1e-9
+    assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_dp_state_budget():
