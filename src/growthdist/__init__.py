@@ -9,18 +9,19 @@ marginal).  The per-family kernel oracles of the limit law (the contour
 and Airy-operator forms) are private to ``asymptotic`` and serve its tests;
 ``LimitSettings`` holds the limit law's controls ``extent``,
 ``block_nodes``, ``theta_radius``, ``mu``, ``tol`` and ``max_levels``.
+Both Fredholm routes return one ``FredholmResult``.
 """
 
 from .asymptotic import (
-    AsymptoticResult,
     LimitSettings,
     fredholm_det_F,
     multitime_cdf,
     tracy_widom,
 )
 from .errors import BudgetError, ConvergenceError, SchemaError
-from .exact import ExactResult, det_theta, multipoint_prob_exact
+from .exact import det_theta, multipoint_prob_exact
 from .growth import MCResult, mc_multipoint, sample_weights
+from .linalg import FredholmResult
 from .oracle import dp_exact_prob, truncated_sum_prob
 from .params import (
     KPZParams,
@@ -36,10 +37,9 @@ from .params import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticResult",
     "BudgetError",
     "ConvergenceError",
-    "ExactResult",
+    "FredholmResult",
     "KPZParams",
     "LimitParams",
     "LimitSettings",

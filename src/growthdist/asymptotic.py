@@ -53,7 +53,9 @@ theta), certifies each rule from its Laurent tail and grows the Nystrom
 grid until two successive levels agree;
 ``_limit_terms`` hands the Nystrom-weighted kernel bases to the shared
 theta-determinant engine in ``linalg``, which does the summing,
-determinants, integration and refinement.  One ``_LimitKernels`` serves
+determinants, integration and refinement, and builds the
+``linalg.FredholmResult`` that ``multitime_cdf`` returns, its ``nodes``
+counted per Nystrom block.  One ``_LimitKernels`` serves
 every level of a call: it builds each line once, and per walk it forms
 each line coupling, row and column factor once and each chain prefix
 once per level, on one node of each conjugate pair, shares it among all
@@ -73,7 +75,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -91,6 +92,7 @@ from .integrands import (
 )
 from .linalg import (
     _PANEL,
+    FredholmResult,
     NystromGrid,
     _check_deadline,
     _det_at,
@@ -112,7 +114,6 @@ from .params import (
 
 __all__ = [
     "LimitSettings",
-    "AsymptoticResult",
     "fredholm_det_F",
     "multitime_cdf",
     "tracy_widom",
@@ -743,26 +744,12 @@ def fredholm_det_F(
 # the theta integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticResult:
-    """Value and diagnostics of a limit-law evaluation."""
-
-    value: float
-    imag_part: float
-    theta_nodes: int
-    grid_nodes: int
-    levels: int
-    converged: bool
-    runtime_ms: float
-    theta_tail: float
-
-
 def multitime_cdf(
     instance: LimitParams,
     settings: LimitSettings | None = None,
     *,
     deadline: float | None = None,
-) -> AsymptoticResult:
+) -> FredholmResult:
     """Joint probability that the rescaled interface stays below ``xi``.
 
     Integrates ``det(I + F(theta)) / prod (theta_k - 1)`` over the product
@@ -777,12 +764,12 @@ def multitime_cdf(
     it fails.  Each level's theta rule starts at the previous level's (8
     nodes per circle on the first) and doubles until its Laurent tail is at
     most ``settings.tol``, each doubling computing only its new nodes.
+    Returns the engine's ``linalg.FredholmResult``, whose ``nodes`` are the
+    Nystrom nodes per block of the returned level and ``first_level`` 0.
     Raises ``ConvergenceError`` when no level agrees with the one before
     it, or when the value lies outside ``[0, 1]`` by more than
-    ``settings.tol``.  The value is real by construction (``imag_part``
-    0).
+    ``settings.tol``.
     """
-    start = time.perf_counter()
     inst = instance
     settings = settings or LimitSettings()
     kern = _LimitKernels(inst, settings)
@@ -800,21 +787,8 @@ def multitime_cdf(
                 pending[lv] = len(grid), terms
         return pending.pop(level)
 
-    value, _, level, n_theta, tail, _ = _refine(
-        terms_at, inst.p, settings.theta_radius, settings.tol, settings.max_levels, deadline,
-    )
-    if not -settings.tol <= value.real <= 1.0 + settings.tol:
-        raise ConvergenceError(f"value {value.real:.6g} at level {level} is not a probability")
-    return AsymptoticResult(
-        value=float(value.real),
-        imag_part=float(value.imag),
-        theta_nodes=n_theta,  # per circle; p = 1 has no circle
-        grid_nodes=inst.p * nodes_at(level),
-        levels=level,
-        converged=True,
-        runtime_ms=1e3 * (time.perf_counter() - start),
-        theta_tail=tail,
-    )
+    return _refine(nodes_at, terms_at, inst.p, settings.theta_radius, settings.tol,
+                   settings.max_levels, deadline)
 
 
 # ---------------------------------------------------------------------------

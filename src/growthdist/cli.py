@@ -45,7 +45,7 @@ from .errors import BudgetError, ConvergenceError, SchemaError
 from .exact import multipoint_prob_exact
 from .growth import mc_multipoint
 from .integrands import composite_gl
-from .linalg import _check_deadline
+from .linalg import FredholmResult, _check_deadline
 from .oracle import _dp_peak_states, dp_exact_prob, truncated_sum_prob, verify_sbp
 from .params import (
     KPZParams,
@@ -146,10 +146,12 @@ def _run_instance(args) -> int:
 
     ``args.compute(args, doc)`` returns the value and its diagnostics;
     ``simulate`` also returns its CSV row, written instead under
-    ``--format csv``.
+    ``--format csv``.  The evaluation is timed here, as ``runtime_ms``.
     """
     doc = _load_config(args.config)
+    start = time.perf_counter()
     value, diagnostics, *row = args.compute(args, doc)
+    diagnostics["runtime_ms"] = 1e3 * (time.perf_counter() - start)
     if row and args.format == "csv":
         _emit(args, None, row)
     else:
@@ -157,22 +159,31 @@ def _run_instance(args) -> int:
     return 0
 
 
+def _given(**options) -> dict:
+    """The options given on the command line: a library default is the default."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _fredholm(res: FredholmResult, nodes: int, grid: int) -> tuple:
+    """Value and diagnostics of either Fredholm route, which names its two node counts."""
+    return res.value, {
+        "delta": res.delta,
+        "nodes": nodes,
+        "grid": grid,
+        "theta_tail": res.theta_tail,
+        "levels": res.levels,
+        "first_level": res.first_level,
+    }
+
+
 def _cmd_simulate(args, doc: dict) -> tuple:
     if args.workers < 1:
         raise SchemaError(f"--workers must be at least 1, got {args.workers}")
-    params = _as_discrete(doc)
-    start = time.perf_counter()
     res = mc_multipoint(
-        params, args.samples, seed=args.seed, workers=args.workers,
+        _as_discrete(doc), args.samples, seed=args.seed, workers=args.workers,
         deadline=_deadline(args),
     )
-    ms = 1e3 * (time.perf_counter() - start)
-    diagnostics = {
-        "stderr": res.stderr,
-        "successes": res.successes,
-        "nsamples": res.nsamples,
-        "runtime_ms": ms,
-    }
+    diagnostics = {"stderr": res.stderr, "successes": res.successes, "nsamples": res.nsamples}
     row = {
         "estimate": f"{res.estimate:.12g}",
         "stderr": f"{res.stderr:.12g}",
@@ -183,60 +194,35 @@ def _cmd_simulate(args, doc: dict) -> tuple:
 
 
 def _cmd_oracle(args, doc: dict) -> tuple:
-    if args.state_budget < 0:
+    if args.state_budget is not None and args.state_budget < 0:
         raise SchemaError(f"--state-budget must be non-negative, got {args.state_budget}")
     params = _as_discrete(doc)
-    start = time.perf_counter()
-    value = dp_exact_prob(params, state_budget=args.state_budget, deadline=_deadline(args))
-    ms = 1e3 * (time.perf_counter() - start)
-    return value, {"states": _dp_peak_states(params), "runtime_ms": ms}
+    value = dp_exact_prob(params, deadline=_deadline(args),
+                          **_given(state_budget=args.state_budget))
+    return value, {"states": _dp_peak_states(params)}
 
 
 def _cmd_exact(args, doc: dict) -> tuple:
     res = multipoint_prob_exact(
         _as_discrete(doc),
-        mu=args.mu,
-        tol=args.tol,
-        base_nodes=args.base_nodes,
-        max_levels=args.max_levels,
-        theta_radius=args.theta_radius,
-        radius_scale=args.radius_scale,
         deadline=_deadline(args),
+        **_given(mu=args.mu, tol=args.tol, base_nodes=args.base_nodes,
+                 max_levels=args.max_levels, theta_radius=args.theta_radius,
+                 radius_scale=args.radius_scale),
     )
-    return res.value, {
-        "imag_part": res.imag_part,
-        "delta": res.delta,
-        "nodes": res.nodes,
-        "grid": res.theta_nodes,
-        "theta_tail": res.theta_tail,
-        "levels": res.levels,
-        "first_level": res.first_level,
-        "converged": res.converged,
-        "runtime_ms": res.runtime_ms,
-    }
+    # the contour nodes per circle, and the theta nodes per circle
+    return _fredholm(res, nodes=res.nodes, grid=res.theta_nodes)
 
 
 def _cmd_asymptotic(args, doc: dict) -> tuple:
     inst = _as_limit(doc)
-    overrides = {
-        "extent": args.extent,
-        "block_nodes": args.block_nodes,
-        "theta_radius": args.theta_radius,
-        "mu": args.mu,
-        "tol": args.tol,
-        "max_levels": args.max_levels,
-    }
-    settings = LimitSettings(**{k: v for k, v in overrides.items() if v is not None})
+    settings = LimitSettings(**_given(
+        extent=args.extent, block_nodes=args.block_nodes, theta_radius=args.theta_radius,
+        mu=args.mu, tol=args.tol, max_levels=args.max_levels,
+    ))
     res = multitime_cdf(inst, settings, deadline=_deadline(args))
-    return res.value, {
-        "imag_part": res.imag_part,
-        "nodes": res.theta_nodes,
-        "grid": res.grid_nodes,
-        "theta_tail": res.theta_tail,
-        "levels": res.levels,
-        "converged": res.converged,
-        "runtime_ms": res.runtime_ms,
-    }
+    # the theta nodes per circle, and the Nystrom nodes over all blocks
+    return _fredholm(res, nodes=res.theta_nodes, grid=inst.p * res.nodes)
 
 
 def _cmd_tw(args) -> int:
@@ -429,35 +415,35 @@ def _build_parser() -> argparse.ArgumentParser:
     orc = command("oracle", "exact DP ground truth", instance,
                   func=_run_instance, compute=_cmd_oracle)
     orc.add_argument(
-        "--state-budget", type=int, default=10 ** 6,
+        "--state-budget", type=int, default=None,
         help="maximum admissible DP state-space size",
     )
 
     exa = command("exact", "finite-size contour formula", instance,
                   func=_run_instance, compute=_cmd_exact)
-    exa.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance")
-    exa.add_argument("--mu", type=float, default=0.0, help="conjugation exponent")
+    exa.add_argument("--tol", type=float, default=None, help="convergence tolerance")
+    exa.add_argument("--mu", type=float, default=None, help="conjugation exponent")
     exa.add_argument(
-        "--base-nodes", type=int, default=64,
+        "--base-nodes", type=int, default=None,
         help="contour nodes per circle of level 0 of the schedule (even); the run starts "
         "at the level the circle geometry chooses",
     )
     exa.add_argument(
-        "--max-levels", type=int, default=14,
+        "--max-levels", type=int, default=None,
         help="index of the finest level allowed (nodes grown by sqrt 2 per level)",
     )
     exa.add_argument(
-        "--theta-radius", type=float, default=2.0, help="radius of the theta circles"
+        "--theta-radius", type=float, default=None, help="radius of the theta circles"
     )
     exa.add_argument(
-        "--radius-scale", type=float, default=1.0,
+        "--radius-scale", type=float, default=None,
         help="multiplier of the contour offsets from the critical point; 1 is the "
         "default layout of two fluctuation units (the value does not depend on it)",
     )
 
     asy = command("asymptotic", "limiting multi-time law", instance,
                   func=_run_instance, compute=_cmd_asymptotic)
-    asy.add_argument("--tol", type=float, default=2e-6, help="convergence tolerance")
+    asy.add_argument("--tol", type=float, default=None, help="convergence tolerance")
     asy.add_argument("--mu", type=float, default=None, help="conjugation rate override")
     asy.add_argument("--extent", type=float, default=None, help="half-line truncation")
     asy.add_argument(
@@ -470,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     asy.add_argument(
         "--max-levels", type=int, default=None,
         help="grid refinements (panels grown by sqrt 2) allowed after the first "
-        "evaluation (default 4)",
+        "evaluation",
     )
 
     tw = command("tw", "Tracy-Widom GUE sweep", ("--out", "--seed", "--budget"),

@@ -36,8 +36,9 @@ grown by ``sqrt(2)`` per level (64, 90, 128, 182, .. from 64) contour nodes
 per circle, ``base_nodes`` being the base of this schedule, not the first
 count built: a run starts at the last level whose closest concentric
 circles still alias above ``tol`` (``linalg._first_level``), builds upward
-until two successive levels agree, and reports the index of the finer one
-as ``levels``.
+until two successive levels agree, and returns the engine's
+``linalg.FredholmResult``: the index of the finer level as ``levels``, its
+contour nodes per circle as ``nodes``.
 
 Per level, every piece but ``B`` is a chain: row factors on a first circle,
 Cauchy couplings ``1/(a - b)`` between successive circles scaled by node
@@ -72,15 +73,13 @@ threshold as ``a - 1``, and the engine refines one determinant, no theta.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .integrands import Contour, _Chain, _walk_chains, circle, log_g
-from .linalg import _det_at, _refine, _refined_count
+from .linalg import FredholmResult, _check_refinement, _det_at, _refine, _refined_count
 # Unused here since the engine takes every determinant, but kept importable:
 # a tracer that wraps ``lu_det`` in every module namespace holding it
 # (``perfbench/tracing.py``) checks that it restores this name too.
@@ -96,33 +95,12 @@ from .params import (
     theta_profile,
 )
 
-__all__ = ["ExactResult", "det_theta", "multipoint_prob_exact"]
+__all__ = ["det_theta", "multipoint_prob_exact"]
 
 # Contour offsets are measured in units of this many fluctuation scales
 # ``c4 / nu``.  Two keep the integrands of order one near the dominant arc
 # while halving the nodes the closest concentric circles need against one.
 _OFFSET_UNITS = 2.0
-
-
-@dataclass(frozen=True)
-class ExactResult:
-    """Value of a contour-integral evaluation plus convergence diagnostics.
-
-    ``levels`` is the index of the returned refinement level and
-    ``first_level`` the level the run started at; it built no level below
-    it.
-    """
-
-    value: float
-    imag_part: float
-    delta: float
-    nodes: int
-    theta_nodes: int
-    levels: int
-    converged: bool
-    runtime_ms: float
-    theta_tail: float
-    first_level: int
 
 
 class _Link(NamedTuple):
@@ -505,47 +483,49 @@ def multipoint_prob_exact(
     theta_radius: float = 2.0,
     radius_scale: float = 1.0,
     deadline: float | None = None,
-) -> ExactResult:
+) -> FredholmResult:
     """Evaluate ``P(G(m_k, n_k) < a_k for all k)`` by contour quadrature.
 
     Level ``l`` has ``_refined_count(base_nodes, 2, l)`` contour nodes per
     circle: ``base_nodes`` grown by ``sqrt(2)`` per level (rounded to even,
-    doubling every second level).  The run returns the level at which two
-    successive evaluations first agree within ``tol``, as ``levels``
-    (``ConvergenceError`` if none up to index ``max_levels`` does).  It
-    builds levels upward from the last one whose coupling bound
-    ``coupling_ratio**nodes`` exceeds ``tol`` (``linalg._refine``), and
-    reports that start as ``first_level``.  Each level's theta rule starts at
-    the previous level's (8 nodes per circle on the first; ``p = 1``, the
-    ``L_p`` chain at threshold ``a - 1``, has none) and doubles until its
-    Laurent tail is at most ``tol``.
+    doubling every second level).  The run returns the engine's
+    ``linalg.FredholmResult``, whose ``nodes`` are the contour nodes per
+    circle of the level at which two successive evaluations first agree
+    within ``tol``, its index ``levels`` (``ConvergenceError`` if none up
+    to index ``max_levels`` does, or if the agreed value is no
+    probability).  It builds levels upward from the last one whose coupling
+    bound ``coupling_ratio**nodes`` exceeds ``tol`` (``linalg._refine``),
+    and reports that start as ``first_level``.  Each level's theta rule
+    starts at the previous level's (8 nodes per circle on the first; ``p =
+    1``, the ``L_p`` chain at threshold ``a - 1``, has none) and doubles
+    until its Laurent tail is at most ``tol``.
     ``mu`` controls the similarity conjugation (the value is invariant);
     ``theta_radius`` (> 1) and ``radius_scale`` move contours without
     changing the value, ``radius_scale`` multiplying the contour offsets of
     the default layout (1, two fluctuation units from the critical point)
     within their admissible windows.  ``deadline`` is a
     ``time.monotonic()`` stamp after which ``BudgetError`` is raised.
-    Before any numerics, implied times are dropped (``_drop_implied_times``)
-    and ``m, n`` swapped if ``n_p > m_p`` (``params._short_side``); the
-    diagnostics describe that instance.
+    Every control is checked first.  Then implied times are dropped
+    (``_drop_implied_times``) and ``m, n`` swapped if ``n_p > m_p``
+    (``params._short_side``); the diagnostics describe that instance.  A
+    threshold ``a_k <= 0`` gives the impossible event, value 0 with all
+    diagnostics 0.
     """
-    start = time.perf_counter()
     _check_node_count("base_nodes", base_nodes)
     _check_controls(mu, radius_scale, theta_radius)
+    _check_refinement(tol, max_levels)
     params = _short_side(_drop_implied_times(params))
     if any(ak <= 0 for ak in params.a):
-        return ExactResult(0.0, 0.0, 0.0, 0, 0, 0, True, 0.0, 0.0, 0)
+        return FredholmResult(0.0, 0.0, 0, 0, 0, 0, 0.0)
     asm = _Assembler(params, mu, radius_scale)
     pieces = _pieces(asm)
     ratio = asm.coupling_ratio(pieces[1])
-    val, delta, level, n_theta, tail, first = _refine(
-        lambda level: (asm.N, _terms(asm, _refined_count(base_nodes, 2, level), pieces=pieces)),
+
+    def nodes_at(level: int) -> int:
+        return _refined_count(base_nodes, 2, level)
+
+    return _refine(
+        nodes_at, lambda level: (asm.N, _terms(asm, nodes_at(level), pieces=pieces)),
         params.p, theta_radius, tol, max_levels, deadline,
-        lambda level: ratio ** _refined_count(base_nodes, 2, level),
-    )
-    return ExactResult(
-        value=float(val.real), imag_part=float(val.imag), delta=float(delta),
-        nodes=_refined_count(base_nodes, 2, level), theta_nodes=n_theta,
-        levels=level, converged=True, runtime_ms=(time.perf_counter() - start) * 1e3,
-        theta_tail=tail, first_level=first,
+        lambda level: ratio ** nodes_at(level),
     )

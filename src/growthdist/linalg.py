@@ -14,10 +14,13 @@ private theta-determinant engine.  A route only describes its terms
 is no theta), and how they are built at each refinement level.
 The engine owns the rest.  ``_refine`` is the one refinement loop.  It
 refines two resolutions on their own evidence: the route's (contour or
-Nystrom) nodes grow by ``sqrt(2)`` per level (``_refined_count``) until
-two successive levels agree, from the first level the route's a-priori
-error bound leaves unresolved (``_first_level``), and on each level the
-theta rule doubles on the same terms until its tail certifies it.
+Nystrom) nodes grow by ``sqrt(2)`` per level (``_refined_count``, on the
+route's ``nodes_at`` schedule) until two successive levels agree, from the
+first level the route's a-priori error bound leaves unresolved
+(``_first_level``), and on each level the theta rule doubles on the same
+terms until its tail certifies it.  It rejects an agreed value that is no
+probability, and returns a ``FredholmResult``, which both routes return as
+it is.
 ``_pack`` sums a level's bases into one matrix per (block, monomial) once,
 before its first theta rule; every base is real.  A theta rule
 (``_theta_integral``) is a function of its determinant torus.  Node ``j``
@@ -50,6 +53,7 @@ from .errors import BudgetError, ConvergenceError, SchemaError
 from .integrands import composite_gl
 
 __all__ = [
+    "FredholmResult",
     "lu_det",
     "NystromGrid",
     "block_grid",
@@ -345,33 +349,63 @@ def _first_level(bound: Callable[[int], float], tol: float, max_levels: int) -> 
     return level
 
 
-def _refine(
-    terms_at: Callable[[int], tuple[int, list]], p: int, radius: float, tol: float,
-    max_levels: int, deadline: float | None, bound: Callable[[int], float] | None = None,
-) -> tuple[float, float, int, int, float, int]:
-    """Integrate over theta from a first level upward until two successive values agree.
+@dataclass(frozen=True)
+class FredholmResult:
+    """Value and refinement diagnostics of a theta integral of a Fredholm determinant.
 
-    ``terms_at(level)`` returns the matrix size and the terms at the
-    route's resolution of ``level``, which the route grows by
-    ``_refined_count``.  Each level integrates them over theta circles of
-    ``radius`` with the first rule ``_certified_integral`` accepts, starting
-    from the previous level's node count (``_THETA_NODES`` on the first;
-    ``n_theta = 0`` at ``p = 1``, which has no circle).  ``max_levels`` is
-    the last level index tried.  The run starts at level 0, or with
-    ``bound``, the route's a-priori error scale of each level, at
-    ``_first_level``; it builds no level below its start and returns the
-    first level whose value agrees with the one before it.
-
-    Returns ``(value, delta, level, n_theta, tail, start)``: ``level`` is
-    the index of the returned level and ``start`` the first level built.
-    Raises ``ValueError`` unless ``tol`` is finite and positive and
-    ``max_levels >= 0``, ``ConvergenceError`` reporting the last delta (or
-    theta tail), or ``BudgetError`` once ``deadline`` has passed.
+    ``value`` is real by construction: the bases are real and the theta
+    torus conjugate symmetric (``_theta_integral``).  ``delta`` is its
+    distance to the level before, ``nodes`` the route's node count of the
+    returned level (contour nodes per circle, or Nystrom nodes per block),
+    ``theta_nodes`` the nodes per circle of its accepted theta rule (0 at
+    ``p = 1``, which has no circle) and ``theta_tail`` that rule's tail.
+    ``levels`` is the index of the returned level and ``first_level`` the
+    level the run started at; it built no level below it.
     """
+
+    value: float
+    delta: float
+    nodes: int
+    theta_nodes: int
+    levels: int
+    first_level: int
+    theta_tail: float
+
+
+def _check_refinement(tol: float, max_levels: int) -> None:
+    """Reject a ``tol`` that is not finite and positive, or a negative ``max_levels``."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_levels < 0:
         raise ValueError(f"max_levels must be non-negative, got {max_levels}")
+
+
+def _refine(
+    nodes_at: Callable[[int], int], terms_at: Callable[[int], tuple[int, list]], p: int,
+    radius: float, tol: float, max_levels: int, deadline: float | None,
+    bound: Callable[[int], float] | None = None,
+) -> FredholmResult:
+    """Integrate over theta from a first level upward until two successive values agree.
+
+    ``nodes_at(level)`` is the route's node count of ``level``, which the
+    route grows by ``_refined_count``, and ``terms_at(level)`` returns the
+    matrix size and the terms at that resolution.  Each level integrates
+    them over theta circles of ``radius`` with the first rule
+    ``_certified_integral`` accepts, starting from the previous level's
+    node count (``_THETA_NODES`` on the first; ``n_theta = 0`` at ``p =
+    1``, which has no circle).  ``max_levels`` is the last level index
+    tried.  The run starts at level 0, or with ``bound``, the route's
+    a-priori error scale of each level, at ``_first_level``; it builds no
+    level below its start and returns the first level whose value agrees
+    with the one before it, as a ``FredholmResult``.
+
+    Raises ``ValueError`` unless ``tol`` is finite and positive and
+    ``max_levels >= 0`` (``_check_refinement``), ``ConvergenceError``
+    reporting the last delta (or theta tail), or when the agreed value lies
+    outside ``[0, 1]`` by more than ``tol``, and ``BudgetError`` once
+    ``deadline`` has passed.
+    """
+    _check_refinement(tol, max_levels)
     start = 0 if bound is None else _first_level(bound, tol, max_levels)
     prev, delta, n_theta = None, None, _THETA_NODES
     for level in range(start, max_levels + 1):
@@ -381,7 +415,11 @@ def _refine(
         if prev is not None:
             delta = abs(value - prev)
             if delta <= tol:
-                return value, delta, level, n_theta, tail, start
+                # two levels can agree on a value no probability takes when
+                # the kernel bases lost their accuracy
+                if not -tol <= value <= 1.0 + tol:
+                    raise ConvergenceError(f"value {value:.6g} at level {level} is not a probability")
+                return FredholmResult(value, delta, nodes_at(level), n_theta, level, start, tail)
         prev = value
     last = "unavailable" if delta is None else f"{delta:.3g}"
     raise ConvergenceError(

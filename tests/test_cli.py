@@ -16,6 +16,8 @@ from growthdist.params import LimitParams, ModelParams
 
 ANCHOR = '{"t": [1.0, 2.0], "x": [0.0, 0.0], "xi": [0.2, 0.4]}'
 TINY = '{"q": 0.4, "m": [1, 3], "n": [1, 2], "a": [2, 4]}'
+# a threshold of 0: the event is impossible, and exact returns 0 without refining
+IMPOSSIBLE = '{"q": 0.5, "m": [2], "n": [2], "a": [0]}'
 # a tilt so steep that the determinants overflow at the first theta node
 OVERFLOWING = '{"t": [1, 2], "x": [3, -3], "xi": [0.3, 0.5]}'
 
@@ -227,6 +229,8 @@ def test_largest_seed_is_accepted(tmp_path):
         ("asymptotic", ANCHOR, ("--extent", "nan")),
         ("asymptotic", ANCHOR, ("--extent", "inf")),
         ("oracle", TINY, ("--state-budget", "-1")),
+        ("exact", IMPOSSIBLE, ("--tol", "nan")),
+        ("exact", IMPOSSIBLE, ("--max-levels", "-3")),
     ],
     ids=[
         "negative-seed", "seed-overflow", "no-workers", "comma-only-s", "empty-s", "nan-budget", "negative-budget", "no-base-nodes",
@@ -237,12 +241,23 @@ def test_largest_seed_is_accepted(tmp_path):
         "nan-radius-scale", "negative-radius-scale", "nan-mu", "inf-mu",
         "asymptotic-nan-theta-radius", "asymptotic-inf-theta-radius",
         "nan-extent", "inf-extent", "negative-state-budget",
+        "impossible-event-nan-tol", "impossible-event-negative-levels",
     ],
 )
 def test_out_of_range_arguments_are_schema_errors(tmp_path, capsys, command, config, extra):
     code, doc = _run(tmp_path, command, config, *extra)
     assert code == 2 and doc is None
     assert "must be" in capsys.readouterr().err
+
+
+def test_fredholm_routes_emit_one_diagnostics_key_set(tmp_path):
+    keys = []
+    for command, config in (("exact", TINY), ("asymptotic", ANCHOR)):
+        code, doc = _run(tmp_path, command, config)
+        assert code == 0
+        keys.append(sorted(doc["diagnostics"]))
+    assert keys[0] == keys[1] == sorted(
+        ["delta", "first_level", "grid", "levels", "nodes", "runtime_ms", "theta_tail"])
 
 
 def test_oracle_on_a_negative_threshold_is_zero(tmp_path):

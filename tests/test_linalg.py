@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import growthdist.linalg
-from growthdist.asymptotic import LimitSettings, _LimitKernels, _limit_terms
-from growthdist.exact import _Assembler, _terms
+from growthdist.asymptotic import LimitSettings, _LimitKernels, _limit_terms, multitime_cdf
+from growthdist.errors import ConvergenceError
+from growthdist.exact import _Assembler, _terms, multipoint_prob_exact
 from growthdist.linalg import _dets, _pack, _ring, _theta_integral, block_grid, lu_det
 from growthdist.params import LimitParams, ModelParams
 
@@ -228,3 +229,25 @@ def test_half_torus_rule_matches_the_full_torus(level0, n_theta):
     value, _, _ = _theta_integral(size, packed, p, radius, n_theta, None)
     assert isinstance(value, float)
     assert abs(value - complex(full)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the refinement loop
+# ---------------------------------------------------------------------------
+
+_ROUTES = {
+    "exact": lambda: multipoint_prob_exact(ModelParams(q=0.4, m=(1, 2), n=(1, 3), a=(2, 4))),
+    "asymptotic": lambda: multitime_cdf(
+        LimitParams(t=(1.0, 2.0), x=(0.0, 0.0), xi=(0.2, 0.4))),
+}
+
+
+@pytest.mark.parametrize("value", [-20.5, 1.0 + 3e-6])
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_value_outside_unit_interval_is_not_converged(monkeypatch, route, value):
+    # two levels can agree on a value no probability takes when the kernel
+    # bases lost their accuracy (close tilted times with the lines far out);
+    # the engine refuses it on either route
+    monkeypatch.setattr(growthdist.linalg, "_certified_integral", lambda *args: (value, 8, 0.0))
+    with pytest.raises(ConvergenceError, match="not a probability"):
+        _ROUTES[route]()
